@@ -1,10 +1,10 @@
 """Sparse packetized predictive control over erasure channels.
 
 The package covers the full loop: horizon-stacked prediction matrices, the
-Riccati recursion for terminal weights, sparse packet solvers (l1-regularized
-FISTA and greedy l0 matching pursuit) next to quadratic baselines, the two
-stability design rules that certify them, and a dropout-channel simulator
-with a buffered actuator.
+Riccati recursion for terminal weights, sparse packet solvers (an exact
+homotopy for the l1-regularized packet and greedy l0 matching pursuit) next
+to quadratic baselines, the two stability design rules that certify them,
+and a dropout-channel simulator with a buffered actuator.
 """
 
 __version__ = "0.1.0"
@@ -16,9 +16,8 @@ from .plant import (HorizonMatrices, PlantModel, build_horizon_matrices,
                     check_reachability, controllability_matrix, propagate,
                     require_spd, spd_sqrt)
 from .riccati import DareSolution, fixed_point_residual, gain, solve_dare
-from .solvers import (Packet, SolverSettings, SolverTag, StepRule,
-                      count_nonzero, fista_l1l2, least_squares_packet,
-                      lipschitz_constant, omp_l0, ridge_packet)
+from .solvers import (Packet, SolverTag, count_nonzero, fista_l1l2,
+                      least_squares_packet, omp_l0, ridge_packet)
 from .design import (ContractionAuditL0, ContractionAuditL1L2, L0Design,
                      L1L2Design, ResidualAudit, SandwichAudit,
                      audit_contraction_l0, audit_contraction_l1l2,
@@ -39,9 +38,8 @@ __all__ = [
     # riccati
     "DareSolution", "solve_dare", "gain", "fixed_point_residual",
     # solvers
-    "SolverTag", "StepRule", "SolverSettings", "Packet", "count_nonzero",
-    "least_squares_packet", "ridge_packet", "fista_l1l2", "omp_l0",
-    "lipschitz_constant",
+    "SolverTag", "Packet", "count_nonzero", "least_squares_packet",
+    "ridge_packet", "fista_l1l2", "omp_l0",
     # design
     "L1L2Design", "L0Design", "design_l1l2", "design_l0", "compute_wstar",
     "omega_contains", "value_function", "audit_value_sandwich",

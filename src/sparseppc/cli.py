@@ -354,12 +354,11 @@ def _write_json(path: Path, payload):
                     + "\n")
 
 
-def _meta(command: str, cfg: ExperimentConfig, seed: int, runs: int,
-          wall_time: float) -> dict:
+def _meta(command: str, cfg: ExperimentConfig, wall_time: float) -> dict:
     return {
         "command": command,
-        "seed": int(seed),
-        "runs": int(runs),
+        "seed": cfg.seed,
+        "runs": cfg.runs,
         "T": cfg.T,
         "horizon": cfg.horizon,
         "controllers": [spec["name"] for spec in cfg.controllers],
@@ -397,19 +396,18 @@ def cmd_design(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
-    seed = cfg.seed if args.seed is None else args.seed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     built = _build_all(cfg)
 
     # Same derivation as Monte Carlo run 0, so a single trace is a replay of
     # the first run of a study with the same seed.
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(0,))
+    ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,))
     ss_x0, ss_trace = ss.spawn(2)
     x0 = _generator(ss_x0).standard_normal(cfg.plant.n)
     trace = gen_bounded_uniform_trace(cfg.horizon, cfg.T, ss_trace,
                                       cfg.channel_gap)
-    payload = {"seed": int(seed), "T": cfg.T,
+    payload = {"seed": cfg.seed, "T": cfg.T,
                "dropped": [bool(v) for v in trace.d], "controllers": {}}
     for ctrl in built:
         sim = run_closed_loop(cfg.plant, ctrl.designer, trace, x0, cfg.T)
@@ -421,44 +419,38 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
         }
     _write_json(out / "simulate.json", payload)
     print(f"simulated {cfg.T} steps for {len(built)} controller(s) "
-          f"(seed {seed})")
+          f"(seed {cfg.seed})")
     return EXIT_OK
 
 
 def cmd_montecarlo(cfg: ExperimentConfig, args) -> int:
-    seed = cfg.seed if args.seed is None else args.seed
-    runs = cfg.runs if args.runs is None else args.runs
-    threads = cfg.threads if args.threads is None else args.threads
-    if runs < 1:
-        raise ConfigError(f"runs must be positive, got {runs}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     built = _build_all(cfg)
     designers = {ctrl.name: ctrl.designer for ctrl in built}
 
     start = time.perf_counter()
-    result = monte_carlo(cfg.plant, designers, cfg.horizon, runs, T=cfg.T,
-                         seed=seed, threads=threads,
+    result = monte_carlo(cfg.plant, designers, cfg.horizon, cfg.runs,
+                         T=cfg.T, seed=cfg.seed, threads=cfg.threads,
                          receptions_between_bursts=cfg.channel_gap)
     wall = time.perf_counter() - start
 
     _write_csv(out / "avg_norm.csv", result.steps, result.avg_norm)
     _write_csv(out / "avg_sparsity.csv", result.steps, result.avg_sparsity)
-    _write_json(out / "meta.json", _meta("montecarlo", cfg, seed, runs, wall))
+    _write_json(out / "meta.json", _meta("montecarlo", cfg, wall))
     for name in designers:
         print(f"{name}: avg ||x(T-1)|| = {result.avg_norm[name][-1]:.6g}")
     return EXIT_OK
 
 
 def cmd_audit(cfg: ExperimentConfig, args) -> int:
-    seed = cfg.seed if args.seed is None else args.seed
-    draws = cfg.runs if args.runs is None else args.runs
+    draws = cfg.runs
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    summary = {"seed": int(seed), "draws": int(draws), "controllers": []}
+    summary = {"seed": cfg.seed, "draws": draws, "controllers": []}
     failures_total = 0
-    rng = _generator(seed)
+    rng = _generator(cfg.seed)
     for spec in cfg.controllers:
         name, family = spec["name"], spec["family"]
         entry = {"name": name, "family": family, "inequalities": []}
@@ -504,7 +496,7 @@ def cmd_audit(cfg: ExperimentConfig, args) -> int:
             failures_total += n_fail
             entry["inequalities"].append({
                 "name": check_name,
-                "draws": int(draws),
+                "draws": draws,
                 "failures": n_fail,
                 "worst_slack": None if not np.isfinite(worst) else worst,
                 "errors": errors,
@@ -543,10 +535,25 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _with_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
+    """Apply ``--seed``/``--runs``/``--threads``, held to the config's minima.
+
+    ``audit --runs 0`` is allowed and audits nothing.
+    """
+    changes = {}
+    for key, minimum in (("seed", 0),
+                         ("runs", 0 if args.command == "audit" else 1),
+                         ("threads", 1)):
+        value = getattr(args, key)
+        if value is not None:
+            changes[key] = _as_int(value, f"--{key}", minimum)
+    return dataclasses.replace(cfg, **changes)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = _with_overrides(load_config(args.config), args)
         return args.handler(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -561,3 +568,7 @@ def main(argv=None) -> int:
 
 def entry():  # pragma: no cover - thin wrapper
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

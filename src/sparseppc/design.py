@@ -24,8 +24,7 @@ from .errors import DegeneracyError, DesignError, ParameterError, SolverError
 from .plant import (HorizonMatrices, PlantModel, _frozen,
                     build_horizon_matrices, propagate, require_spd)
 from .riccati import solve_dare
-from .solvers import (Packet, SolverSettings, fista_l1l2, least_squares_packet,
-                      omp_l0)
+from .solvers import Packet, fista_l1l2, least_squares_packet, omp_l0
 
 # Identity check between the stacked least-squares weight and P - Q on the
 # cheap-control Riccati solution.
@@ -60,19 +59,18 @@ def omega_contains(hm: HorizonMatrices, mu: float, x) -> bool:
     return bool(np.max(np.abs(corr)) <= mu / 2.0)
 
 
-def value_function(hm: HorizonMatrices, mu: float, Q, x,
-                   settings: SolverSettings | None = None) -> float:
-    """``V(x) = ||G u - H x||^2 + mu ||u||_1 + x' Q x`` at the FISTA packet.
+def value_function(hm: HorizonMatrices, mu: float, Q, x) -> float:
+    """``V(x) = ||G u - H x||^2 + mu ||u||_1 + x' Q x`` at the optimal packet.
 
-    Any feasible packet upper-bounds the true optimum, so the returned value
-    is an upper approximation whose gap is controlled by the solver
-    tolerances.  Raises :class:`SolverError` if FISTA hits its iteration cap.
+    The packet comes from the exact l1l2 solver.  Raises
+    :class:`SolverError` if its KKT certificate does not show an exact
+    optimum.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    pkt = fista_l1l2(hm, mu, x, settings)
+    pkt = fista_l1l2(hm, mu, x)
     if not pkt.certificate["converged"]:
         raise SolverError(
-            "FISTA did not converge while evaluating the value function "
+            "the l1l2 packet is not exact at the value-function state "
             f"(kkt residual {pkt.certificate['kkt_residual']:.3e})"
         )
     Q = np.asarray(Q, dtype=float)
@@ -98,13 +96,12 @@ class L1L2Design:
     Wstar: np.ndarray
     hm: HorizonMatrices
 
-    def designer(self, settings: SolverSettings | None = None):
+    def designer(self):
         """Packet designer closure ``x -> Packet`` for this design."""
         hm, mu = self.hm, self.mu
-        use = settings if settings is not None else SolverSettings()
 
         def _packet(x) -> Packet:
-            return fista_l1l2(hm, mu, x, use)
+            return fista_l1l2(hm, mu, x)
 
         return _packet
 
@@ -127,17 +124,16 @@ class L0Design:
     Wstar: np.ndarray
     hm: HorizonMatrices
 
-    def designer(self, settings: SolverSettings | None = None):
+    def designer(self):
         """Packet designer closure ``x -> Packet`` for this design.
 
         The Loewner check on ``W`` already ran at design time, so the
         per-packet validation is skipped.
         """
         hm, W = self.hm, self.W
-        use = settings if settings is not None else SolverSettings()
 
         def _packet(x) -> Packet:
-            return omp_l0(hm, W, x, use, validate_w=False)
+            return omp_l0(hm, W, x, validate_w=False)
 
         return _packet
 
@@ -307,7 +303,6 @@ class ResidualAudit:
 
 
 def audit_value_sandwich(design: L1L2Design, x,
-                         settings: SolverSettings | None = None,
                          rel_slack: float = 1e-6) -> SandwichAudit:
     """Check ``lambda_min(Q) ||x||^2 <= V(x) <= a1 ||x|| + (a2 + lambda_max(Q)) ||x||^2``.
 
@@ -316,7 +311,7 @@ def audit_value_sandwich(design: L1L2Design, x,
     overestimate the true optimum.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    value = value_function(design.hm, design.mu, design.Q, x, settings)
+    value = value_function(design.hm, design.mu, design.Q, x)
     nx = float(np.linalg.norm(x))
     eig_q = np.linalg.eigvalsh(design.Q)
     lower = float(eig_q[0]) * nx * nx
@@ -334,7 +329,6 @@ def _check_dropouts(dropouts: int, N: int) -> int:
 
 
 def audit_contraction_l1l2(design: L1L2Design, x, dropouts: int,
-                           settings: SolverSettings | None = None,
                            rel_slack: float = 1e-6) -> ContractionAuditL1L2:
     """Evaluate ``V`` before and after ``dropouts`` buffered open-loop steps.
 
@@ -343,15 +337,14 @@ def audit_contraction_l1l2(design: L1L2Design, x, dropouts: int,
     """
     i = _check_dropouts(dropouts, design.N)
     x = np.asarray(x, dtype=float).reshape(-1)
-    use = settings if settings is not None else SolverSettings()
-    pkt = fista_l1l2(design.hm, design.mu, x, use)
+    pkt = fista_l1l2(design.hm, design.mu, x)
     if not pkt.certificate["converged"]:
-        raise SolverError("FISTA did not converge at the audited state")
+        raise SolverError("the l1l2 packet is not exact at the audited state")
     start = pkt.certificate["objective"] + float(x @ (design.Q @ x))
     z = x
     for step in range(i):
         z = propagate(design.plant, z, pkt.u[step])
-    end = value_function(design.hm, design.mu, design.Q, z, use)
+    end = value_function(design.hm, design.mu, design.Q, z)
     lam_min_q = float(np.linalg.eigvalsh(design.Q)[0])
     bound = design.rho * start + design.epsilon + lam_min_q / 4.0
     passed = end <= bound * (1.0 + rel_slack)
@@ -361,7 +354,6 @@ def audit_contraction_l1l2(design: L1L2Design, x, dropouts: int,
 
 def audit_contraction_l0(design: L0Design, hm: HorizonMatrices, x,
                          dropouts: int,
-                         settings: SolverSettings | None = None,
                          rel_slack: float = 1e-6) -> ContractionAuditL0:
     """Lyapunov decay along ``dropouts`` buffered steps of the OMP packet.
 
@@ -373,7 +365,7 @@ def audit_contraction_l0(design: L0Design, hm: HorizonMatrices, x,
     """
     i = _check_dropouts(dropouts, design.N)
     x = np.asarray(x, dtype=float).reshape(-1)
-    pkt = omp_l0(hm, design.W, x, settings, validate_w=False)
+    pkt = omp_l0(hm, design.W, x, validate_w=False)
     z = x
     for step in range(i):
         z = propagate(design.plant, z, pkt.u[step])
@@ -392,7 +384,6 @@ def audit_contraction_l0(design: L0Design, hm: HorizonMatrices, x,
 
 
 def audit_residual_l0(design: L0Design, hm: HorizonMatrices, x,
-                      settings: SolverSettings | None = None,
                       abs_slack: float = 1e-9) -> ResidualAudit:
     """Check ``||G (u - u*)||^2 <= x'(W - W*) x`` for the OMP packet.
 
@@ -401,7 +392,7 @@ def audit_residual_l0(design: L0Design, hm: HorizonMatrices, x,
     feasibility constraint, so only rounding slack is allowed.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    pkt = omp_l0(hm, design.W, x, settings, validate_w=False)
+    pkt = omp_l0(hm, design.W, x, validate_w=False)
     ustar = least_squares_packet(hm, x).u
     dev = hm.G @ (pkt.u - ustar)
     lhs = float(dev @ dev)

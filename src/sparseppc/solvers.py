@@ -1,4 +1,4 @@
-"""Packet solvers: least squares, ridge, FISTA (l1-regularized), and OMP.
+"""Packet solvers: least squares, ridge, exact l1-regularized, and OMP.
 
 All four consume the precomputed horizon matrices and a state, and return a
 full packet of ``N`` planned inputs.  Internally everything is reduced to the
@@ -25,33 +25,9 @@ class SolverTag(Enum):
     RIDGE = "ridge"
 
 
-class StepRule(Enum):
-    # Fixed step 1/L with L = 2 lambda_max(G'G), the gradient Lipschitz
-    # constant of ||G u - H x||^2.
-    LIPSCHITZ_CONST = "lipschitz_const"
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    """Shared numeric knobs.
-
-    ``zero_tol`` is a relative floor: an entry counts as nonzero when its
-    magnitude exceeds ``zero_tol * ||u||_inf``, so a packet's sparsity does
-    not depend on the scale of the state that produced it.  ``fista_tol``
-    stops the proximal-gradient loop on relative objective stagnation; a KKT
-    residual below ``1e-6 * mu`` stops it early.
-    """
-
-    zero_tol: float = 1e-8
-    fista_tol: float = 1e-10
-    fista_max_iter: int = 20000
-    step_rule: StepRule = StepRule.LIPSCHITZ_CONST
-
-    def __post_init__(self):
-        if self.zero_tol <= 0.0 or self.fista_tol <= 0.0:
-            raise ParameterError("zero_tol and fista_tol must be positive")
-        if self.fista_max_iter < 1:
-            raise ParameterError("fista_max_iter must be at least 1")
+# An entry of a packet counts as nonzero when its magnitude exceeds this
+# fraction of the packet's largest entry.
+ZERO_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -73,15 +49,15 @@ class Packet:
     certificate: dict
 
 
-def count_nonzero(u: np.ndarray, zero_tol: float = 1e-8) -> int:
-    """Entries with magnitude above ``zero_tol * ||u||_inf``.
+def count_nonzero(u: np.ndarray) -> int:
+    """Entries with magnitude above ``ZERO_TOL * ||u||_inf``.
 
     The count is invariant to rescaling ``u``; the zero vector counts 0.
     """
     u = np.abs(np.asarray(u, dtype=float))
     if not u.size:
         return 0
-    return int(np.count_nonzero(u > zero_tol * float(np.max(u))))
+    return int(np.count_nonzero(u > ZERO_TOL * float(np.max(u))))
 
 
 def _state_vector(hm: HorizonMatrices, x) -> np.ndarray:
@@ -137,121 +113,123 @@ def ridge_packet(hm: HorizonMatrices, r: float, x) -> Packet:
                   certificate={"normal_eq_residual": residual})
 
 
-def _soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+def _kkt_residual(u: np.ndarray, g: np.ndarray, mu: float) -> float:
+    # g is the smooth gradient 2 G'(Gu - Hx).  On the support (the nonzero
+    # entries) it must sit at -mu sign(u); off it, inside [-mu, mu].
+    on = u != 0.0
+    defect = np.where(on, np.abs(g + mu * np.sign(u)),
+                      np.maximum(np.abs(g) - mu, 0.0))
+    return float(np.max(defect, initial=0.0))
 
 
-def lipschitz_constant(GtG: np.ndarray, tol: float = 1e-8,
-                       max_iter: int = 1000) -> float:
-    """``lambda_max`` of an SPD Gram matrix by power iteration."""
-    N = GtG.shape[0]
-    v = np.ones(N) + 1e-3 * np.arange(N)
-    v /= np.linalg.norm(v)
-    lam_prev = np.inf
-    lam = 0.0
-    for _ in range(max_iter):
-        w = GtG @ v
-        lam = float(v @ w)
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        if abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
+def _lasso_path(GtG: np.ndarray, b: np.ndarray, target: float,
+                max_steps: int) -> tuple[list, np.ndarray, int]:
+    """Support, signs and breakpoint count of the lasso path at ``target``.
+
+    Follows ``min u'G'Gu - 2 b'u + 2 lam ||u||_1`` from
+    ``lam = ||b||_inf`` (which must exceed ``target``) down to ``target``,
+    taking at most ``max_steps`` breakpoints.
+    """
+    lam = float(np.max(np.abs(b)))
+    support = [int(np.argmax(np.abs(b)))]
+    signs = np.sign(b[support])
+    entered, left = True, None
+    steps = 1
+    while steps < max_steps:
+        cols = GtG[:, support]
+        sol = np.linalg.solve(cols[support],
+                              np.column_stack((b[support], signs)))
+        d = sol[:, 1]
+        u_S = sol[:, 0] - lam * d
+        # Lowering lam by t moves u_S by t d and each correlation c_j by
+        # -t a_j.  An index joins when |c_j| meets lam - t and leaves when
+        # its entry of u_S reaches zero.  The index that just moved may not
+        # move straight back: a new entry cannot leave at once, and one that
+        # just left cannot re-enter at once with its old sign.
+        c = b - cols @ u_S
+        a = cols @ d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = np.where(a < 1.0, np.maximum(lam - c, 0.0) / (1.0 - a),
+                          np.inf)
+            down = np.where(a > -1.0, np.maximum(lam + c, 0.0) / (1.0 + a),
+                            np.inf)
+            drop = np.where(signs * d < 0.0,
+                            np.maximum(signs * u_S, 0.0) / np.abs(d), np.inf)
+        if left is not None:
+            (up if left[1] > 0.0 else down)[left[0]] = np.inf
+        join = np.minimum(up, down)
+        join[support] = np.inf
+        if entered:
+            drop[-1] = np.inf
+        j, k = int(np.argmin(join)), int(np.argmin(drop))
+        t = min(join[j], drop[k])
+        if t >= lam - target:
             break
-        lam_prev = lam
-    return lam
+        lam -= t
+        steps += 1
+        entered = join[j] <= drop[k]
+        if entered:
+            support.append(j)
+            signs = np.append(signs, 1.0 if up[j] <= down[j] else -1.0)
+            left = None
+        else:
+            left = (support.pop(k), signs[k])
+            signs = np.delete(signs, k)
+    return support, signs, steps
 
 
-def _kkt_residual(u: np.ndarray, g: np.ndarray, mu: float,
-                  zero_tol: float) -> float:
-    # g is the smooth gradient 2 G'(Gu - Hx).  On the support the gradient
-    # must sit at -mu sign(u); off it, inside the interval [-mu, mu].  The
-    # support floor keeps the 1 + ||u||_inf scale (unlike count_nonzero)
-    # because it steers FISTA's stopping rule.
-    scale = 1.0 + (float(np.max(np.abs(u))) if u.size else 0.0)
-    on = np.abs(u) > zero_tol * scale
-    res = 0.0
-    if np.any(on):
-        res = float(np.max(np.abs(g[on] + mu * np.sign(u[on]))))
-    if np.any(~on):
-        res = max(res, float(np.max(np.maximum(np.abs(g[~on]) - mu, 0.0))))
-    return res
+def fista_l1l2(hm: HorizonMatrices, mu: float, x) -> Packet:
+    """Exact minimizer of ``||G u - H x||^2 + mu ||u||_1`` by homotopy.
 
+    The name is historical (this used to be an accelerated proximal
+    gradient loop).  The lasso solution is piecewise affine in its weight,
+    so the active-set homotopy of Osborne, Presnell & Turlach (2000) follows
+    it exactly.  With ``c = G'Hx - G'G u`` the optimality conditions read
+    ``c_S = lam s_S`` on the support ``S`` with signs ``s`` and
+    ``|c_j| <= lam`` off it, for ``lam = mu / 2``.  The path starts at
+    ``lam = ||G'Hx||_inf``, where ``u = 0`` is optimal, and lowers ``lam``
+    to ``mu / 2``.  Between breakpoints
+    ``u_S = (G'G)_SS^(-1) (G'Hx - lam s)_S``; at each breakpoint one index
+    joins or leaves ``S``.  The packet is a final refit on the last support.
 
-def fista_l1l2(hm: HorizonMatrices, mu: float, x,
-               settings: SolverSettings | None = None) -> Packet:
-    """Accelerated proximal gradient for ``||G u - H x||^2 + mu ||u||_1``.
-
-    Starts from ``u = 0`` with step ``1/L``; restarts the momentum whenever
-    the objective would increase, so the accepted objective sequence is
-    nonincreasing.  States whose correlation ``||G'Hx||_inf`` does not exceed
-    ``mu / 2`` yield the exact zero packet after one iteration.
+    States in the dead zone ``||G'Hx||_inf <= mu / 2`` get the exact zero
+    packet after 0 steps.  ``iterations`` counts path breakpoints, the first
+    entry included, up to a cap of ``10 N``.  ``converged`` means exact: the
+    KKT residual of the returned packet is at most
+    ``1e-9 max(mu, ||G'Hx||_inf)``; a packet that hits the cap is judged by
+    that certificate alone.
     """
     mu = float(mu)
     if mu <= 0.0:
         raise ParameterError(f"mu must be positive, got {mu}")
-    settings = settings if settings is not None else SolverSettings()
     x = _state_vector(hm, x)
 
     G = hm.G
     GtG = G.T @ G
     Hx = hm.H @ x
     b = G.T @ Hx
-    const = float(Hx @ Hx)
-    L = 2.0 * lipschitz_constant(GtG)
-    if L <= 0.0:
-        raise DegeneracyError("G'G has no positive eigenvalue")
-    step = 1.0 / L
-    shrink = mu / L
-
-    def evaluate(u):
-        q = GtG @ u
-        smooth = float(u @ q) - 2.0 * float(u @ b) + const
-        return smooth + mu * float(np.sum(np.abs(u))), q
-
+    target = 0.5 * mu
+    corr = float(np.max(np.abs(b)))
     u = np.zeros(hm.N)
-    J, q = evaluate(u)
-    y = u
-    t = 1.0
-    best_u, best_J, best_q = u, J, q
-    converged = False
-    iterations = 0
-    for iterations in range(1, settings.fista_max_iter + 1):
-        grad_y = 2.0 * ((GtG @ y) - b)
-        u_new = _soft_threshold(y - step * grad_y, shrink)
-        J_new, q_new = evaluate(u_new)
-        if J_new > J:
-            # Momentum overshoot: plain proximal step from the last accepted
-            # iterate, which the majorizer guarantees not to increase.
-            t = 1.0
-            u_new = _soft_threshold(u - step * 2.0 * (q - b), shrink)
-            J_new, q_new = evaluate(u_new)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = u_new + ((t - 1.0) / t_next) * (u_new - u)
-        delta = abs(J - J_new)
-        u, J, q, t = u_new, J_new, q_new, t_next
-        if J < best_J:
-            best_u, best_J, best_q = u, J, q
-        kkt = _kkt_residual(u, 2.0 * (q - b), mu, settings.zero_tol)
-        if kkt <= 1e-6 * mu or delta <= settings.fista_tol * (1.0 + abs(J)):
-            converged = True
-            break
+    steps = 0
+    if corr > target:
+        support, signs, steps = _lasso_path(GtG, b, target, 10 * hm.N)
+        u[support] = np.linalg.solve(GtG[np.ix_(support, support)],
+                                     b[support] - target * signs)
 
-    kkt_final = _kkt_residual(best_u, 2.0 * (best_q - b), mu, settings.zero_tol)
+    kkt = _kkt_residual(u, 2.0 * (GtG @ u - b), mu)
+    resid = G @ u - Hx
     certificate = {
-        "kkt_residual": kkt_final,
-        "objective": best_J,
-        "converged": converged,
+        "kkt_residual": kkt,
+        "objective": float(resid @ resid) + mu * float(np.sum(np.abs(u))),
+        "converged": kkt <= 1e-9 * max(mu, corr),
     }
-    return Packet(u=_frozen(best_u),
-                  sparsity=count_nonzero(best_u, settings.zero_tol),
-                  solver_tag=SolverTag.L1L2, iterations=iterations,
+    return Packet(u=_frozen(u), sparsity=count_nonzero(u),
+                  solver_tag=SolverTag.L1L2, iterations=steps,
                   certificate=certificate)
 
 
-def omp_l0(hm: HorizonMatrices, W, x,
-           settings: SolverSettings | None = None,
-           validate_w: bool = True) -> Packet:
+def omp_l0(hm: HorizonMatrices, W, x, validate_w: bool = True) -> Packet:
     """Greedy support growth until ``||G u - H x||^2 <= x' W x``.
 
     Each round adds the unselected index with the largest absolute
@@ -260,7 +238,6 @@ def omp_l0(hm: HorizonMatrices, W, x,
     check that ``W`` strictly dominates the least-squares weight; audit code
     uses it to probe deliberately corrupted designs.
     """
-    settings = settings if settings is not None else SolverSettings()
     x = _state_vector(hm, x)
     W = np.asarray(W, dtype=float)
     n = x.shape[0]
@@ -303,6 +280,6 @@ def omp_l0(hm: HorizonMatrices, W, x,
         resid2 = float(resid @ resid)
 
     certificate = {"constraint_slack": bound - resid2, "feasible": True}
-    return Packet(u=_frozen(u), sparsity=count_nonzero(u, settings.zero_tol),
+    return Packet(u=_frozen(u), sparsity=count_nonzero(u),
                   solver_tag=SolverTag.L0_OMP, iterations=len(support),
                   certificate=certificate)

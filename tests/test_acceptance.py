@@ -196,7 +196,7 @@ def test_criterion_7_sparsity_ordering(mc_omp, mc_l1l2):
 def test_criterion_8_solver_oracles():
     rng = np.random.default_rng(2028)
     draws = 100
-    fista_ok = omp_ok = feasible_ok = 0
+    l1l2_ok = omp_ok = feasible_ok = 0
     for trial in range(draws):
         hm2 = toy_hm(rng, n=1, N=2)
         x = rng.standard_normal(1) * rng.uniform(0.5, 3.0)
@@ -205,7 +205,7 @@ def test_criterion_8_solver_oracles():
         half = float(np.abs(sp.least_squares_packet(hm2, x).u).max()) + 1.0
         _, J_grid = grid_minimum(hm2, mu, x, half)
         J = l1l2_objective(hm2, mu, x, pkt.u[:, None])[0]
-        fista_ok += bool(abs(J - J_grid) <= 1e-4 * (1.0 + abs(J_grid)))
+        l1l2_ok += bool(abs(J - J_grid) <= 1e-4 * (1.0 + abs(J_grid)))
 
         n = int(rng.integers(1, 4))
         hm4 = toy_hm(rng, n=n, N=4)
@@ -215,8 +215,8 @@ def test_criterion_8_solver_oracles():
         resid = hm4.G @ omp.u - hm4.H @ y
         feasible_ok += bool(float(resid @ resid) <= float(y @ W @ y) + 1e-12)
         omp_ok += bool(omp.iterations <= min_feasible_support(hm4, W, y) + 2)
-    ok = fista_ok == draws and omp_ok == draws and feasible_ok == draws
-    report(8, ok, f"FISTA matched the grid oracle to 1e-4 on {fista_ok}/"
+    ok = l1l2_ok == draws and omp_ok == draws and feasible_ok == draws
+    report(8, ok, f"l1l2 matched the grid oracle to 1e-4 on {l1l2_ok}/"
                   f"{draws} toys; OMP feasible on {feasible_ok}/{draws} and "
                   f"within +2 of the exhaustive optimum on {omp_ok}/{draws}")
 

@@ -29,6 +29,14 @@ BASE = {
 }
 
 
+def src_env():
+    """Environment for a fresh interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -309,10 +317,7 @@ def test_console_script_is_installed(tmp_path):
     module, attr = target.split(":")
     wrapper = (f"import sys; from {module} import {attr}; "
                f"sys.exit({attr}())")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    commands = [([sys.executable, "-c", wrapper], env)]
+    commands = [([sys.executable, "-c", wrapper], src_env())]
     installed = shutil.which("sparseppc")
     if installed is not None:
         commands.append(([installed], None))
@@ -334,3 +339,43 @@ def test_console_script_is_installed(tmp_path):
                                      str(tmp_path / "missing.json")],
                               capture_output=True, text=True, env=cmd_env)
         assert proc.returncode == 2, (cmd, proc.stderr)
+
+
+def run_module(*args):
+    return subprocess.run([sys.executable, "-m", "sparseppc.cli", *args],
+                          capture_output=True, text=True, env=src_env())
+
+
+def test_module_runs_as_script(tmp_path):
+    path = write_config(tmp_path, {
+        "plant": {"A": [[2.0]], "B": [1.0]},
+        "horizon": 2,
+        "controllers": [{"name": "plain", "family": "ls"}],
+    })
+    proc = run_module("design", "--config", str(path), "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "design_report.json").exists()
+    proc = run_module("design", "--config", str(tmp_path / "missing.json"))
+    assert proc.returncode == 2, proc.stderr
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("audit", "--runs", "-3"),
+    ("montecarlo", "--runs", "0"),
+    ("montecarlo", "--threads", "0"),
+    ("montecarlo", "--seed", "-1"),
+    ("simulate", "--seed", "-1"),
+    ("audit", "--seed", "-1"),
+])
+def test_bad_override_is_a_config_error(tmp_path, command, flag, value):
+    # Command-line overrides go through the same minima as the config keys
+    # they replace, so a bad one exits 2 before any work, without a traceback.
+    path = write_config(tmp_path, variant())
+    out = tmp_path / "out"
+    proc = run_module(command, "--config", str(path), "--out", str(out),
+                      flag, value)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert flag in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
