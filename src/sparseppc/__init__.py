@@ -25,7 +25,7 @@ from .design import (ContractionAuditL0, ContractionAuditL1L2, L0Design,
                      design_l0, design_l1l2, omega_contains, value_function)
 from .netsim import (BufferState, DropoutTrace, MonteCarloResult, SimTrace,
                      gen_bounded_uniform_trace, monte_carlo, reception_steps,
-                     run_closed_loop)
+                     run_closed_loop, run_conditions)
 
 __all__ = [
     "__version__",
@@ -49,5 +49,5 @@ __all__ = [
     # netsim
     "DropoutTrace", "BufferState", "SimTrace", "MonteCarloResult",
     "gen_bounded_uniform_trace", "run_closed_loop", "reception_steps",
-    "monte_carlo",
+    "run_conditions", "monte_carlo",
 ]

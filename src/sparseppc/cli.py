@@ -23,14 +23,12 @@ from . import __version__
 from .design import (audit_contraction_l0, audit_contraction_l1l2,
                      audit_residual_l0, audit_value_sandwich, compute_wstar,
                      design_l0, design_l1l2)
-from .errors import (ConfigError, DegeneracyError, DesignError, ParameterError,
-                     ProtocolError, SimulationRunError, SolverError,
-                     SparsePpcError)
-from .netsim import (gen_bounded_uniform_trace, monte_carlo, run_closed_loop,
-                     _generator)
+from .errors import (ConfigError, DesignError, ParameterError, ProtocolError,
+                     SimulationRunError, SolverError, SparsePpcError)
+from .netsim import _generator, monte_carlo, run_closed_loop, run_conditions
 from .plant import PlantModel, build_horizon_matrices
 from .riccati import fixed_point_residual, solve_dare
-from .solvers import least_squares_packet, omp_l0, ridge_packet
+from .solvers import least_squares_packet, ridge_packet
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -99,7 +97,6 @@ class ExperimentConfig:
     runs: int
     T: int
     seed: int
-    threads: int
 
 
 def load_config(path) -> ExperimentConfig:
@@ -210,7 +207,7 @@ def load_config(path) -> ExperimentConfig:
             channel_gap = _as_int(chan["receptions_between_bursts"],
                                   "channel.receptions_between_bursts", minimum=1)
 
-    runs, T, seed, threads = 500, 100, 0, 1
+    runs, T, seed = 500, 100, 0
     if "run" in raw:
         run = raw["run"]
         _require(isinstance(run, dict), "run must be an object")
@@ -222,13 +219,15 @@ def load_config(path) -> ExperimentConfig:
             T = _as_int(run["T"], "run.T", minimum=1)
         if "seed" in run:
             seed = _as_int(run["seed"], "run.seed", minimum=0)
-        if "threads" in run:
-            threads = _as_int(run["threads"], "run.threads", minimum=1)
+        # Older configs may still carry the removed thread-pool size.
+        threads = run.get("threads", 1)
+        _require(type(threads) is int and threads == 1,
+                 "run.threads must be 1: the Monte Carlo thread pool was "
+                 f"removed, got {threads!r}")
 
     return ExperimentConfig(plant=plant, horizon=horizon, Q=Q,
                             controllers=tuple(controllers),
-                            channel_gap=channel_gap, runs=runs, T=T,
-                            seed=seed, threads=threads)
+                            channel_gap=channel_gap, runs=runs, T=T, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +241,6 @@ class BuiltController:
     designer: object
     report: dict
     design: object = None        # L1L2Design / L0Design when applicable
-    W: np.ndarray | None = None  # weight actually used by the OMP designer
 
 
 def _listify(M: np.ndarray) -> list:
@@ -280,26 +278,22 @@ def build_controller(cfg: ExperimentConfig, spec: dict) -> BuiltController:
 
     if family == "l0":
         design = design_l0(plant, Q, N, spec["beta"])
-        W = design.W
         overridden = "W" in spec
         if overridden:
-            W = np.asarray(spec["W"], dtype=float)
-            W = 0.5 * (W + W.T)
+            # The designer and the audits both use the override.
+            W = spec["W"]
+            design = dataclasses.replace(design, W=0.5 * (W + W.T))
         report = _base_report(cfg, plant, design.Q, 0.0, design.P, design.K)
-        gap = 0.5 * ((W - design.Wstar) + (W - design.Wstar).T)
+        gap = 0.5 * ((design.W - design.Wstar) + (design.W - design.Wstar).T)
         report.update(beta=design.beta, c1=design.c1, rho=design.rho,
-                      c=design.c, Eps=_listify(design.Eps), W=_listify(W),
-                      Wstar=_listify(design.Wstar), W_overridden=overridden)
+                      c=design.c, Eps=_listify(design.Eps),
+                      W=_listify(design.W), Wstar=_listify(design.Wstar),
+                      W_overridden=overridden)
         report["residuals"]["wstar_identity"] = float(
             np.linalg.norm(design.Wstar - (design.P - design.Q), "fro"))
         report["residuals"]["loewner_margin"] = float(np.linalg.eigvalsh(gap)[0])
-        hm = design.hm
-
-        def _designer(x, _hm=hm, _W=W):
-            return omp_l0(_hm, _W, x, validate_w=False)
-
-        return BuiltController(name, family, _designer, report,
-                               design=design, W=W)
+        return BuiltController(name, family, design.designer(), report,
+                               design=design)
 
     # Quadratic baselines: terminal weight from the Riccati equation at the
     # family's own input weight (zero for plain least squares).
@@ -400,13 +394,9 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     built = _build_all(cfg)
 
-    # Same derivation as Monte Carlo run 0, so a single trace is a replay of
-    # the first run of a study with the same seed.
-    ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,))
-    ss_x0, ss_trace = ss.spawn(2)
-    x0 = _generator(ss_x0).standard_normal(cfg.plant.n)
-    trace = gen_bounded_uniform_trace(cfg.horizon, cfg.T, ss_trace,
-                                      cfg.channel_gap)
+    # A replay of Monte Carlo run 0 of a study with the same seed.
+    x0, trace = run_conditions(cfg.plant, cfg.horizon, cfg.T, cfg.seed, 0,
+                               cfg.channel_gap)
     payload = {"seed": cfg.seed, "T": cfg.T,
                "dropped": [bool(v) for v in trace.d], "controllers": {}}
     for ctrl in built:
@@ -431,7 +421,7 @@ def cmd_montecarlo(cfg: ExperimentConfig, args) -> int:
 
     start = time.perf_counter()
     result = monte_carlo(cfg.plant, designers, cfg.horizon, cfg.runs,
-                         T=cfg.T, seed=cfg.seed, threads=cfg.threads,
+                         T=cfg.T, seed=cfg.seed,
                          receptions_between_bursts=cfg.channel_gap)
     wall = time.perf_counter() - start
 
@@ -457,23 +447,16 @@ def cmd_audit(cfg: ExperimentConfig, args) -> int:
         summary["controllers"].append(entry)
         if family not in ("l1l2", "l0") or draws == 0:
             continue
-        ctrl = build_controller(cfg, spec)
-        design = ctrl.design
+        design = build_controller(cfg, spec).design
         if family == "l1l2":
             checks = {
-                "value_sandwich": lambda x, i, d=design: audit_value_sandwich(d, x),
-                "contraction": lambda x, i, d=design: audit_contraction_l1l2(d, x, i),
+                "value_sandwich": lambda x, i: audit_value_sandwich(design, x),
+                "contraction": lambda x, i: audit_contraction_l1l2(design, x, i),
             }
         else:
-            if ctrl.W is not design.W:
-                # Audit against the weight the designer actually uses, which
-                # may be a deliberate override.
-                design = dataclasses.replace(design, W=ctrl.W)
             checks = {
-                "residual_bound": lambda x, i, d=design: audit_residual_l0(
-                    d, d.hm, x),
-                "contraction": lambda x, i, d=design: audit_contraction_l0(
-                    d, d.hm, x, i),
+                "residual_bound": lambda x, i: audit_residual_l0(design, x),
+                "contraction": lambda x, i: audit_contraction_l0(design, x, i),
             }
         for check_name, check in checks.items():
             n_fail = 0
@@ -518,33 +501,34 @@ def _parser() -> argparse.ArgumentParser:
         prog="sparseppc",
         description="Sparse packetized predictive control toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, handler in (("design", cmd_design),
-                             ("simulate", cmd_simulate),
-                             ("montecarlo", cmd_montecarlo),
-                             ("audit", cmd_audit)):
+    overrides = {
+        "--seed": "master seed (overrides the config)",
+        "--runs": "Monte Carlo run count; for audit, the number of draws",
+    }
+    # Each command takes only the overrides it uses.
+    for command, handler, flags in (
+            ("design", cmd_design, ()),
+            ("simulate", cmd_simulate, ("--seed",)),
+            ("montecarlo", cmd_montecarlo, ("--seed", "--runs")),
+            ("audit", cmd_audit, ("--seed", "--runs"))):
         p = sub.add_parser(command)
         p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed (overrides the config)")
-        p.add_argument("--runs", type=int, default=None,
-                       help="Monte Carlo run count; for audit, the number of draws")
+        for flag in flags:
+            p.add_argument(flag, type=int, help=overrides[flag])
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for the Monte Carlo fan-out")
         p.set_defaults(handler=handler)
     return parser
 
 
 def _with_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    """Apply ``--seed``/``--runs``/``--threads``, held to the config's minima.
+    """Apply ``--seed``/``--runs``, held to the config's minima.
 
     ``audit --runs 0`` is allowed and audits nothing.
     """
     changes = {}
     for key, minimum in (("seed", 0),
-                         ("runs", 0 if args.command == "audit" else 1),
-                         ("threads", 1)):
-        value = getattr(args, key)
+                         ("runs", 0 if args.command == "audit" else 1)):
+        value = getattr(args, key, None)
         if value is not None:
             changes[key] = _as_int(value, f"--{key}", minimum)
     return dataclasses.replace(cfg, **changes)
@@ -558,10 +542,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ProtocolError, SimulationRunError) as exc:
-        print(f"simulation error: {exc}", file=sys.stderr)
-        return EXIT_PROTOCOL
     except SparsePpcError as exc:
+        # A failed Monte Carlo run exits as its cause would, with the run's
+        # replay details kept in the message.
+        cause = exc.cause if isinstance(exc, SimulationRunError) else exc
+        if isinstance(cause, ProtocolError):
+            print(f"simulation error: {exc}", file=sys.stderr)
+            return EXIT_PROTOCOL
         print(f"design error: {exc}", file=sys.stderr)
         return EXIT_DESIGN
 

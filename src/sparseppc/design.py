@@ -127,8 +127,9 @@ class L0Design:
     def designer(self):
         """Packet designer closure ``x -> Packet`` for this design.
 
-        The Loewner check on ``W`` already ran at design time, so the
-        per-packet validation is skipped.
+        The per-packet Loewner check on ``W`` is skipped.  ``design_l0``
+        checks the ``W`` it builds; a ``W`` substituted afterwards, such as
+        a config override, is vetted only by the audits.
         """
         hm, W = self.hm, self.W
 
@@ -352,8 +353,7 @@ def audit_contraction_l1l2(design: L1L2Design, x, dropouts: int,
                                 bound=bound, slack=bound - end, passed=passed)
 
 
-def audit_contraction_l0(design: L0Design, hm: HorizonMatrices, x,
-                         dropouts: int,
+def audit_contraction_l0(design: L0Design, x, dropouts: int,
                          rel_slack: float = 1e-6) -> ContractionAuditL0:
     """Lyapunov decay along ``dropouts`` buffered steps of the OMP packet.
 
@@ -365,7 +365,7 @@ def audit_contraction_l0(design: L0Design, hm: HorizonMatrices, x,
     """
     i = _check_dropouts(dropouts, design.N)
     x = np.asarray(x, dtype=float).reshape(-1)
-    pkt = omp_l0(hm, design.W, x, validate_w=False)
+    pkt = omp_l0(design.hm, design.W, x, validate_w=False)
     z = x
     for step in range(i):
         z = propagate(design.plant, z, pkt.u[step])
@@ -383,7 +383,7 @@ def audit_contraction_l0(design: L0Design, hm: HorizonMatrices, x,
                               slack=slack, passed=passed)
 
 
-def audit_residual_l0(design: L0Design, hm: HorizonMatrices, x,
+def audit_residual_l0(design: L0Design, x,
                       abs_slack: float = 1e-9) -> ResidualAudit:
     """Check ``||G (u - u*)||^2 <= x'(W - W*) x`` for the OMP packet.
 
@@ -392,11 +392,12 @@ def audit_residual_l0(design: L0Design, hm: HorizonMatrices, x,
     feasibility constraint, so only rounding slack is allowed.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
+    hm = design.hm
     pkt = omp_l0(hm, design.W, x, validate_w=False)
     ustar = least_squares_packet(hm, x).u
     dev = hm.G @ (pkt.u - ustar)
     lhs = float(dev @ dev)
-    gap = design.W - compute_wstar(hm)
+    gap = design.W - design.Wstar
     rhs = float(x @ (0.5 * (gap + gap.T) @ x))
     passed = lhs <= rhs + abs_slack
     return ResidualAudit(lhs=lhs, rhs=rhs, slack=rhs + abs_slack - lhs,

@@ -8,7 +8,6 @@ length, so the buffer never runs dry for traces that respect their bound.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -177,57 +176,53 @@ class MonteCarloResult:
     traces: dict | None = None
 
 
-def _single_run(plant: PlantModel, designers: Mapping[str, Callable],
-                N: int, T: int, seed: int, run_idx: int,
-                receptions_between_bursts: int) -> dict:
+def run_conditions(plant: PlantModel, N: int, T: int, seed: int, run_idx: int,
+                   receptions_between_bursts: int = 1) -> tuple:
+    """Initial state and dropout trace ``(x0, trace)`` of Monte Carlo run
+    ``run_idx``.
+
+    Both are drawn from the child of the master seed keyed by the run index,
+    so any run of a study can be replayed on its own.
+    """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(run_idx),))
     ss_x0, ss_trace = ss.spawn(2)
     x0 = _generator(ss_x0).standard_normal(plant.n)
     trace = gen_bounded_uniform_trace(N, T, ss_trace, receptions_between_bursts)
-    return {name: run_closed_loop(plant, designer, trace, x0, T)
-            for name, designer in designers.items()}
+    return x0, trace
 
 
 def monte_carlo(plant: PlantModel, designers: Mapping[str, Callable],
                 N: int, runs: int, T: int = 100, seed: int = 0,
-                threads: int = 1, receptions_between_bursts: int = 1,
+                receptions_between_bursts: int = 1,
                 keep_traces: bool = False) -> MonteCarloResult:
     """Average closed-loop norm and packet sparsity over independent runs.
 
-    Each run draws a fresh standard-normal initial state and dropout trace
-    from a child of the master seed keyed by the run index, and replays them
-    through every designer.  Aggregation reduces in run order, so threaded
-    and serial execution produce identical output.  A failing run aborts the
-    study with its index and seed attached for replay.
+    Each run replays the conditions of :func:`run_conditions` through every
+    designer.  A failing run aborts the study with its index and seed
+    attached for replay.
     """
     if not designers:
         raise ParameterError("at least one designer is required")
     if not isinstance(runs, (int, np.integer)) or runs < 1:
         raise ParameterError(f"runs must be a positive integer, got {runs!r}")
     runs = int(runs)
-    threads = int(threads)
-    if threads < 1:
-        raise ParameterError(f"threads must be at least 1, got {threads}")
 
-    def job(run_idx: int) -> dict:
+    results = []
+    for run_idx in range(runs):
         try:
-            return _single_run(plant, designers, N, T, seed, run_idx,
-                               receptions_between_bursts)
+            x0, trace = run_conditions(plant, N, T, seed, run_idx,
+                                       receptions_between_bursts)
+            results.append({name: run_closed_loop(plant, designer, trace, x0, T)
+                            for name, designer in designers.items()})
         except Exception as exc:
             raise SimulationRunError(run_idx, int(seed), exc) from exc
-
-    if threads == 1:
-        results = [job(i) for i in range(runs)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, range(runs)))
 
     T = int(T)
     avg_norm = {}
     avg_sparsity = {}
     for name in designers:
-        norm_mat = np.stack([results[i][name].norms[:T] for i in range(runs)])
-        spars_mat = np.stack([results[i][name].sparsity for i in range(runs)])
+        norm_mat = np.stack([run[name].norms[:T] for run in results])
+        spars_mat = np.stack([run[name].sparsity for run in results])
         avg_norm[name] = norm_mat.mean(axis=0)
         # NaN marks steps without a freshly computed packet; average over the
         # runs that did compute one, NaN if none did.
@@ -240,8 +235,7 @@ def monte_carlo(plant: PlantModel, designers: Mapping[str, Callable],
 
     traces = None
     if keep_traces:
-        traces = {name: [results[i][name] for i in range(runs)]
-                  for name in designers}
+        traces = {name: [run[name] for run in results] for name in designers}
     return MonteCarloResult(steps=np.arange(T), avg_norm=avg_norm,
                             avg_sparsity=avg_sparsity, runs=runs,
                             seed=int(seed), traces=traces)

@@ -68,7 +68,7 @@ class PlantModel:
 
     ``A`` is ``n x n``; ``B`` is accepted as a length-``n`` vector or an
     ``n x 1`` column and stored as a column.  Matrices are copied and marked
-    read-only so a model can be shared freely across threads.
+    read-only so a model can be shared freely.
     """
 
     A: np.ndarray

@@ -113,7 +113,7 @@ def test_criterion_4_contraction_bounds(bench_l1l2, bench_l0):
         x = rng.standard_normal(4) * rng.uniform(0.1, 4.0)
         i = int(rng.integers(1, BENCH_N + 1))
         passed_l1l2 += sp.audit_contraction_l1l2(bench_l1l2, x, i).passed
-        passed_l0 += sp.audit_contraction_l0(bench_l0, bench_l0.hm, x, i).passed
+        passed_l0 += sp.audit_contraction_l0(bench_l0, x, i).passed
     ok = passed_l1l2 == draws and passed_l0 == draws
     report(4, ok, f"dropout-burst contraction bounds held on "
                   f"{passed_l1l2}/{draws} l1-l2 draws and "

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from sparseppc import ConfigError
-from sparseppc.cli import load_config, main
+from sparseppc.cli import build_controller, load_config, main
+from sparseppc.netsim import monte_carlo
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -56,7 +57,7 @@ class TestLoadConfig:
         assert cfg.plant.n == 2
         np.testing.assert_array_equal(cfg.Q, np.eye(2))  # default weight
         assert cfg.channel_gap == 1
-        assert (cfg.runs, cfg.T, cfg.seed, cfg.threads) == (3, 8, 1, 1)
+        assert (cfg.runs, cfg.T, cfg.seed) == (3, 8, 1)
         assert [c["name"] for c in cfg.controllers] == [
             "lasso", "greedy", "ridge", "plain"]
 
@@ -107,11 +108,21 @@ class TestLoadConfig:
         lambda c: c.update(run={"runs": 0}),
         lambda c: c.update(run={"seed": -1}),
         lambda c: c.update(run={"budget": 5}),
+        lambda c: c.update(run={"threads": 2}),
     ])
     def test_rejects_malformed(self, tmp_path, mutate):
         cfg = variant()
         mutate(cfg)
         with pytest.raises(ConfigError):
+            load_config(write_config(tmp_path, cfg))
+
+    def test_threads_is_accepted_only_as_one(self, tmp_path):
+        # Configs written for the removed thread pool still load when they
+        # ask for the serial loop it fell back to.
+        cfg = variant(run={"runs": 3, "T": 8, "seed": 1, "threads": 1})
+        assert load_config(write_config(tmp_path, cfg)).runs == 3
+        cfg["run"]["threads"] = 2
+        with pytest.raises(ConfigError, match="thread pool was removed"):
             load_config(write_config(tmp_path, cfg))
 
     def test_rejects_unparseable_file(self, tmp_path):
@@ -250,15 +261,6 @@ class TestMonteCarloCommand:
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert meta["runs"] == 1
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        path = write_config(tmp_path, variant())
-        main(["montecarlo", "--config", str(path), "--out",
-              str(tmp_path / "serial")])
-        main(["montecarlo", "--config", str(path), "--out",
-              str(tmp_path / "pool"), "--threads", "4"])
-        assert ((tmp_path / "serial" / "avg_norm.csv").read_bytes()
-                == (tmp_path / "pool" / "avg_norm.csv").read_bytes())
-
 
 class TestAuditCommand:
     def test_healthy_designs_pass(self, tmp_path):
@@ -362,7 +364,6 @@ def test_module_runs_as_script(tmp_path):
 @pytest.mark.parametrize("command, flag, value", [
     ("audit", "--runs", "-3"),
     ("montecarlo", "--runs", "0"),
-    ("montecarlo", "--threads", "0"),
     ("montecarlo", "--seed", "-1"),
     ("simulate", "--seed", "-1"),
     ("audit", "--seed", "-1"),
@@ -379,3 +380,60 @@ def test_bad_override_is_a_config_error(tmp_path, command, flag, value):
     assert flag in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("design", "--runs", "5"),
+    ("design", "--seed", "1"),
+    ("simulate", "--runs", "7"),
+    ("montecarlo", "--threads", "2"),
+    ("montecarlo", "--threads", "0"),
+])
+def test_unused_flag_is_a_usage_error(tmp_path, command, flag, value):
+    # Each command registers only the overrides it uses, so a flag it would
+    # ignore is rejected by the argument parser before any work.
+    path = write_config(tmp_path, variant())
+    out = tmp_path / "out"
+    proc = run_module(command, "--config", str(path), "--out", str(out),
+                      flag, value)
+    assert proc.returncode == 2, proc.stderr
+    assert flag in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+def test_failed_run_exits_as_its_cause(tmp_path, command):
+    # An override far below the least-squares weight makes OMP infeasible:
+    # a design error in a single simulation and in a Monte Carlo run alike.
+    cfg = variant(controllers=[
+        {"name": "bad", "family": "l0", "beta": 0.5,
+         "W": [[1e-6, 0.0], [0.0, 1e-6]]}])
+    path = write_config(tmp_path, cfg)
+    proc = run_module(command, "--config", str(path), "--out", str(tmp_path))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("design error:")
+    assert "Traceback" not in proc.stderr
+    if command == "montecarlo":
+        assert "run 0 failed" in proc.stderr
+        assert "spawn key (0,)" in proc.stderr
+
+
+def test_simulate_replays_monte_carlo_run_zero(tmp_path):
+    path = write_config(tmp_path, variant())
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "simulate.json").read_text())
+
+    cfg = load_config(path)
+    designers = {spec["name"]: build_controller(cfg, spec).designer
+                 for spec in cfg.controllers}
+    result = monte_carlo(cfg.plant, designers, cfg.horizon, runs=1, T=cfg.T,
+                         seed=cfg.seed,
+                         receptions_between_bursts=cfg.channel_gap,
+                         keep_traces=True)
+    for name in designers:
+        run0 = result.traces[name][0]
+        assert payload["dropped"] == run0.dropped.d.tolist()
+        np.testing.assert_array_equal(
+            np.array(payload["controllers"][name]["states"]), run0.states)

@@ -241,7 +241,7 @@ class TestAudits:
         for trial in range(50):
             x = rng.standard_normal(4) * rng.uniform(0.1, 4.0)
             i = int(rng.integers(1, BENCH_N + 1))
-            audit = sp.audit_contraction_l0(bench_l0, bench_l0.hm, x, i)
+            audit = sp.audit_contraction_l0(bench_l0, x, i)
             assert audit.passed
             assert audit.value_end <= audit.bound_geometric * (1 + 1e-6)
 
@@ -249,7 +249,7 @@ class TestAudits:
         rng = np.random.default_rng(93)
         for trial in range(50):
             x = rng.standard_normal(4) * rng.uniform(0.1, 4.0)
-            audit = sp.audit_residual_l0(bench_l0, bench_l0.hm, x)
+            audit = sp.audit_residual_l0(bench_l0, x)
             assert audit.passed
             assert audit.lhs <= audit.rhs + 1e-9
 
@@ -266,7 +266,7 @@ class TestAudits:
         failed = 0
         for trial in range(20):
             x = rng.standard_normal(4)
-            audit = sp.audit_contraction_l0(bad, bad.hm, x, 5)
+            audit = sp.audit_contraction_l0(bad, x, 5)
             failed += not audit.passed
         assert failed > 0
 
@@ -274,4 +274,4 @@ class TestAudits:
         bad = dataclasses.replace(bench_l0, W=0.5 * bench_l0.Wstar)
         rng = np.random.default_rng(95)
         with pytest.raises(DesignError):
-            sp.audit_residual_l0(bad, bad.hm, rng.standard_normal(4))
+            sp.audit_residual_l0(bad, rng.standard_normal(4))

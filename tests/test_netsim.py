@@ -204,21 +204,26 @@ class TestMonteCarlo:
             np.testing.assert_array_equal(res.avg_sparsity[name],
                                           only.sparsity)
 
-    def test_deterministic_across_calls_and_threads(self, small_plant,
-                                                    small_designers):
+    def test_deterministic_across_calls(self, small_plant, small_designers):
         a = sp.monte_carlo(small_plant, small_designers, 3, runs=6, T=15,
                            seed=42)
         b = sp.monte_carlo(small_plant, small_designers, 3, runs=6, T=15,
                            seed=42)
-        c = sp.monte_carlo(small_plant, small_designers, 3, runs=6, T=15,
-                           seed=42, threads=3)
         for name in small_designers:
             np.testing.assert_array_equal(a.avg_norm[name], b.avg_norm[name])
-            np.testing.assert_array_equal(a.avg_norm[name], c.avg_norm[name])
             np.testing.assert_array_equal(a.avg_sparsity[name],
                                           b.avg_sparsity[name])
-            np.testing.assert_array_equal(a.avg_sparsity[name],
-                                          c.avg_sparsity[name])
+
+    def test_run_conditions_replay_each_run(self, small_plant,
+                                            small_designers):
+        res = sp.monte_carlo(small_plant, small_designers, 3, runs=4, T=10,
+                             seed=8, receptions_between_bursts=2,
+                             keep_traces=True)
+        for k in range(4):
+            x0, trace = sp.run_conditions(small_plant, 3, 10, 8, k, 2)
+            sim = res.traces["ls"][k]
+            np.testing.assert_array_equal(sim.states[0], x0)
+            np.testing.assert_array_equal(sim.dropped.d, trace.d)
 
     def test_seed_changes_results(self, small_plant, small_designers):
         a = sp.monte_carlo(small_plant, small_designers, 3, runs=4, T=10,
@@ -255,5 +260,3 @@ class TestMonteCarlo:
             sp.monte_carlo(small_plant, {}, 3, runs=1)
         with pytest.raises(ParameterError):
             sp.monte_carlo(small_plant, small_designers, 3, runs=0)
-        with pytest.raises(ParameterError):
-            sp.monte_carlo(small_plant, small_designers, 3, runs=1, threads=0)
