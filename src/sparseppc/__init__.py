@@ -16,14 +16,15 @@ from .plant import (HorizonMatrices, PlantModel, build_horizon_matrices,
                     check_reachability, controllability_matrix, propagate,
                     require_spd, spd_sqrt)
 from .riccati import DareSolution, fixed_point_residual, gain, solve_dare
-from .solvers import (Packet, SolverTag, count_nonzero, fista_l1l2,
+from .solvers import (LassoLaw, LinearLaw, OmpLaw, Packet, PacketLaw,
+                      SolverTag, count_nonzero, fista_l1l2,
                       least_squares_packet, omp_l0, ridge_packet)
 from .design import (ContractionAuditL0, ContractionAuditL1L2, L0Design,
                      L1L2Design, ResidualAudit, SandwichAudit,
                      audit_contraction_l0, audit_contraction_l1l2,
                      audit_residual_l0, audit_value_sandwich, compute_wstar,
                      design_l0, design_l1l2, omega_contains, value_function)
-from .netsim import (BufferState, DropoutTrace, MonteCarloResult, SimTrace,
+from .netsim import (DropoutTrace, MonteCarloResult, SimTrace,
                      gen_bounded_uniform_trace, monte_carlo, reception_steps,
                      run_closed_loop, run_conditions)
 
@@ -38,8 +39,9 @@ __all__ = [
     # riccati
     "DareSolution", "solve_dare", "gain", "fixed_point_residual",
     # solvers
-    "SolverTag", "Packet", "count_nonzero", "least_squares_packet",
-    "ridge_packet", "fista_l1l2", "omp_l0",
+    "SolverTag", "Packet", "count_nonzero", "PacketLaw", "LinearLaw",
+    "OmpLaw", "LassoLaw", "least_squares_packet", "ridge_packet",
+    "fista_l1l2", "omp_l0",
     # design
     "L1L2Design", "L0Design", "design_l1l2", "design_l0", "compute_wstar",
     "omega_contains", "value_function", "audit_value_sandwich",
@@ -47,7 +49,7 @@ __all__ = [
     "SandwichAudit", "ContractionAuditL1L2", "ContractionAuditL0",
     "ResidualAudit",
     # netsim
-    "DropoutTrace", "BufferState", "SimTrace", "MonteCarloResult",
+    "DropoutTrace", "SimTrace", "MonteCarloResult",
     "gen_bounded_uniform_trace", "run_closed_loop", "reception_steps",
     "run_conditions", "monte_carlo",
 ]

@@ -28,7 +28,7 @@ from .errors import (ConfigError, DesignError, ParameterError, ProtocolError,
 from .netsim import _generator, monte_carlo, run_closed_loop, run_conditions
 from .plant import PlantModel, build_horizon_matrices
 from .riccati import fixed_point_residual, solve_dare
-from .solvers import least_squares_packet, ridge_packet
+from .solvers import LinearLaw
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -302,13 +302,7 @@ def build_controller(cfg: ExperimentConfig, spec: dict) -> BuiltController:
     hm = build_horizon_matrices(plant, N, Q, dare.P)
     report = _base_report(cfg, plant, Q, r, dare.P, dare.K)
     report["Wstar"] = _listify(compute_wstar(hm))
-    if family == "ridge":
-        def _designer(x, _hm=hm, _r=r):
-            return ridge_packet(_hm, _r, x)
-    else:
-        def _designer(x, _hm=hm):
-            return least_squares_packet(_hm, x)
-    return BuiltController(name, family, _designer, report)
+    return BuiltController(name, family, LinearLaw(hm, r), report)
 
 
 def _build_all(cfg: ExperimentConfig) -> list:
@@ -390,14 +384,15 @@ def cmd_design(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
+    run_index = _as_int(args.run_index, "--run-index", minimum=0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     built = _build_all(cfg)
 
-    # A replay of Monte Carlo run 0 of a study with the same seed.
-    x0, trace = run_conditions(cfg.plant, cfg.horizon, cfg.T, cfg.seed, 0,
-                               cfg.channel_gap)
-    payload = {"seed": cfg.seed, "T": cfg.T,
+    # A replay of one Monte Carlo run of a study with the same seed.
+    x0, trace = run_conditions(cfg.plant, cfg.horizon, cfg.T, cfg.seed,
+                               run_index, cfg.channel_gap)
+    payload = {"seed": cfg.seed, "run_index": run_index, "T": cfg.T,
                "dropped": [bool(v) for v in trace.d], "controllers": {}}
     for ctrl in built:
         sim = run_closed_loop(cfg.plant, ctrl.designer, trace, x0, cfg.T)
@@ -409,7 +404,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
         }
     _write_json(out / "simulate.json", payload)
     print(f"simulated {cfg.T} steps for {len(built)} controller(s) "
-          f"(seed {cfg.seed})")
+          f"(seed {cfg.seed}, run {run_index})")
     return EXIT_OK
 
 
@@ -504,17 +499,19 @@ def _parser() -> argparse.ArgumentParser:
     overrides = {
         "--seed": "master seed (overrides the config)",
         "--runs": "Monte Carlo run count; for audit, the number of draws",
+        "--run-index": "the Monte Carlo run to replay (default 0)",
     }
-    # Each command takes only the overrides it uses.
+    # Each command takes only the flags it uses.
     for command, handler, flags in (
             ("design", cmd_design, ()),
-            ("simulate", cmd_simulate, ("--seed",)),
+            ("simulate", cmd_simulate, ("--seed", "--run-index")),
             ("montecarlo", cmd_montecarlo, ("--seed", "--runs")),
             ("audit", cmd_audit, ("--seed", "--runs"))):
         p = sub.add_parser(command)
         p.add_argument("--config", required=True, help="path to the JSON config")
         for flag in flags:
-            p.add_argument(flag, type=int, help=overrides[flag])
+            p.add_argument(flag, type=int, help=overrides[flag],
+                           default=0 if flag == "--run-index" else None)
         p.add_argument("--out", default=".", help="output directory")
         p.set_defaults(handler=handler)
     return parser

@@ -24,7 +24,8 @@ from .errors import DegeneracyError, DesignError, ParameterError, SolverError
 from .plant import (HorizonMatrices, PlantModel, _frozen,
                     build_horizon_matrices, propagate, require_spd)
 from .riccati import solve_dare
-from .solvers import Packet, fista_l1l2, least_squares_packet, omp_l0
+from .solvers import (LassoLaw, OmpLaw, fista_l1l2, least_squares_packet,
+                      omp_l0)
 
 # Identity check between the stacked least-squares weight and P - Q on the
 # cheap-control Riccati solution.
@@ -36,14 +37,11 @@ def compute_wstar(hm: HorizonMatrices) -> np.ndarray:
 
     Computed as ``H'H - H'G (G'G)^(-1) G'H`` and symmetrized.
     """
-    G, H = hm.G, hm.H
-    GtG = G.T @ G
-    GtH = G.T @ H
     try:
-        cho = scipy.linalg.cho_factor(GtG)
+        cho = scipy.linalg.cho_factor(hm.GtG)
     except np.linalg.LinAlgError as exc:
         raise DegeneracyError("G'G is numerically singular") from exc
-    W = H.T @ H - GtH.T @ scipy.linalg.cho_solve(cho, GtH)
+    W = hm.H.T @ hm.H - hm.GtH.T @ scipy.linalg.cho_solve(cho, hm.GtH)
     return _frozen(0.5 * (W + W.T))
 
 
@@ -96,14 +94,9 @@ class L1L2Design:
     Wstar: np.ndarray
     hm: HorizonMatrices
 
-    def designer(self):
-        """Packet designer closure ``x -> Packet`` for this design."""
-        hm, mu = self.hm, self.mu
-
-        def _packet(x) -> Packet:
-            return fista_l1l2(hm, mu, x)
-
-        return _packet
+    def designer(self) -> LassoLaw:
+        """The packet law of this design; ``law(x)`` is a :class:`Packet`."""
+        return LassoLaw(self.hm, self.mu)
 
 
 @dataclass(frozen=True)
@@ -124,19 +117,14 @@ class L0Design:
     Wstar: np.ndarray
     hm: HorizonMatrices
 
-    def designer(self):
-        """Packet designer closure ``x -> Packet`` for this design.
+    def designer(self) -> OmpLaw:
+        """The packet law of this design; ``law(x)`` is a :class:`Packet`.
 
-        The per-packet Loewner check on ``W`` is skipped.  ``design_l0``
-        checks the ``W`` it builds; a ``W`` substituted afterwards, such as
-        a config override, is vetted only by the audits.
+        The law does not check ``W`` against ``W*``.  ``design_l0`` checks
+        the ``W`` it builds; a ``W`` substituted afterwards, such as a config
+        override, is vetted only by the audits.
         """
-        hm, W = self.hm, self.W
-
-        def _packet(x) -> Packet:
-            return omp_l0(hm, W, x, validate_w=False)
-
-        return _packet
+        return OmpLaw(self.hm, self.W)
 
 
 def design_l1l2(plant: PlantModel, Q, mu: float, N: int,
@@ -162,10 +150,8 @@ def design_l1l2(plant: PlantModel, Q, mu: float, N: int,
     dare = solve_dare(plant, Q, r)
     hm = build_horizon_matrices(plant, N, Q, dare.P)
 
-    GtG = hm.G.T @ hm.G
-    GtH = hm.G.T @ hm.H
-    cho = scipy.linalg.cho_factor(GtG)
-    pseudo = scipy.linalg.cho_solve(cho, GtH)        # Gdag H, shape (N, n)
+    cho = scipy.linalg.cho_factor(hm.GtG)
+    pseudo = scipy.linalg.cho_solve(cho, hm.GtH)     # Gdag H, shape (N, n)
     sigma_max = float(np.linalg.norm(pseudo, 2))
     Wstar = compute_wstar(hm)
 
@@ -207,8 +193,7 @@ def design_l0(plant: PlantModel, Q, N: int, beta: float) -> L0Design:
     dare = solve_dare(plant, Q, 0.0)
     P = dare.P
     hm = build_horizon_matrices(plant, N, Q, P)
-    GtG = hm.G.T @ hm.G
-    GtG = 0.5 * (GtG + GtG.T)
+    GtG = 0.5 * (hm.GtG + hm.GtG.T)
 
     c1 = 0.0
     for block in hm.phi_blocks:

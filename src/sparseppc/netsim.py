@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ParameterError, ProtocolError, SimulationRunError
-from .plant import PlantModel, propagate
+from .plant import PlantModel, row_matmul
 from .solvers import Packet
 
 
@@ -36,13 +36,12 @@ class DropoutTrace:
             raise ParameterError(f"N_bound must be a positive integer, got {self.N_bound!r}")
         if d.size and d[0]:
             raise ParameterError("first step of a dropout trace must be a delivery")
-        run = 0
-        for flag in d:
-            run = run + 1 if flag else 0
-            if run > self.N_bound - 1:
-                raise ParameterError(
-                    f"dropout burst longer than N_bound - 1 = {self.N_bound - 1}"
-                )
+        # Burst lengths are the distances between the rises and the falls.
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], d, [0]))))
+        if np.max(edges[1::2] - edges[::2], initial=0) > self.N_bound - 1:
+            raise ParameterError(
+                f"dropout burst longer than N_bound - 1 = {self.N_bound - 1}"
+            )
         d = d.copy()
         d.setflags(write=False)
         object.__setattr__(self, "d", d)
@@ -50,14 +49,6 @@ class DropoutTrace:
 
     def __len__(self) -> int:
         return self.d.size
-
-
-@dataclass
-class BufferState:
-    """Actuator-side buffer: the last received packet and its age."""
-
-    packet: Packet | None = None
-    age: int = 0
 
 
 @dataclass(frozen=True)
@@ -101,18 +92,110 @@ def gen_bounded_uniform_trace(N: int, T: int, seed,
     gap = int(receptions_between_bursts)
     if gap < 1:
         raise ParameterError("receptions_between_bursts must be at least 1")
-    rng = _generator(seed)
-    flags: list[bool] = []
-    while len(flags) < T:
-        flags.extend([False] * gap)
-        m = int(rng.integers(1, N))
-        flags.extend([True] * m)
-    return DropoutTrace(d=np.array(flags[:T], dtype=bool), N_bound=int(N))
+    # Each cycle of gap receptions and one burst covers at least gap + 1
+    # steps.  The stream serves this trace alone, so drawing more bursts
+    # than T needs changes nothing.
+    bursts = _generator(seed).integers(1, N, size=-(-int(T) // (gap + 1)))
+    lengths = np.column_stack((np.full(bursts.size, gap), bursts)).ravel()
+    flags = np.repeat(np.tile([False, True], bursts.size), lengths)
+    return DropoutTrace(d=flags[:T], N_bound=int(N))
 
 
 def reception_steps(trace: DropoutTrace) -> np.ndarray:
     """Indices of delivered steps."""
     return np.flatnonzero(~trace.d)
+
+
+class _RunFailure(Exception):
+    """Run ``row`` of a batched rollout failed with ``cause``."""
+
+    def __init__(self, row: int, cause: BaseException):
+        super().__init__(row, cause)
+        self.row = int(row)
+        self.cause = cause
+
+
+class _PerRow:
+    """A plain designer ``x -> Packet`` seen as a packet law, one row at a time."""
+
+    def __init__(self, designer: Callable[[np.ndarray], Packet]):
+        self.designer = designer
+
+    def packets(self, X: np.ndarray) -> tuple:
+        pkts = [self.designer(x) for x in X]
+        return (np.array([p.u for p in pkts], dtype=float),
+                np.array([p.sparsity for p in pkts]))
+
+
+def _packets(law, X: np.ndarray, rows: np.ndarray) -> tuple:
+    """``law.packets(X)``; a failure is pinned on the lowest-indexed row of
+    ``rows`` that also fails on its own."""
+    try:
+        return law.packets(X)
+    except Exception as exc:
+        if rows.size > 1:
+            for i, row in enumerate(rows):
+                try:
+                    law.packets(X[i:i + 1])
+                except Exception as row_exc:
+                    raise _RunFailure(row, row_exc) from row_exc
+        raise _RunFailure(rows[0], exc) from exc
+
+
+def _rollout(plant: PlantModel, law, X0: np.ndarray, D: np.ndarray) -> tuple:
+    """Advance a batch of runs together through the buffered protocol.
+
+    Row ``r`` starts at ``X0[r]`` and follows the dropout flags ``D[r]``;
+    each step makes one ``law.packets`` call on the receiving rows.  Returns
+    ``(states, inputs, sparsity)`` of shapes ``(runs, T + 1, n)``,
+    ``(runs, T)`` and ``(runs, T)``.  Every state product is row-independent
+    (``plant.row_matmul``), so a run computes the same bits alone or inside
+    any batch.  A failure raises :class:`_RunFailure` for the lowest-indexed
+    run that fails at the earliest failing step.
+    """
+    runs, T = D.shape
+    states = np.empty((runs, T + 1, plant.n))
+    inputs = np.empty((runs, T))
+    sparsity = np.full((runs, T), np.nan)
+    X = states[:, 0] = X0
+    buffer = np.zeros((runs, 0))             # each run's last packet ...
+    length = np.zeros(runs, dtype=int)       # ... its length ...
+    age = np.zeros(runs, dtype=int)          # ... and the steps since it came
+    every = np.arange(runs)
+    for k in range(T):
+        drop = D[:, k]
+        recv = np.flatnonzero(~drop)
+        if recv.size:
+            U, sparsity[recv, k] = _packets(law, X[recv], recv)
+            if U.shape[1] > buffer.shape[1]:
+                buffer = np.pad(buffer, ((0, 0), (0, U.shape[1] - buffer.shape[1])))
+            buffer[recv, :U.shape[1]] = U
+            length[recv] = U.shape[1]
+            age[recv] = 0
+        age[drop] += 1
+        over = np.flatnonzero(drop & (age >= length))
+        if over.size:
+            row = over[0]
+            raise _RunFailure(row, ProtocolError(
+                f"dropout run at step {k} exceeds the buffered packet "
+                f"horizon ({length[row]})"))
+        u = inputs[:, k] = buffer[every, age]
+        X = states[:, k + 1] = row_matmul(X, plant.A) + u[:, None] * plant.B[:, 0]
+    return states, inputs, sparsity
+
+
+def _as_law(designer):
+    return designer if hasattr(designer, "packets") else _PerRow(designer)
+
+
+def _sim_traces(states, inputs, sparsity, dropped: list) -> list:
+    """One read-only :class:`SimTrace` per row of a rollout."""
+    norms = np.linalg.norm(states, axis=2)
+    for arr in (states, inputs, sparsity, norms):
+        arr.setflags(write=False)
+    return [SimTrace(states=states[r], inputs=inputs[r], dropped=dropped[r],
+                     sparsity=sparsity[r], norms=norms[r])
+            for r in range(len(dropped))]
 
 
 def run_closed_loop(plant: PlantModel,
@@ -123,45 +206,24 @@ def run_closed_loop(plant: PlantModel,
     On a delivered step the designer is invoked on the current state and the
     packet's first entry applied; on a dropped step the buffer's age advances
     and the corresponding packet entry is applied.  A dropout run that
-    outlives the buffered packet raises :class:`ProtocolError`.
+    outlives the buffered packet raises :class:`ProtocolError`.  The
+    designer is a packet law (``solvers.PacketLaw``) or any callable
+    ``x -> Packet``; this is the one-run case of the batched Monte Carlo
+    rollout and gives the same bits as that run there.
     """
     if not isinstance(T, (int, np.integer)) or T < 1:
         raise ParameterError(f"T must be a positive integer, got {T!r}")
     T = int(T)
     if len(trace) < T:
         raise ParameterError(f"trace length {len(trace)} is shorter than T = {T}")
-    x = np.asarray(x0, dtype=float).reshape(plant.n)
-
-    states = np.empty((T + 1, plant.n))
-    inputs = np.empty(T)
-    sparsity = np.full(T, np.nan)
-    states[0] = x
-    buffer = BufferState()
-    for k in range(T):
-        if not trace.d[k]:
-            buffer.packet = designer(x)
-            buffer.age = 0
-            sparsity[k] = buffer.packet.sparsity
-        else:
-            if buffer.packet is None:
-                raise ProtocolError(f"step {k} dropped before any packet was received")
-            buffer.age += 1
-            if buffer.age >= buffer.packet.u.shape[0]:
-                raise ProtocolError(
-                    f"dropout run at step {k} exceeds the buffered packet "
-                    f"horizon ({buffer.packet.u.shape[0]})"
-                )
-        u = float(buffer.packet.u[buffer.age])
-        inputs[k] = u
-        x = propagate(plant, x, u)
-        states[k + 1] = x
-
-    norms = np.linalg.norm(states, axis=1)
+    x0 = np.asarray(x0, dtype=float).reshape(1, plant.n)
+    try:
+        rollout = _rollout(plant, _as_law(designer), x0, trace.d[None, :T])
+    except _RunFailure as failure:
+        # Raise the run's own error, keeping what it was raised from.
+        raise failure.cause from failure.cause.__cause__
     sub = DropoutTrace(d=trace.d[:T], N_bound=trace.N_bound)
-    for arr in (states, inputs, sparsity, norms):
-        arr.setflags(write=False)
-    return SimTrace(states=states, inputs=inputs, dropped=sub,
-                    sparsity=sparsity, norms=norms)
+    return _sim_traces(*rollout, [sub])[0]
 
 
 @dataclass(frozen=True)
@@ -197,9 +259,12 @@ def monte_carlo(plant: PlantModel, designers: Mapping[str, Callable],
                 keep_traces: bool = False) -> MonteCarloResult:
     """Average closed-loop norm and packet sparsity over independent runs.
 
-    Each run replays the conditions of :func:`run_conditions` through every
-    designer.  A failing run aborts the study with its index and seed
-    attached for replay.
+    Run ``k`` starts from the conditions of :func:`run_conditions`; each
+    designer advances all runs together, and run ``k`` of the study has the
+    same bits as :func:`run_closed_loop` on those conditions.  A failing run
+    aborts the study with its index and seed attached for replay: the
+    lowest-indexed run failing at the earliest step, designers taken in
+    order.
     """
     if not designers:
         raise ParameterError("at least one designer is required")
@@ -207,35 +272,40 @@ def monte_carlo(plant: PlantModel, designers: Mapping[str, Callable],
         raise ParameterError(f"runs must be a positive integer, got {runs!r}")
     runs = int(runs)
 
-    results = []
+    x0s, traces = [], []
     for run_idx in range(runs):
         try:
             x0, trace = run_conditions(plant, N, T, seed, run_idx,
                                        receptions_between_bursts)
-            results.append({name: run_closed_loop(plant, designer, trace, x0, T)
-                            for name, designer in designers.items()})
         except Exception as exc:
             raise SimulationRunError(run_idx, int(seed), exc) from exc
-
+        x0s.append(x0)
+        traces.append(trace)
     T = int(T)
-    avg_norm = {}
-    avg_sparsity = {}
-    for name in designers:
-        norm_mat = np.stack([run[name].norms[:T] for run in results])
-        spars_mat = np.stack([run[name].sparsity for run in results])
-        avg_norm[name] = norm_mat.mean(axis=0)
+    X0 = np.array(x0s)
+    D = np.array([trace.d for trace in traces])
+
+    avg_norm, avg_sparsity, kept = {}, {}, {}
+    for name, designer in designers.items():
+        try:
+            rollout = _rollout(plant, _as_law(designer), X0, D)
+        except _RunFailure as failure:
+            raise SimulationRunError(failure.row, int(seed),
+                                     failure.cause) from failure.cause
+        sims = _sim_traces(*rollout, traces)
+        avg_norm[name] = np.stack([sim.norms[:T] for sim in sims]).mean(axis=0)
         # NaN marks steps without a freshly computed packet; average over the
         # runs that did compute one, NaN if none did.
+        spars_mat = rollout[2]
         counts = np.sum(~np.isnan(spars_mat), axis=0)
         sums = np.nansum(spars_mat, axis=0)
         avg = np.full(T, np.nan)
         nz = counts > 0
         avg[nz] = sums[nz] / counts[nz]
         avg_sparsity[name] = avg
+        if keep_traces:
+            kept[name] = sims
 
-    traces = None
-    if keep_traces:
-        traces = {name: [run[name] for run in results] for name in designers}
     return MonteCarloResult(steps=np.arange(T), avg_norm=avg_norm,
                             avg_sparsity=avg_sparsity, runs=runs,
-                            seed=int(seed), traces=traces)
+                            seed=int(seed), traces=kept or None)

@@ -10,6 +10,7 @@ quadratic cost collapses to a static least-squares term ``||G u - H x||^2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,10 +94,32 @@ class PlantModel:
         return self.A.shape[0]
 
 
+def row_matmul(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``X @ M.T`` computed so that each row's bits do not depend on the
+    other rows.
+
+    BLAS ``matmul`` blocks over rows, so a state alone and the same state
+    inside a batch of runs can round differently; a plain (unoptimized)
+    ``einsum`` sums every output entry on its own.  All state products of the
+    closed loop go through this helper and :func:`row_dot`, which makes a
+    Monte Carlo run bit-identical whether it is simulated alone or batched.
+    """
+    return np.einsum("ij,kj->ik", X, M)
+
+
+def row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Per-row inner products ``sum_j X[i, j] Y[i, j]``; see :func:`row_matmul`."""
+    return np.einsum("ij,ij->i", X, Y)
+
+
 def propagate(plant: PlantModel, x: np.ndarray, u: float) -> np.ndarray:
-    """One step of the plant recursion, ``A x + B u``."""
-    x = np.asarray(x, dtype=float).reshape(plant.n)
-    return plant.A @ x + plant.B[:, 0] * float(u)
+    """One step of the plant recursion, ``A x + B u``.
+
+    The one-row case of the batched step in ``netsim``: the same bits as a
+    state advanced inside a batch of runs.
+    """
+    x = np.asarray(x, dtype=float).reshape(1, plant.n)
+    return row_matmul(x, plant.A)[0] + plant.B[:, 0] * float(u)
 
 
 def controllability_matrix(plant: PlantModel) -> np.ndarray:
@@ -137,6 +160,8 @@ class HorizonMatrices:
     Qbar : ``(N n, N n)`` block diagonal of ``N - 1`` copies of ``Q`` followed
         by the terminal weight ``P``.
     phi_blocks : tuple of the ``N`` row blocks of ``Phi``, each ``(n, N)``.
+
+    ``GtG`` and ``GtH`` are computed on first use and kept.
     """
 
     N: int
@@ -146,6 +171,16 @@ class HorizonMatrices:
     Upsilon: np.ndarray
     Qbar: np.ndarray
     phi_blocks: tuple
+
+    @cached_property
+    def GtG(self) -> np.ndarray:
+        """``(N, N)`` Gram matrix ``G'G`` of every packet problem."""
+        return _frozen(self.G.T @ self.G)
+
+    @cached_property
+    def GtH(self) -> np.ndarray:
+        """``(N, n)`` map ``G'H``; ``G'H x`` correlates a state with each input."""
+        return _frozen(self.G.T @ self.H)
 
 
 def build_horizon_matrices(plant: PlantModel, N: int, Q, P) -> HorizonMatrices:

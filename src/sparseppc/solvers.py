@@ -1,9 +1,16 @@
-"""Packet solvers: least squares, ridge, exact l1-regularized, and OMP.
+"""Packet laws: least squares, ridge, exact l1-regularized, and OMP.
 
-All four consume the precomputed horizon matrices and a state, and return a
-full packet of ``N`` planned inputs.  Internally everything is reduced to the
-Gram matrix ``G'G`` and the correlation ``G'Hx`` so the per-iteration work is
-independent of the stacked dimension.
+Each family has one packet law, built once from the horizon matrices: it
+works from their Gram matrix ``G'G`` and correlation map ``G'H`` (the
+quadratic families fold both into a constant gain), so no per-packet work
+rebuilds them or repeats a factorization.  ``law.packets(X)`` maps a
+batch of states, one per row, to their packets; ``law(x)`` returns the
+:class:`Packet` of one state with its solver certificate.  The module-level
+functions ``least_squares_packet``, ``ridge_packet``, ``fista_l1l2`` and
+``omp_l0`` are one-row views of the same laws.
+
+Every product with a state goes through :func:`plant.row_matmul`, so a
+state's packet has the same bits alone or inside a batch of runs.
 """
 
 from __future__ import annotations
@@ -12,10 +19,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegeneracyError, DesignError, ParameterError
-from .plant import HorizonMatrices, _frozen
+from .plant import HorizonMatrices, _frozen, row_dot, row_matmul
 
 
 class SolverTag(Enum):
@@ -38,8 +44,8 @@ class Packet:
     ``sparsity`` is ``||u||_0`` as judged by :func:`count_nonzero`, relative
     to the packet's own largest entry; ``certificate``
     holds solver-specific diagnostics (KKT residual for the l1 solver,
-    constraint slack for OMP, normal-equation residual for the quadratic
-    solvers).
+    constraint slack and the support in pick order for OMP, normal-equation
+    residual for the quadratic solvers).
     """
 
     u: np.ndarray
@@ -49,15 +55,19 @@ class Packet:
     certificate: dict
 
 
+def _row_nonzeros(U: np.ndarray) -> np.ndarray:
+    # Per-row count_nonzero of a 2-D array.
+    mag = np.abs(U)
+    peak = mag.max(axis=1, initial=0.0)
+    return (mag > ZERO_TOL * peak[:, None]).sum(axis=1)
+
+
 def count_nonzero(u: np.ndarray) -> int:
     """Entries with magnitude above ``ZERO_TOL * ||u||_inf``.
 
     The count is invariant to rescaling ``u``; the zero vector counts 0.
     """
-    u = np.abs(np.asarray(u, dtype=float))
-    if not u.size:
-        return 0
-    return int(np.count_nonzero(u > ZERO_TOL * float(np.max(u))))
+    return int(_row_nonzeros(np.asarray(u, dtype=float).reshape(1, -1))[0])
 
 
 def _state_vector(hm: HorizonMatrices, x) -> np.ndarray:
@@ -68,58 +78,94 @@ def _state_vector(hm: HorizonMatrices, x) -> np.ndarray:
     return x
 
 
-def _cho_gram(G: np.ndarray):
-    try:
-        return scipy.linalg.cho_factor(G.T @ G)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded upstream
-        raise DegeneracyError("G'G is numerically singular") from exc
+class PacketLaw:
+    """The packet law of one solver family, built once from its design.
+
+    Subclasses implement ``_solve(X) -> (U, iterations, certificate)`` for
+    states in the rows of ``X`` and raise on the first row that fails a
+    check.  Each certificate entry holds one value per row, or, when it is
+    2-D, one sequence per row whose first ``iterations`` entries count.
+    """
+
+    hm: HorizonMatrices
+    tag: SolverTag
+
+    def _solve(self, X: np.ndarray):
+        raise NotImplementedError
+
+    def packets(self, X) -> tuple:
+        """Packets of the states in the rows of ``X`` and their sparsity."""
+        n = self.hm.H.shape[1]
+        X = np.ascontiguousarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != n:
+            raise ParameterError(f"X must have shape (rows, {n}), got {X.shape}")
+        U, _, _ = self._solve(X)
+        return U, _row_nonzeros(U)
+
+    def __call__(self, x) -> Packet:
+        U, iterations, certificate = self._solve(_state_vector(self.hm, x)[None])
+        steps = int(iterations[0])
+        return Packet(u=_frozen(U[0]), sparsity=int(_row_nonzeros(U)[0]),
+                      solver_tag=self.tag, iterations=steps,
+                      certificate={k: v[0].item() if v.ndim == 1
+                                   else tuple(v[0, :steps].tolist())
+                                   for k, v in certificate.items()})
 
 
-def least_squares_packet(hm: HorizonMatrices, x) -> Packet:
-    """Unregularized minimizer ``(G'G)^(-1) G'Hx`` of ``||G u - H x||^2``."""
-    x = _state_vector(hm, x)
-    G = hm.G
-    GtG = G.T @ G
-    rhs = G.T @ (hm.H @ x)
-    cho = _cho_gram(G)
-    u = scipy.linalg.cho_solve(cho, rhs)
-    # One refinement pass keeps the normal-equation residual at rounding level.
-    u = u + scipy.linalg.cho_solve(cho, rhs - GtG @ u)
-    residual = float(np.max(np.abs(GtG @ u - rhs))) if u.size else 0.0
-    limit = 1e-8 * (1.0 + float(np.max(np.abs(rhs))))
-    if residual > limit:
-        raise DegeneracyError(
-            f"normal equations too ill-conditioned: residual {residual:.3e} "
-            f"exceeds {limit:.3e}"
-        )
-    return Packet(u=_frozen(u), sparsity=count_nonzero(u),
-                  solver_tag=SolverTag.LS, iterations=0,
-                  certificate={"normal_eq_residual": residual})
+class LinearLaw(PacketLaw):
+    """The quadratic packet ``u = (G'G + r I)^(-1) G'H x`` as a constant gain.
+
+    ``r = 0`` is least squares and ``r > 0`` ridge, the minimizers of
+    ``||G u - H x||^2 + r ||u||^2``.  Each packet carries the residual of its
+    normal equations; one above ``1e-8 (1 + ||G'Hx||_inf)`` raises
+    :class:`DegeneracyError`.
+    """
+
+    def __init__(self, hm: HorizonMatrices, r: float = 0.0):
+        r = float(r)
+        if r < 0.0:
+            raise ParameterError(f"input weight r must be nonnegative, got {r}")
+        self.hm, self.r = hm, r
+        self.tag = SolverTag.RIDGE if r > 0.0 else SolverTag.LS
+        self.M = hm.GtG + r * np.eye(hm.N)
+        try:
+            K = np.linalg.solve(self.M, hm.GtH)
+            # One refinement pass keeps the normal-equation residual at
+            # rounding level.
+            self.K = K + np.linalg.solve(self.M, hm.GtH - self.M @ K)
+        except np.linalg.LinAlgError as exc:
+            raise DegeneracyError("G'G is numerically singular") from exc
+
+    def _solve(self, X):
+        rhs = row_matmul(X, self.hm.GtH)
+        U = row_matmul(X, self.K)
+        residual = np.abs(row_matmul(U, self.M) - rhs).max(axis=1, initial=0.0)
+        limit = 1e-8 * (1.0 + np.abs(rhs).max(axis=1, initial=0.0))
+        bad = residual > limit
+        if bad.any():
+            i = bad.argmax()
+            raise DegeneracyError(
+                f"normal equations too ill-conditioned: residual {residual[i]:.3e} "
+                f"exceeds {limit[i]:.3e}"
+            )
+        return U, np.zeros(X.shape[0], dtype=int), {"normal_eq_residual": residual}
 
 
-def ridge_packet(hm: HorizonMatrices, r: float, x) -> Packet:
-    """Minimizer ``(G'G + r I)^(-1) G'Hx`` of ``||G u - H x||^2 + r ||u||^2``."""
-    r = float(r)
-    if r <= 0.0:
-        raise ParameterError(f"ridge weight r must be positive, got {r}")
-    x = _state_vector(hm, x)
-    G = hm.G
-    M = G.T @ G + r * np.eye(hm.N)
-    rhs = G.T @ (hm.H @ x)
-    u = np.linalg.solve(M, rhs)
-    residual = float(np.max(np.abs(M @ u - rhs)))
-    return Packet(u=_frozen(u), sparsity=count_nonzero(u),
-                  solver_tag=SolverTag.RIDGE, iterations=0,
-                  certificate={"normal_eq_residual": residual})
-
-
-def _kkt_residual(u: np.ndarray, g: np.ndarray, mu: float) -> float:
-    # g is the smooth gradient 2 G'(Gu - Hx).  On the support (the nonzero
-    # entries) it must sit at -mu sign(u); off it, inside [-mu, mu].
-    on = u != 0.0
-    defect = np.where(on, np.abs(g + mu * np.sign(u)),
+def _kkt_residual(U: np.ndarray, g: np.ndarray, mu: float) -> np.ndarray:
+    # g holds the smooth gradients 2 G'(Gu - Hx) of the rows of U.  On the
+    # support (the nonzero entries) it must sit at -mu sign(u); off it,
+    # inside [-mu, mu].
+    defect = np.where(U != 0.0, np.abs(g + mu * np.sign(U)),
                       np.maximum(np.abs(g) - mu, 0.0))
-    return float(np.max(defect, initial=0.0))
+    return defect.max(axis=1, initial=0.0)
+
+
+def _ratio(num: np.ndarray, den: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    # num / den where valid and +inf elsewhere, never dividing by zero.
+    return np.divide(num, den, out=np.full(num.shape, np.inf), where=valid)
+
+
+_SIDES = np.array([[1.0], [-1.0]])
 
 
 def _lasso_path(GtG: np.ndarray, b: np.ndarray, target: float,
@@ -137,8 +183,7 @@ def _lasso_path(GtG: np.ndarray, b: np.ndarray, target: float,
     steps = 1
     while steps < max_steps:
         cols = GtG[:, support]
-        sol = np.linalg.solve(cols[support],
-                              np.column_stack((b[support], signs)))
+        sol = np.linalg.solve(cols[support], np.array((b[support], signs)).T)
         d = sol[:, 1]
         u_S = sol[:, 0] - lam * d
         # Lowering lam by t moves u_S by t d and each correlation c_j by
@@ -146,22 +191,20 @@ def _lasso_path(GtG: np.ndarray, b: np.ndarray, target: float,
         # its entry of u_S reaches zero.  The index that just moved may not
         # move straight back: a new entry cannot leave at once, and one that
         # just left cannot re-enter at once with its old sign.
+        # Row 0 of ``hit`` is where c_j rises to lam - t (joining with sign
+        # +1), row 1 where it falls to -(lam - t) (sign -1).
         c = b - cols @ u_S
         a = cols @ d
-        with np.errstate(divide="ignore", invalid="ignore"):
-            up = np.where(a < 1.0, np.maximum(lam - c, 0.0) / (1.0 - a),
-                          np.inf)
-            down = np.where(a > -1.0, np.maximum(lam + c, 0.0) / (1.0 + a),
-                            np.inf)
-            drop = np.where(signs * d < 0.0,
-                            np.maximum(signs * u_S, 0.0) / np.abs(d), np.inf)
+        den = 1.0 - _SIDES * a
+        hit = _ratio(np.maximum(lam - _SIDES * c, 0.0), den, den > 0.0)
+        drop = _ratio(np.maximum(signs * u_S, 0.0), np.abs(d), signs * d < 0.0)
         if left is not None:
-            (up if left[1] > 0.0 else down)[left[0]] = np.inf
-        join = np.minimum(up, down)
+            hit[0 if left[1] > 0.0 else 1, left[0]] = np.inf
+        join = hit.min(axis=0)
         join[support] = np.inf
         if entered:
             drop[-1] = np.inf
-        j, k = int(np.argmin(join)), int(np.argmin(drop))
+        j, k = int(join.argmin()), int(drop.argmin())
         t = min(join[j], drop[k])
         if t >= lam - target:
             break
@@ -170,7 +213,7 @@ def _lasso_path(GtG: np.ndarray, b: np.ndarray, target: float,
         entered = join[j] <= drop[k]
         if entered:
             support.append(j)
-            signs = np.append(signs, 1.0 if up[j] <= down[j] else -1.0)
+            signs = np.append(signs, 1.0 if hit[0, j] <= hit[1, j] else -1.0)
             left = None
         else:
             left = (support.pop(k), signs[k])
@@ -178,19 +221,18 @@ def _lasso_path(GtG: np.ndarray, b: np.ndarray, target: float,
     return support, signs, steps
 
 
-def fista_l1l2(hm: HorizonMatrices, mu: float, x) -> Packet:
+class LassoLaw(PacketLaw):
     """Exact minimizer of ``||G u - H x||^2 + mu ||u||_1`` by homotopy.
 
-    The name is historical (this used to be an accelerated proximal
-    gradient loop).  The lasso solution is piecewise affine in its weight,
-    so the active-set homotopy of Osborne, Presnell & Turlach (2000) follows
-    it exactly.  With ``c = G'Hx - G'G u`` the optimality conditions read
-    ``c_S = lam s_S`` on the support ``S`` with signs ``s`` and
-    ``|c_j| <= lam`` off it, for ``lam = mu / 2``.  The path starts at
-    ``lam = ||G'Hx||_inf``, where ``u = 0`` is optimal, and lowers ``lam``
-    to ``mu / 2``.  Between breakpoints
-    ``u_S = (G'G)_SS^(-1) (G'Hx - lam s)_S``; at each breakpoint one index
-    joins or leaves ``S``.  The packet is a final refit on the last support.
+    The lasso solution is piecewise affine in its weight, so the active-set
+    homotopy of Osborne, Presnell & Turlach (2000) follows it exactly.  With
+    ``c = G'Hx - G'G u`` the optimality conditions read ``c_S = lam s_S`` on
+    the support ``S`` with signs ``s`` and ``|c_j| <= lam`` off it, for
+    ``lam = mu / 2``.  The path starts at ``lam = ||G'Hx||_inf``, where
+    ``u = 0`` is optimal, and lowers ``lam`` to ``mu / 2``.  Between
+    breakpoints ``u_S = (G'G)_SS^(-1) (G'Hx - lam s)_S``; at each breakpoint
+    one index joins or leaves ``S``.  The packet is a final refit on the last
+    support.  Each state follows its own path; ``G'G`` and ``G'H`` are shared.
 
     States in the dead zone ``||G'Hx||_inf <= mu / 2`` get the exact zero
     packet after 0 steps.  ``iterations`` counts path breakpoints, the first
@@ -199,87 +241,158 @@ def fista_l1l2(hm: HorizonMatrices, mu: float, x) -> Packet:
     ``1e-9 max(mu, ||G'Hx||_inf)``; a packet that hits the cap is judged by
     that certificate alone.
     """
-    mu = float(mu)
-    if mu <= 0.0:
-        raise ParameterError(f"mu must be positive, got {mu}")
-    x = _state_vector(hm, x)
 
-    G = hm.G
-    GtG = G.T @ G
-    Hx = hm.H @ x
-    b = G.T @ Hx
-    target = 0.5 * mu
-    corr = float(np.max(np.abs(b)))
-    u = np.zeros(hm.N)
-    steps = 0
-    if corr > target:
-        support, signs, steps = _lasso_path(GtG, b, target, 10 * hm.N)
-        u[support] = np.linalg.solve(GtG[np.ix_(support, support)],
-                                     b[support] - target * signs)
+    tag = SolverTag.L1L2
 
-    kkt = _kkt_residual(u, 2.0 * (GtG @ u - b), mu)
-    resid = G @ u - Hx
-    certificate = {
-        "kkt_residual": kkt,
-        "objective": float(resid @ resid) + mu * float(np.sum(np.abs(u))),
-        "converged": kkt <= 1e-9 * max(mu, corr),
-    }
-    return Packet(u=_frozen(u), sparsity=count_nonzero(u),
-                  solver_tag=SolverTag.L1L2, iterations=steps,
-                  certificate=certificate)
+    def __init__(self, hm: HorizonMatrices, mu: float):
+        mu = float(mu)
+        if mu <= 0.0:
+            raise ParameterError(f"mu must be positive, got {mu}")
+        self.hm, self.mu = hm, mu
+
+    def _solve(self, X):
+        hm, mu, GtG = self.hm, self.mu, self.hm.GtG
+        target = 0.5 * mu
+        b = row_matmul(X, hm.GtH)
+        corr = np.abs(b).max(axis=1, initial=0.0)
+        U = np.zeros((X.shape[0], hm.N))
+        steps = np.zeros(X.shape[0], dtype=int)
+        for i in np.flatnonzero(corr > target):
+            support, signs, steps[i] = _lasso_path(GtG, b[i], target, 10 * hm.N)
+            U[i, support] = np.linalg.solve(GtG[support][:, support],
+                                            b[i, support] - target * signs)
+
+        kkt = _kkt_residual(U, 2.0 * (row_matmul(U, GtG) - b), mu)
+        resid = row_matmul(U, hm.G) - row_matmul(X, hm.H)
+        certificate = {
+            "kkt_residual": kkt,
+            "objective": row_dot(resid, resid) + mu * np.abs(U).sum(axis=1),
+            "converged": kkt <= 1e-9 * np.maximum(mu, corr),
+        }
+        return U, steps, certificate
+
+
+class OmpLaw(PacketLaw):
+    """Greedy support growth until ``||G u - H x||^2 <= x' W x``.
+
+    Batch-OMP (Rubinstein, Zibulevsky & Elad 2008): ``G'G`` and ``G'H`` are
+    precomputed and the rows grow their supports in lockstep.  Each round
+    adds, per row, the unselected index with the largest absolute
+    correlation ``|G'(Hx - G u)|`` (ties break to the lowest index) and
+    refits by least squares on the support, one stacked solve of
+    ``(G'G)_SS u_S = (G'Hx)_S`` for all rows.  Only these submatrices are
+    factored, never all of ``G'G``; a singular one raises
+    :class:`DegeneracyError`.  A row whose constraint fails even at full
+    support raises :class:`DesignError`; ``W`` is taken as given (see
+    :func:`omp_l0` for the check against ``W*``).  The certificate holds the
+    constraint slack and the support in the order it was picked.
+    """
+
+    tag = SolverTag.L0_OMP
+
+    def __init__(self, hm: HorizonMatrices, W):
+        n = hm.H.shape[1]
+        W = np.asarray(W, dtype=float)
+        if W.shape != (n, n):
+            raise ParameterError(f"W must have shape ({n}, {n}), got {W.shape}")
+        self.hm = hm
+        self.W = 0.5 * (W + W.T)
+
+    def _solve(self, X):
+        hm, GtG, N = self.hm, self.hm.GtG, self.hm.N
+        b = row_matmul(X, hm.GtH)
+        Hx = row_matmul(X, hm.H)
+        bound = row_dot(X, row_matmul(X, self.W))
+        resid2 = row_dot(Hx, Hx)
+        U = np.zeros((X.shape[0], N))
+        size = np.zeros(X.shape[0], dtype=int)
+        order = np.zeros((X.shape[0], N), dtype=int)
+        # Rows still above their bound, with their own copies of b, Hx, the
+        # bound, the packet and the support in the order it was picked.
+        rows = np.flatnonzero(resid2 > bound)
+        b_a, Hx_a, bound_a = b[rows], Hx[rows], bound[rows]
+        u_a = np.zeros((rows.size, N))
+        picks = np.zeros((rows.size, N), dtype=np.intp)
+        at = np.arange(rows.size)[:, None]
+        for k in range(N):
+            if not rows.size:
+                break
+            corr = np.abs(b_a - row_matmul(u_a, GtG))
+            corr[at, picks[:, :k]] = -np.inf
+            picks[:, k] = corr.argmax(axis=1)
+            S = picks[:, :k + 1]
+            try:
+                coef = np.linalg.solve(GtG[S[:, :, None], S[:, None, :]],
+                                       b_a[at, S][:, :, None])
+            except np.linalg.LinAlgError as exc:
+                raise DegeneracyError(
+                    f"G'G restricted to the OMP support {S[0].tolist()} is "
+                    "singular") from exc
+            u_a = np.zeros((rows.size, N))
+            u_a[at, S] = coef[:, :, 0]
+            resid = row_matmul(u_a, hm.G) - Hx_a
+            r2 = row_dot(resid, resid)
+            done = r2 <= bound_a
+            if done.any():
+                U[rows[done]] = u_a[done]
+                resid2[rows[done]] = r2[done]
+                size[rows[done]] = k + 1
+                order[rows[done], :k + 1] = S[done]
+                more = ~done
+                rows, b_a, Hx_a, bound_a, u_a, picks, r2 = (
+                    a[more] for a in (rows, b_a, Hx_a, bound_a, u_a, picks, r2))
+                at = at[:rows.size]
+        if rows.size:
+            raise DesignError(
+                "constraint infeasible even at full support "
+                f"(residual {r2[0]:.6e} > bound {bound_a[0]:.6e}); "
+                "W is inconsistent with these horizon matrices"
+            )
+        certificate = {"constraint_slack": bound - resid2,
+                       "feasible": np.ones(X.shape[0], dtype=bool),
+                       "support": order}
+        return U, size, certificate
+
+
+def least_squares_packet(hm: HorizonMatrices, x) -> Packet:
+    """Unregularized minimizer ``(G'G)^(-1) G'Hx`` of ``||G u - H x||^2``."""
+    return LinearLaw(hm)(x)
+
+
+def ridge_packet(hm: HorizonMatrices, r: float, x) -> Packet:
+    """Minimizer ``(G'G + r I)^(-1) G'Hx`` of ``||G u - H x||^2 + r ||u||^2``."""
+    r = float(r)
+    if r <= 0.0:
+        raise ParameterError(f"ridge weight r must be positive, got {r}")
+    return LinearLaw(hm, r)(x)
+
+
+def fista_l1l2(hm: HorizonMatrices, mu: float, x) -> Packet:
+    """Exact minimizer of ``||G u - H x||^2 + mu ||u||_1``; see :class:`LassoLaw`.
+
+    The name is historical (this used to be an accelerated proximal
+    gradient loop).
+    """
+    return LassoLaw(hm, mu)(x)
 
 
 def omp_l0(hm: HorizonMatrices, W, x, validate_w: bool = True) -> Packet:
-    """Greedy support growth until ``||G u - H x||^2 <= x' W x``.
+    """The OMP packet of :class:`OmpLaw` for one state.
 
-    Each round adds the unselected index with the largest absolute
-    correlation against the residual (ties break to the lowest index) and
-    refits by least squares on the support.  ``validate_w=False`` skips the
-    check that ``W`` strictly dominates the least-squares weight; audit code
-    uses it to probe deliberately corrupted designs.
+    ``validate_w=False`` skips the check that ``W`` strictly dominates the
+    least-squares weight; audit code uses it to probe deliberately corrupted
+    designs.
     """
     x = _state_vector(hm, x)
-    W = np.asarray(W, dtype=float)
-    n = x.shape[0]
-    if W.shape != (n, n):
-        raise ParameterError(f"W must have shape ({n}, {n}), got {W.shape}")
-    W = 0.5 * (W + W.T)
+    law = OmpLaw(hm, W)
     if validate_w:
         from .design import compute_wstar
 
-        gap = W - compute_wstar(hm)
+        gap = law.W - compute_wstar(hm)
         lam = float(np.linalg.eigvalsh(0.5 * (gap + gap.T))[0])
         if lam <= 0.0:
             raise DesignError(
                 "W does not strictly dominate the least-squares weight "
                 f"(smallest eigenvalue of W - W* is {lam:.3e})"
             )
-
-    G = hm.G
-    bound = float(x @ (W @ x))
-    Hx = hm.H @ x
-    u = np.zeros(hm.N)
-    resid = -Hx
-    resid2 = float(resid @ resid)
-    support: list[int] = []
-    while resid2 > bound:
-        if len(support) == hm.N:
-            raise DesignError(
-                "constraint infeasible even at full support "
-                f"(residual {resid2:.6e} > bound {bound:.6e}); "
-                "W is inconsistent with these horizon matrices"
-            )
-        corr = np.abs(G.T @ resid)
-        corr[support] = -np.inf
-        support.append(int(np.argmax(corr)))
-        cols = G[:, support]
-        coef, *_ = np.linalg.lstsq(cols, Hx, rcond=None)
-        u = np.zeros(hm.N)
-        u[support] = coef
-        resid = cols @ coef - Hx
-        resid2 = float(resid @ resid)
-
-    certificate = {"constraint_slack": bound - resid2, "feasible": True}
-    return Packet(u=_frozen(u), sparsity=count_nonzero(u),
-                  solver_tag=SolverTag.L0_OMP, iterations=len(support),
-                  certificate=certificate)
+    return law(x)

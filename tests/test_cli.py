@@ -366,6 +366,7 @@ def test_module_runs_as_script(tmp_path):
     ("montecarlo", "--runs", "0"),
     ("montecarlo", "--seed", "-1"),
     ("simulate", "--seed", "-1"),
+    ("simulate", "--run-index", "-1"),
     ("audit", "--seed", "-1"),
 ])
 def test_bad_override_is_a_config_error(tmp_path, command, flag, value):
@@ -388,6 +389,8 @@ def test_bad_override_is_a_config_error(tmp_path, command, flag, value):
     ("simulate", "--runs", "7"),
     ("montecarlo", "--threads", "2"),
     ("montecarlo", "--threads", "0"),
+    ("montecarlo", "--run-index", "1"),
+    ("audit", "--run-index", "1"),
 ])
 def test_unused_flag_is_a_usage_error(tmp_path, command, flag, value):
     # Each command registers only the overrides it uses, so a flag it would
@@ -437,3 +440,25 @@ def test_simulate_replays_monte_carlo_run_zero(tmp_path):
         assert payload["dropped"] == run0.dropped.d.tolist()
         np.testing.assert_array_equal(
             np.array(payload["controllers"][name]["states"]), run0.states)
+
+
+@pytest.mark.parametrize("run_index", [0, 3])
+def test_simulate_replays_any_monte_carlo_run(tmp_path, run_index):
+    path = write_config(tmp_path, variant())
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path),
+                 "--run-index", str(run_index)]) == 0
+    payload = json.loads((tmp_path / "simulate.json").read_text())
+    assert payload["run_index"] == run_index
+
+    cfg = load_config(path)
+    designers = {spec["name"]: build_controller(cfg, spec).designer
+                 for spec in cfg.controllers}
+    result = monte_carlo(cfg.plant, designers, cfg.horizon,
+                         runs=run_index + 1, T=cfg.T, seed=cfg.seed,
+                         receptions_between_bursts=cfg.channel_gap,
+                         keep_traces=True)
+    for name in designers:
+        run = result.traces[name][run_index]
+        assert payload["dropped"] == run.dropped.d.tolist()
+        np.testing.assert_array_equal(
+            np.array(payload["controllers"][name]["states"]), run.states)

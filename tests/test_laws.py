@@ -1,0 +1,245 @@
+"""Packet laws against the per-state solvers they replaced, and the batched
+closed loop against one run at a time.
+
+The oracles below are the per-state packet functions as they were before
+the laws existed: each call rebuilds ``G'G`` and ``G'Hx``, OMP refits with
+``lstsq``, and the l1l2 homotopy is the same path fed from ``G'(Hx)``.
+"""
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import sparseppc as sp
+from sparseppc import DegeneracyError, DesignError, SimulationRunError
+from sparseppc.cli import build_controller, load_config
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def oracle_least_squares(hm, x):
+    GtG = hm.G.T @ hm.G
+    rhs = hm.G.T @ (hm.H @ x)
+    cho = scipy.linalg.cho_factor(GtG)
+    u = scipy.linalg.cho_solve(cho, rhs)
+    return u + scipy.linalg.cho_solve(cho, rhs - GtG @ u)
+
+
+def oracle_ridge(hm, r, x):
+    M = hm.G.T @ hm.G + r * np.eye(hm.N)
+    return np.linalg.solve(M, hm.G.T @ (hm.H @ x))
+
+
+def oracle_omp(hm, W, x):
+    """Greedy picks by ``|G' resid|`` with an ``lstsq`` refit per pick."""
+    W = 0.5 * (W + W.T)
+    bound = float(x @ (W @ x))
+    Hx = hm.H @ x
+    u = np.zeros(hm.N)
+    resid = -Hx
+    support = []
+    while float(resid @ resid) > bound:
+        corr = np.abs(hm.G.T @ resid)
+        corr[support] = -np.inf
+        support.append(int(np.argmax(corr)))
+        cols = hm.G[:, support]
+        coef, *_ = np.linalg.lstsq(cols, Hx, rcond=None)
+        u = np.zeros(hm.N)
+        u[support] = coef
+        resid = cols @ coef - Hx
+    return u, tuple(support)
+
+
+def oracle_lasso(hm, mu, x):
+    """The homotopy path from ``lam = ||G'(Hx)||_inf`` down to ``mu / 2``."""
+    GtG = hm.G.T @ hm.G
+    b = hm.G.T @ (hm.H @ x)
+    target = 0.5 * mu
+    u = np.zeros(hm.N)
+    lam = float(np.max(np.abs(b)))
+    if lam <= target:
+        return u
+    support = [int(np.argmax(np.abs(b)))]
+    signs = np.sign(b[support])
+    entered, left = True, None
+    for _ in range(10 * hm.N - 1):
+        cols = GtG[:, support]
+        sol = np.linalg.solve(cols[support],
+                              np.column_stack((b[support], signs)))
+        d = sol[:, 1]
+        u_S = sol[:, 0] - lam * d
+        c = b - cols @ u_S
+        a = cols @ d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = np.where(a < 1.0, np.maximum(lam - c, 0.0) / (1.0 - a), np.inf)
+            down = np.where(a > -1.0, np.maximum(lam + c, 0.0) / (1.0 + a),
+                            np.inf)
+            drop = np.where(signs * d < 0.0,
+                            np.maximum(signs * u_S, 0.0) / np.abs(d), np.inf)
+        if left is not None:
+            (up if left[1] > 0.0 else down)[left[0]] = np.inf
+        join = np.minimum(up, down)
+        join[support] = np.inf
+        if entered:
+            drop[-1] = np.inf
+        j, k = int(np.argmin(join)), int(np.argmin(drop))
+        t = min(join[j], drop[k])
+        if t >= lam - target:
+            break
+        lam -= t
+        entered = join[j] <= drop[k]
+        if entered:
+            support.append(j)
+            signs = np.append(signs, 1.0 if up[j] <= down[j] else -1.0)
+            left = None
+        else:
+            left = (support.pop(k), signs[k])
+            signs = np.delete(signs, k)
+    u[support] = np.linalg.solve(GtG[np.ix_(support, support)],
+                                 b[support] - target * signs)
+    return u
+
+
+@pytest.fixture(scope="module")
+def bench_cfg():
+    return load_config(ROOT / "configs" / "benchmark.json")
+
+
+@pytest.fixture(scope="module")
+def bench_laws(bench_cfg):
+    """Controller name -> (family, law) for the five benchmark controllers."""
+    return {spec["name"]: (spec["family"], build_controller(bench_cfg, spec).designer)
+            for spec in bench_cfg.controllers}
+
+
+@pytest.fixture(scope="module")
+def bench_states():
+    # Transient-scale states down to converged ones, dead zone included.
+    rng = np.random.default_rng(2024)
+    X = rng.standard_normal((3000, 4))
+    X *= (10.0 ** rng.uniform(-8.0, 3.0, 3000) / np.linalg.norm(X, axis=1))[:, None]
+    return X
+
+
+def oracle_packet(family, law, x):
+    if family == "ls":
+        return oracle_least_squares(law.hm, x)
+    if family == "ridge":
+        return oracle_ridge(law.hm, law.r, x)
+    if family == "l0":
+        return oracle_omp(law.hm, law.W, x)[0]
+    return oracle_lasso(law.hm, law.mu, x)
+
+
+@pytest.mark.parametrize("name", ["L1L2(i)", "L1L2(ii)", "OMP", "RIDGE", "LS"])
+def test_law_matches_per_state_solver(bench_laws, bench_states, name):
+    family, law = bench_laws[name]
+    U, sparsity = law.packets(bench_states)
+    for x, u, s in zip(bench_states, U, sparsity):
+        ref = oracle_packet(family, law, x)
+        scale = float(np.max(np.abs(ref)))
+        assert np.max(np.abs(u - ref)) <= 1e-10 * scale, x
+        assert s == sp.count_nonzero(ref), x
+
+
+def test_omp_law_picks_the_same_support_in_order(bench_laws, bench_states):
+    _, law = bench_laws["OMP"]
+    sizes = []
+    for x in bench_states:
+        pkt = law(x)
+        ref_u, ref_support = oracle_omp(law.hm, law.W, x)
+        assert pkt.certificate["support"] == ref_support, x
+        assert pkt.iterations == len(ref_support)
+        assert pkt.sparsity == sp.count_nonzero(ref_u)
+        sizes.append(len(ref_support))
+    # The states exercise short and long supports alike.
+    assert min(sizes) <= 2 and max(sizes) >= 5
+
+
+@pytest.mark.parametrize("name", ["L1L2(i)", "OMP", "RIDGE", "LS"])
+def test_one_row_view_is_a_row_of_the_batch(bench_laws, bench_states, name):
+    _, law = bench_laws[name]
+    X = bench_states[::30]
+    U, sparsity = law.packets(X)
+    for x, u, s in zip(X, U, sparsity):
+        pkt = law(x)
+        np.testing.assert_array_equal(pkt.u, u)
+        assert pkt.sparsity == s
+
+
+def test_omp_singular_support_is_a_degeneracy_error():
+    # The second column of G is zero: once the first is used up the only
+    # pick left makes G'G on the support singular.
+    G = np.array([[1.0, 0.0], [0.0, 0.0]])
+    hm = sp.HorizonMatrices(N=2, G=G, H=np.array([[1.0], [1.0]]), Phi=G,
+                            Upsilon=np.zeros((2, 1)), Qbar=np.eye(2),
+                            phi_blocks=(G[:1], G[1:]))
+    with pytest.raises(DegeneracyError):
+        sp.omp_l0(hm, np.array([[0.25]]), np.array([1.0]), validate_w=False)
+    with pytest.raises(DegeneracyError):
+        sp.OmpLaw(hm, np.array([[0.25]])).packets(np.array([[1.0], [2.0]]))
+
+
+def test_omp_law_rejects_an_infeasible_weight(bench_l0):
+    law = sp.OmpLaw(bench_l0.hm, 1e-9 * np.eye(4))
+    with pytest.raises(DesignError):
+        law.packets(np.ones((3, 4)))
+
+
+# ---------------------------------------------------------------------------
+# Batched closed loop
+
+
+@pytest.mark.parametrize("name", ["L1L2(i)", "OMP", "RIDGE", "LS", "callable"])
+def test_monte_carlo_run_equals_its_one_run_rollout(bench_cfg, bench_laws, name):
+    if name == "callable":
+        hm = bench_laws["LS"][1].hm
+        designer = lambda x: sp.least_squares_packet(hm, x)  # noqa: E731
+    else:
+        designer = bench_laws[name][1]
+    N, T, seed = bench_cfg.horizon, 60, 7
+    res = sp.monte_carlo(bench_cfg.plant, {name: designer}, N, runs=40, T=T,
+                         seed=seed, keep_traces=True)
+    for k, run in enumerate(res.traces[name]):
+        x0, trace = sp.run_conditions(bench_cfg.plant, N, T, seed, k)
+        alone = sp.run_closed_loop(bench_cfg.plant, designer, trace, x0, T)
+        np.testing.assert_array_equal(run.states, alone.states)
+        np.testing.assert_array_equal(run.inputs, alone.inputs)
+        np.testing.assert_array_equal(run.sparsity, alone.sparsity)
+        np.testing.assert_array_equal(run.norms, alone.norms)
+
+
+def test_failure_is_pinned_on_the_earliest_step_then_lowest_run(bench_cfg,
+                                                                 bench_laws):
+    plant, N, T, seed = bench_cfg.plant, bench_cfg.horizon, 30, 4
+    law = bench_laws["LS"][1]
+
+    def state_at(run, nth_reception):
+        x0, trace = sp.run_conditions(plant, N, T, seed, run)
+        sim = sp.run_closed_loop(plant, law, trace, x0, T)
+        k = sp.reception_steps(trace)[nth_reception]
+        return k, sim.states[k]
+
+    k2, bad2 = state_at(2, 1)
+    k1, bad1 = state_at(1, -1)
+    assert 0 < k2 < k1
+
+    def fussy(x):
+        if np.array_equal(x, bad2) or np.array_equal(x, bad1):
+            raise DesignError("refused state")
+        return law(x)
+
+    # Run 1 fails too, but later: the earliest failing step decides.
+    with pytest.raises(SimulationRunError) as err:
+        sp.monte_carlo(plant, {"fussy": fussy}, N, runs=5, T=T, seed=seed)
+    assert err.value.run_index == 2
+    assert err.value.seed == seed
+    assert isinstance(err.value.cause, DesignError)
+    assert "spawn key (2,)" in str(err.value)
+
+    x0, trace = sp.run_conditions(plant, N, T, seed, 2)
+    with pytest.raises(DesignError):
+        sp.run_closed_loop(plant, fussy, trace, x0, T)

@@ -98,6 +98,55 @@ class TestBoundedUniformTrace:
                                          receptions_between_bursts=0)
 
 
+def scalar_trace(N, T, seed, gap):
+    """The per-burst loop that generated traces before they were vectorized."""
+    rng = sp.netsim._generator(seed)
+    flags = []
+    while len(flags) < T:
+        flags.extend([False] * gap)
+        flags.extend([True] * int(rng.integers(1, N)))
+    return np.array(flags[:T], dtype=bool)
+
+
+def scalar_bursts_fit(d, N_bound):
+    """The per-flag run-length check ``DropoutTrace`` made before."""
+    run = 0
+    for flag in d:
+        run = run + 1 if flag else 0
+        if run > N_bound - 1:
+            return False
+    return True
+
+
+class TestVectorizedTraces:
+    def test_generator_matches_scalar_loop(self):
+        cases = 0
+        for seed in range(200):
+            T = 1 + (37 * seed) % 160
+            for N in (2, 3, 5, 10, 12):
+                for gap in (1, 2, 3):
+                    trace = sp.gen_bounded_uniform_trace(N, T, seed, gap)
+                    np.testing.assert_array_equal(
+                        trace.d, scalar_trace(N, T, seed, gap), (seed, N, gap))
+                    cases += 1
+        assert cases == 3000
+
+    def test_burst_check_matches_scalar_loop(self):
+        rng = np.random.default_rng(5)
+        rejected = 0
+        for trial in range(2000):
+            d = rng.random(int(rng.integers(1, 40))) < rng.uniform(0.1, 0.9)
+            d[0] = False
+            N_bound = int(rng.integers(1, 8))
+            if scalar_bursts_fit(d, N_bound):
+                assert len(sp.DropoutTrace(d=d, N_bound=N_bound)) == d.size
+            else:
+                rejected += 1
+                with pytest.raises(ParameterError):
+                    sp.DropoutTrace(d=d, N_bound=N_bound)
+        assert 200 < rejected < 1800
+
+
 class TestClosedLoop:
     def test_buffer_replays_packet_entries_in_order(self):
         # Integrator with a fixed plan: dropped steps must apply entries 1, 2.

@@ -2,8 +2,8 @@
 
 The harness drives the CLI in-process on its committed configs and, when
 tracing, wraps package functions by name, so renaming one of them or
-rejecting a key of those configs breaks it.  ``mc-greedy`` is left out for
-time: its 250-run command alone takes seconds.
+rejecting a key of those configs breaks it.  Every workload runs, traced
+and untraced.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("trace", ["0", "1"])
-@pytest.mark.parametrize("workload", ["mc-l1l2", "audit"])
+@pytest.mark.parametrize("workload", ["mc-l1l2", "mc-greedy", "audit"])
 def test_harness_runs_and_checks_out(workload, trace):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"),
