@@ -25,8 +25,8 @@ from .design import (ContractionAuditL0, ContractionAuditL1L2, L0Design,
                      audit_residual_l0, audit_value_sandwich, compute_wstar,
                      design_l0, design_l1l2, omega_contains, value_function)
 from .netsim import (DropoutTrace, MonteCarloResult, SimTrace,
-                     gen_bounded_uniform_trace, monte_carlo, reception_steps,
-                     run_closed_loop, run_conditions)
+                     gen_bounded_uniform_trace, monte_carlo, run_closed_loop,
+                     run_conditions)
 
 __all__ = [
     "__version__",
@@ -50,6 +50,6 @@ __all__ = [
     "ResidualAudit",
     # netsim
     "DropoutTrace", "SimTrace", "MonteCarloResult",
-    "gen_bounded_uniform_trace", "run_closed_loop", "reception_steps",
-    "run_conditions", "monte_carlo",
+    "gen_bounded_uniform_trace", "run_closed_loop", "run_conditions",
+    "monte_carlo",
 ]

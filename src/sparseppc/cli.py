@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .design import (audit_contraction_l0, audit_contraction_l1l2,
@@ -283,15 +282,20 @@ def build_controller(cfg: ExperimentConfig, spec: dict) -> BuiltController:
             # The designer and the audits both use the override.
             W = spec["W"]
             design = dataclasses.replace(design, W=0.5 * (W + W.T))
-        report = _base_report(cfg, plant, design.Q, 0.0, design.P, design.K)
         gap = 0.5 * ((design.W - design.Wstar) + (design.W - design.Wstar).T)
+        margin = float(np.linalg.eigvalsh(gap)[0])
+        if margin <= 0.0:
+            raise DesignError(
+                f"{name}: W does not strictly dominate the least-squares "
+                f"weight W* (smallest eigenvalue of W - W* is {margin:.3e})")
+        report = _base_report(cfg, plant, design.Q, 0.0, design.P, design.K)
         report.update(beta=design.beta, c1=design.c1, rho=design.rho,
                       c=design.c, Eps=_listify(design.Eps),
                       W=_listify(design.W), Wstar=_listify(design.Wstar),
                       W_overridden=overridden)
         report["residuals"]["wstar_identity"] = float(
             np.linalg.norm(design.Wstar - (design.P - design.Q), "fro"))
-        report["residuals"]["loewner_margin"] = float(np.linalg.eigvalsh(gap)[0])
+        report["residuals"]["loewner_margin"] = margin
         return BuiltController(name, family, design.designer(), report,
                                design=design)
 
@@ -353,7 +357,6 @@ def _meta(command: str, cfg: ExperimentConfig, wall_time: float) -> dict:
         "versions": {
             "sparseppc": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "wall_time_s": wall_time,
     }
@@ -364,9 +367,9 @@ def _meta(command: str, cfg: ExperimentConfig, wall_time: float) -> dict:
 
 
 def cmd_design(cfg: ExperimentConfig, args) -> int:
+    built = _build_all(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    built = _build_all(cfg)
     reports = []
     for ctrl in built:
         entry = {"name": ctrl.name, "family": ctrl.family,
@@ -385,9 +388,9 @@ def cmd_design(cfg: ExperimentConfig, args) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     run_index = _as_int(args.run_index, "--run-index", minimum=0)
+    built = _build_all(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    built = _build_all(cfg)
 
     # A replay of one Monte Carlo run of a study with the same seed.
     x0, trace = run_conditions(cfg.plant, cfg.horizon, cfg.T, cfg.seed,
@@ -409,10 +412,10 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_montecarlo(cfg: ExperimentConfig, args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     built = _build_all(cfg)
     designers = {ctrl.name: ctrl.designer for ctrl in built}
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
     result = monte_carlo(cfg.plant, designers, cfg.horizon, cfg.runs,
@@ -430,6 +433,8 @@ def cmd_montecarlo(cfg: ExperimentConfig, args) -> int:
 
 def cmd_audit(cfg: ExperimentConfig, args) -> int:
     draws = cfg.runs
+    designs = {spec["name"]: build_controller(cfg, spec).design
+               for spec in cfg.controllers if spec["family"] in ("l1l2", "l0")}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -442,7 +447,7 @@ def cmd_audit(cfg: ExperimentConfig, args) -> int:
         summary["controllers"].append(entry)
         if family not in ("l1l2", "l0") or draws == 0:
             continue
-        design = build_controller(cfg, spec).design
+        design = designs[name]
         if family == "l1l2":
             checks = {
                 "value_sandwich": lambda x, i: audit_value_sandwich(design, x),

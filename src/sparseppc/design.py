@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegeneracyError, DesignError, ParameterError, SolverError
 from .plant import (HorizonMatrices, PlantModel, _frozen,
@@ -32,16 +31,29 @@ from .solvers import (LassoLaw, OmpLaw, fista_l1l2, least_squares_packet,
 WSTAR_IDENTITY_RTOL = 1e-8
 
 
+def _cholesky(M: np.ndarray, name: str) -> np.ndarray:
+    # Lower Cholesky factor of an SPD matrix; DegeneracyError if it has none.
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise DegeneracyError(f"{name} is numerically singular") from exc
+
+
+def _whitened(L: np.ndarray, M: np.ndarray) -> np.ndarray:
+    # L^(-1) M L^(-T) for symmetric M (or a stack of them), symmetrized: its
+    # eigenvalues are the generalized eigenvalues of the pencil (M, L L').
+    Z = np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, M), -1, -2))
+    return 0.5 * (Z + np.swapaxes(Z, -1, -2))
+
+
 def compute_wstar(hm: HorizonMatrices) -> np.ndarray:
     """Weight of the least-squares residual: ``min_u ||G u - H x||^2 = x' W* x``.
 
-    Computed as ``H'H - H'G (G'G)^(-1) G'H`` and symmetrized.
+    Computed as ``H'H - Y'Y`` with ``Y = L^(-1) G'H`` for the Cholesky factor
+    ``G'G = L L'``, and symmetrized.
     """
-    try:
-        cho = scipy.linalg.cho_factor(hm.GtG)
-    except np.linalg.LinAlgError as exc:
-        raise DegeneracyError("G'G is numerically singular") from exc
-    W = hm.H.T @ hm.H - hm.GtH.T @ scipy.linalg.cho_solve(cho, hm.GtH)
+    Y = np.linalg.solve(_cholesky(hm.GtG, "G'G"), hm.GtH)
+    W = hm.H.T @ hm.H - Y.T @ Y
     return _frozen(0.5 * (W + W.T))
 
 
@@ -77,7 +89,11 @@ def value_function(hm: HorizonMatrices, mu: float, Q, x) -> float:
 
 @dataclass(frozen=True)
 class L1L2Design:
-    """Constants certified by the practical-stability design rule."""
+    """Constants certified by the practical-stability design rule.
+
+    ``lam_min_q`` and ``lam_max_q`` are the extreme eigenvalues of ``Q``,
+    which the rule and its audits use.
+    """
 
     plant: PlantModel
     Q: np.ndarray
@@ -89,6 +105,8 @@ class L1L2Design:
     K: np.ndarray
     a1: float
     a2: float
+    lam_min_q: float
+    lam_max_q: float
     rho: float
     R: float
     Wstar: np.ndarray
@@ -120,9 +138,8 @@ class L0Design:
     def designer(self) -> OmpLaw:
         """The packet law of this design; ``law(x)`` is a :class:`Packet`.
 
-        The law does not check ``W`` against ``W*``.  ``design_l0`` checks
-        the ``W`` it builds; a ``W`` substituted afterwards, such as a config
-        override, is vetted only by the audits.
+        The law does not check ``W`` against ``W*``: ``design_l0`` checks the
+        ``W`` it builds, and the CLI checks a config override of it.
         """
         return OmpLaw(self.hm, self.W)
 
@@ -150,8 +167,8 @@ def design_l1l2(plant: PlantModel, Q, mu: float, N: int,
     dare = solve_dare(plant, Q, r)
     hm = build_horizon_matrices(plant, N, Q, dare.P)
 
-    cho = scipy.linalg.cho_factor(hm.GtG)
-    pseudo = scipy.linalg.cho_solve(cho, hm.GtH)     # Gdag H, shape (N, n)
+    L = _cholesky(hm.GtG, "G'G")
+    pseudo = np.linalg.solve(L.T, np.linalg.solve(L, hm.GtH))  # Gdag H, (N, n)
     sigma_max = float(np.linalg.norm(pseudo, 2))
     Wstar = compute_wstar(hm)
 
@@ -169,7 +186,8 @@ def design_l1l2(plant: PlantModel, Q, mu: float, N: int,
     R = float(np.sqrt((epsilon / lam_min_q + 0.25) / (1.0 - rho)))
     return L1L2Design(plant=plant, Q=_frozen(Q), mu=mu, N=int(N),
                       epsilon=epsilon, r=r, P=dare.P, K=dare.K,
-                      a1=a1, a2=a2, rho=rho, R=R, Wstar=Wstar, hm=hm)
+                      a1=a1, a2=a2, lam_min_q=lam_min_q, lam_max_q=lam_max_q,
+                      rho=rho, R=R, Wstar=Wstar, hm=hm)
 
 
 def design_l0(plant: PlantModel, Q, N: int, beta: float) -> L0Design:
@@ -193,16 +211,14 @@ def design_l0(plant: PlantModel, Q, N: int, beta: float) -> L0Design:
     dare = solve_dare(plant, Q, 0.0)
     P = dare.P
     hm = build_horizon_matrices(plant, N, Q, P)
-    GtG = 0.5 * (hm.GtG + hm.GtG.T)
 
-    c1 = 0.0
-    for block in hm.phi_blocks:
-        M = block.T @ P @ block
-        M = 0.5 * (M + M.T)
-        lam = scipy.linalg.eigh(M, GtG, eigvals_only=True)[-1]
-        c1 = max(c1, float(lam))
+    # c1 = max_i lambda_max(Phi_i' P Phi_i, G'G) over the row blocks Phi_i
+    # of Phi, all N pencils whitened by the Cholesky factor of G'G at once.
+    blocks = hm.Phi.reshape(N, n, N)
+    M = np.swapaxes(blocks, 1, 2) @ P @ blocks
+    c1 = float(np.linalg.eigvalsh(_whitened(_cholesky(hm.GtG, "G'G"), M)).max())
 
-    lam_min_qp = float(scipy.linalg.eigh(Q, P, eigvals_only=True)[0])
+    lam_min_qp = float(np.linalg.eigvalsh(_whitened(_cholesky(P, "P"), Q))[0])
     rho = 1.0 - lam_min_qp
     if rho < 0.0:
         if rho < -1e-10:
@@ -299,9 +315,8 @@ def audit_value_sandwich(design: L1L2Design, x,
     x = np.asarray(x, dtype=float).reshape(-1)
     value = value_function(design.hm, design.mu, design.Q, x)
     nx = float(np.linalg.norm(x))
-    eig_q = np.linalg.eigvalsh(design.Q)
-    lower = float(eig_q[0]) * nx * nx
-    upper = design.a1 * nx + (design.a2 + float(eig_q[-1])) * nx * nx
+    lower = design.lam_min_q * nx * nx
+    upper = design.a1 * nx + (design.a2 + design.lam_max_q) * nx * nx
     passed = lower <= value <= upper * (1.0 + rel_slack)
     return SandwichAudit(lower=lower, value=value, upper=upper, passed=passed)
 
@@ -331,8 +346,7 @@ def audit_contraction_l1l2(design: L1L2Design, x, dropouts: int,
     for step in range(i):
         z = propagate(design.plant, z, pkt.u[step])
     end = value_function(design.hm, design.mu, design.Q, z)
-    lam_min_q = float(np.linalg.eigvalsh(design.Q)[0])
-    bound = design.rho * start + design.epsilon + lam_min_q / 4.0
+    bound = design.rho * start + design.epsilon + design.lam_min_q / 4.0
     passed = end <= bound * (1.0 + rel_slack)
     return ContractionAuditL1L2(dropouts=i, value_start=start, value_end=end,
                                 bound=bound, slack=bound - end, passed=passed)
@@ -344,13 +358,13 @@ def audit_contraction_l0(design: L0Design, x, dropouts: int,
 
     Checks the geometric bound ``x_i' P x_i <= rho^i x'Px + c x'Eps x`` and
     the one-step form ``x_i' P x_i <= x'(rho P + c Eps) x`` used to prove
-    strict decrease between receptions.  Runs OMP without the Loewner
-    precondition so corrupted designs can be probed; an infeasible constraint
-    surfaces as :class:`DesignError`.
+    strict decrease between receptions.  OMP takes ``W`` as given, so
+    corrupted designs can be probed; an infeasible constraint surfaces as
+    :class:`DesignError`.
     """
     i = _check_dropouts(dropouts, design.N)
     x = np.asarray(x, dtype=float).reshape(-1)
-    pkt = omp_l0(design.hm, design.W, x, validate_w=False)
+    pkt = omp_l0(design.hm, design.W, x)
     z = x
     for step in range(i):
         z = propagate(design.plant, z, pkt.u[step])
@@ -378,7 +392,7 @@ def audit_residual_l0(design: L0Design, x,
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     hm = design.hm
-    pkt = omp_l0(hm, design.W, x, validate_w=False)
+    pkt = omp_l0(hm, design.W, x)
     ustar = least_squares_packet(hm, x).u
     dev = hm.G @ (pkt.u - ustar)
     lhs = float(dev @ dev)

@@ -101,11 +101,6 @@ def gen_bounded_uniform_trace(N: int, T: int, seed,
     return DropoutTrace(d=flags[:T], N_bound=int(N))
 
 
-def reception_steps(trace: DropoutTrace) -> np.ndarray:
-    """Indices of delivered steps."""
-    return np.flatnonzero(~trace.d)
-
-
 class _RunFailure(Exception):
     """Run ``row`` of a batched rollout failed with ``cause``."""
 

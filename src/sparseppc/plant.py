@@ -2,8 +2,8 @@
 
 Every packet optimization in this package operates on the stacked operators
 built here: ``Phi`` and ``Upsilon`` map an input sequence and an initial state
-to the predicted trajectory over the horizon, ``Qbar`` carries the stage and
-terminal weights, and ``G`` / ``H`` fold the weights in so each finite-horizon
+to the predicted trajectory over the horizon, and ``G`` / ``H`` fold in the
+square roots of the stage and terminal weights so each finite-horizon
 quadratic cost collapses to a static least-squares term ``||G u - H x||^2``.
 """
 
@@ -152,14 +152,14 @@ class HorizonMatrices:
     Fields
     ------
     N : horizon length.
-    G : ``(N n, N)`` weighted input map ``Qbar^(1/2) Phi``.
-    H : ``(N n, n)`` weighted state map ``-Qbar^(1/2) Upsilon``.
+    G : ``(N n, N)`` weighted input map ``S Phi``.
+    H : ``(N n, n)`` weighted state map ``-S Upsilon``.
     Phi : ``(N n, N)`` block lower-triangular map; block ``(i, j)`` is
         ``A^(i-j) B``.
     Upsilon : ``(N n, n)`` stack of ``A, A^2, ..., A^N``.
-    Qbar : ``(N n, N n)`` block diagonal of ``N - 1`` copies of ``Q`` followed
-        by the terminal weight ``P``.
-    phi_blocks : tuple of the ``N`` row blocks of ``Phi``, each ``(n, N)``.
+
+    ``S`` is the block diagonal of ``N - 1`` copies of ``Q^(1/2)`` followed
+    by the terminal ``P^(1/2)``.
 
     ``GtG`` and ``GtH`` are computed on first use and kept.
     """
@@ -169,8 +169,6 @@ class HorizonMatrices:
     H: np.ndarray
     Phi: np.ndarray
     Upsilon: np.ndarray
-    Qbar: np.ndarray
-    phi_blocks: tuple
 
     @cached_property
     def GtG(self) -> np.ndarray:
@@ -229,19 +227,14 @@ def build_horizon_matrices(plant: PlantModel, N: int, Q, P) -> HorizonMatrices:
         Apow = plant.A @ Apow
         Upsilon[i * n:(i + 1) * n, :] = Apow
 
-    Qbar = np.zeros((N * n, N * n))
-    Qbar_half = np.zeros((N * n, N * n))
+    S = np.zeros((N * n, N * n))
     Q_half = spd_sqrt(Q)
-    P_half = spd_sqrt(P)
-    for i in range(N):
-        block = P if i == N - 1 else Q
-        half = P_half if i == N - 1 else Q_half
-        sl = slice(i * n, (i + 1) * n)
-        Qbar[sl, sl] = block
-        Qbar_half[sl, sl] = half
+    for i in range(N - 1):
+        S[i * n:(i + 1) * n, i * n:(i + 1) * n] = Q_half
+    S[-n:, -n:] = spd_sqrt(P)
 
-    G = Qbar_half @ Phi
-    H = -Qbar_half @ Upsilon
+    G = S @ Phi
+    H = -S @ Upsilon
 
     s = np.linalg.svd(G, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
@@ -250,13 +243,5 @@ def build_horizon_matrices(plant: PlantModel, N: int, Q, P) -> HorizonMatrices:
             f"columns (singular value ratio {s[-1] / max(s[0], 1e-300):.3e})"
         )
 
-    phi_blocks = tuple(_frozen(Phi[i * n:(i + 1) * n, :]) for i in range(N))
-    return HorizonMatrices(
-        N=N,
-        G=_frozen(G),
-        H=_frozen(H),
-        Phi=_frozen(Phi),
-        Upsilon=_frozen(Upsilon),
-        Qbar=_frozen(Qbar),
-        phi_blocks=phi_blocks,
-    )
+    return HorizonMatrices(N=N, G=_frozen(G), H=_frozen(H), Phi=_frozen(Phi),
+                           Upsilon=_frozen(Upsilon))

@@ -283,8 +283,9 @@ class OmpLaw(PacketLaw):
     ``(G'G)_SS u_S = (G'Hx)_S`` for all rows.  Only these submatrices are
     factored, never all of ``G'G``; a singular one raises
     :class:`DegeneracyError`.  A row whose constraint fails even at full
-    support raises :class:`DesignError`; ``W`` is taken as given (see
-    :func:`omp_l0` for the check against ``W*``).  The certificate holds the
+    support raises :class:`DesignError`.  ``W`` is taken as given: the
+    check that it strictly dominates ``W*`` belongs where a ``W`` is made,
+    in ``design_l0`` and at a config override.  The certificate holds the
     constraint slack and the support in the order it was picked.
     """
 
@@ -376,23 +377,6 @@ def fista_l1l2(hm: HorizonMatrices, mu: float, x) -> Packet:
     return LassoLaw(hm, mu)(x)
 
 
-def omp_l0(hm: HorizonMatrices, W, x, validate_w: bool = True) -> Packet:
-    """The OMP packet of :class:`OmpLaw` for one state.
-
-    ``validate_w=False`` skips the check that ``W`` strictly dominates the
-    least-squares weight; audit code uses it to probe deliberately corrupted
-    designs.
-    """
-    x = _state_vector(hm, x)
-    law = OmpLaw(hm, W)
-    if validate_w:
-        from .design import compute_wstar
-
-        gap = law.W - compute_wstar(hm)
-        lam = float(np.linalg.eigvalsh(0.5 * (gap + gap.T))[0])
-        if lam <= 0.0:
-            raise DesignError(
-                "W does not strictly dominate the least-squares weight "
-                f"(smallest eigenvalue of W - W* is {lam:.3e})"
-            )
-    return law(x)
+def omp_l0(hm: HorizonMatrices, W, x) -> Packet:
+    """The OMP packet of :class:`OmpLaw` for one state; ``W`` is taken as given."""
+    return OmpLaw(hm, W)(x)

@@ -124,7 +124,7 @@ def test_criterion_5_l0_asymptotic_stability(bench_l0, mc_omp):
     result, wall = mc_omp
     monotone_runs = 0
     for sim in result.traces["omp"]:
-        ks = sp.reception_steps(sim.dropped)
+        ks = np.flatnonzero(~sim.dropped.d)
         v = np.einsum("ki,ij,kj->k", sim.states[ks], bench_l0.P,
                       sim.states[ks])
         monotone_runs += bool(

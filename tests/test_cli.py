@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparseppc import ConfigError
+from sparseppc import ConfigError, OmpLaw
 from sparseppc.cli import build_controller, load_config, main
 from sparseppc.netsim import monte_carlo
 
@@ -48,6 +48,21 @@ def variant(**changes):
     cfg = json.loads(json.dumps(BASE))
     cfg.update(changes)
     return cfg
+
+
+def corrupt_omp_weight(monkeypatch):
+    """Make every OMP law use ``W = 1e-6 I``, far below ``W*``.
+
+    A config override that small is refused when the controller is built,
+    so the corruption goes into the law, where no check follows; OMP then
+    finds its constraint infeasible at every state.
+    """
+    build = OmpLaw.__init__
+
+    def corrupted(self, hm, W):
+        build(self, hm, 1e-6 * np.eye(len(W)))
+
+    monkeypatch.setattr(OmpLaw, "__init__", corrupted)
 
 
 class TestLoadConfig:
@@ -153,6 +168,30 @@ class TestExitCodes:
         assert main(["design", "--config", str(path),
                      "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("override", ["tiny", "wstar"])
+    @pytest.mark.parametrize("command",
+                             ["design", "simulate", "montecarlo", "audit"])
+    def test_non_dominating_w_override_exits_3(self, tmp_path, capsys,
+                                               command, override):
+        # An l0 weight override must strictly dominate W*; it is checked
+        # when the controller is built, before any output.  W* itself fails
+        # because the dominance is not strict.
+        cfg = variant(controllers=[{"name": "bad", "family": "l0",
+                                    "beta": 0.5}])
+        if override == "tiny":
+            W = [[1e-6, 0.0], [0.0, 1e-6]]
+        else:
+            loaded = load_config(write_config(tmp_path, cfg))
+            W = build_controller(loaded, loaded.controllers[0]).design.Wstar
+            W = W.tolist()
+        cfg["controllers"][0]["W"] = W
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("design error: bad: W does not strictly dominate")
+        assert not out.exists()
+
 
 class TestDesignCommand:
     def test_scalar_deadbeat_report(self, tmp_path, capsys):
@@ -186,6 +225,19 @@ class TestDesignCommand:
         assert report["greedy"]["residuals"]["loewner_margin"] > 0.0
         assert not report["greedy"]["W_overridden"]
         assert 0.0 < report["lasso"]["rho"] < 1.0
+
+    def test_dominating_w_override_is_used(self, tmp_path):
+        cfg = variant(controllers=[{"name": "greedy", "family": "l0",
+                                    "beta": 0.5}])
+        loaded = load_config(write_config(tmp_path, cfg))
+        wstar = build_controller(loaded, loaded.controllers[0]).design.Wstar
+        cfg["controllers"][0]["W"] = (wstar + 0.1 * np.eye(2)).tolist()
+        path = write_config(tmp_path, cfg)
+        assert main(["design", "--config", str(path),
+                     "--out", str(tmp_path)]) == 0
+        entry = json.loads((tmp_path / "design_report.json").read_text())[0]
+        assert entry["W_overridden"]
+        assert entry["residuals"]["loewner_margin"] == pytest.approx(0.1)
 
 
 class TestSimulateCommand:
@@ -241,7 +293,7 @@ class TestMonteCarloCommand:
         assert meta["command"] == "montecarlo"
         assert meta["runs"] == 3 and meta["T"] == 8 and meta["seed"] == 1
         assert meta["controllers"] == ["lasso", "greedy", "ridge", "plain"]
-        assert set(meta["versions"]) == {"sparseppc", "numpy", "scipy"}
+        assert set(meta["versions"]) == {"sparseppc", "numpy"}
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write_config(tmp_path, variant())
@@ -287,11 +339,12 @@ class TestAuditCommand:
         assert payload["failures_total"] == 0
         assert all(e["inequalities"] == [] for e in payload["controllers"])
 
-    def test_corrupted_weight_fails_with_exit_4(self, tmp_path, capsys):
-        # An override far below the least-squares weight cannot be met.
-        cfg = variant(controllers=[
-            {"name": "bad", "family": "l0", "beta": 0.5,
-             "W": [[1e-6, 0.0], [0.0, 1e-6]]}])
+    def test_corrupted_weight_fails_with_exit_4(self, tmp_path, capsys,
+                                                monkeypatch):
+        # A weight far below the least-squares weight cannot be met.
+        corrupt_omp_weight(monkeypatch)
+        cfg = variant(controllers=[{"name": "bad", "family": "l0",
+                                    "beta": 0.5}])
         path = write_config(tmp_path, cfg)
         assert main(["audit", "--config", str(path), "--out", str(tmp_path),
                      "--runs", "4"]) == 4
@@ -406,20 +459,20 @@ def test_unused_flag_is_a_usage_error(tmp_path, command, flag, value):
 
 
 @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
-def test_failed_run_exits_as_its_cause(tmp_path, command):
-    # An override far below the least-squares weight makes OMP infeasible:
+def test_failed_run_exits_as_its_cause(tmp_path, capsys, monkeypatch,
+                                       command):
+    # A weight far below the least-squares weight makes OMP infeasible:
     # a design error in a single simulation and in a Monte Carlo run alike.
-    cfg = variant(controllers=[
-        {"name": "bad", "family": "l0", "beta": 0.5,
-         "W": [[1e-6, 0.0], [0.0, 1e-6]]}])
+    corrupt_omp_weight(monkeypatch)
+    cfg = variant(controllers=[{"name": "bad", "family": "l0", "beta": 0.5}])
     path = write_config(tmp_path, cfg)
-    proc = run_module(command, "--config", str(path), "--out", str(tmp_path))
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.startswith("design error:")
-    assert "Traceback" not in proc.stderr
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 3
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("design error:")
+    assert "Traceback" not in stderr
     if command == "montecarlo":
-        assert "run 0 failed" in proc.stderr
-        assert "spawn key (0,)" in proc.stderr
+        assert "run 0 failed" in stderr
+        assert "spawn key (0,)" in stderr
 
 
 def test_simulate_replays_monte_carlo_run_zero(tmp_path):

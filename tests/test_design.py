@@ -9,9 +9,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import sparseppc as sp
-from sparseppc import DesignError, ParameterError
+from sparseppc import DegeneracyError, DesignError, ParameterError
 
 from conftest import (BENCH_BETA, BENCH_EPS, BENCH_MU, BENCH_N,
                       random_reachable_plant, random_spd)
@@ -41,6 +42,29 @@ class TestWstar:
         W = sp.compute_wstar(hm)
         np.testing.assert_array_equal(W, W.T)
         assert np.linalg.eigvalsh(W)[0] >= -1e-10
+
+    @pytest.mark.parametrize("rule", ["wstar", "l1l2", "l0"])
+    def test_singular_gram_is_a_degeneracy_error(self, monkeypatch, rule):
+        # build_horizon_matrices refuses a singular G'G itself, so a zero
+        # column is put into G after it: every factorization of G'G must
+        # then raise the package's error, not numpy's.
+        build = sp.build_horizon_matrices
+
+        def degenerate(*args):
+            hm = build(*args)
+            G = hm.G.copy()
+            G[:, -1] = 0.0
+            return dataclasses.replace(hm, G=G)
+
+        monkeypatch.setattr(sp.design, "build_horizon_matrices", degenerate)
+        plant = sp.PlantModel(A=[[0.9, 0.2], [0.0, 0.7]], B=[0.0, 1.0])
+        with pytest.raises(DegeneracyError, match="G'G"):
+            if rule == "wstar":
+                sp.compute_wstar(degenerate(plant, 3, np.eye(2), np.eye(2)))
+            elif rule == "l1l2":
+                sp.design_l1l2(plant, np.eye(2), 1.0, 3, 1.0)
+            else:
+                sp.design_l0(plant, np.eye(2), 3, 0.5)
 
 
 class TestOmegaAndValue:
@@ -196,6 +220,25 @@ class TestL0Design:
         assert np.max(np.abs(lam.imag)) <= 1e-10
         assert des.rho == pytest.approx(1.0 - np.min(lam.real),
                                         rel=1e-9, abs=1e-9)
+
+    def test_c1_and_rho_match_scipy_pencils(self):
+        # Oracle: scipy's generalized symmetric eigensolver on each row
+        # block Phi_i of Phi and on the pair (Q, P).
+        rng = np.random.default_rng(82)
+        for trial in range(8):
+            n = int(rng.integers(1, 5))
+            N = int(rng.integers(1, 9))
+            plant = random_reachable_plant(rng, n, rho=1.2)
+            Q = random_spd(rng, n)
+            des = sp.design_l0(plant, Q, N, 0.5)
+            hm, P = des.hm, des.P
+            c1 = max(scipy.linalg.eigh(hm.Phi[i * n:(i + 1) * n].T @ P
+                                       @ hm.Phi[i * n:(i + 1) * n],
+                                       hm.GtG, eigvals_only=True)[-1]
+                     for i in range(N))
+            assert des.c1 == pytest.approx(c1, rel=1e-10)
+            lam = scipy.linalg.eigh(Q, P, eigvals_only=True)[0]
+            assert des.rho == pytest.approx(1.0 - lam, rel=1e-10, abs=1e-12)
 
     def test_rejects_bad_beta(self):
         plant = sp.PlantModel(A=[[2.0]], B=[1.0])

@@ -175,10 +175,9 @@ def test_omp_singular_support_is_a_degeneracy_error():
     # pick left makes G'G on the support singular.
     G = np.array([[1.0, 0.0], [0.0, 0.0]])
     hm = sp.HorizonMatrices(N=2, G=G, H=np.array([[1.0], [1.0]]), Phi=G,
-                            Upsilon=np.zeros((2, 1)), Qbar=np.eye(2),
-                            phi_blocks=(G[:1], G[1:]))
+                            Upsilon=np.zeros((2, 1)))
     with pytest.raises(DegeneracyError):
-        sp.omp_l0(hm, np.array([[0.25]]), np.array([1.0]), validate_w=False)
+        sp.omp_l0(hm, np.array([[0.25]]), np.array([1.0]))
     with pytest.raises(DegeneracyError):
         sp.OmpLaw(hm, np.array([[0.25]])).packets(np.array([[1.0], [2.0]]))
 
@@ -220,7 +219,7 @@ def test_failure_is_pinned_on_the_earliest_step_then_lowest_run(bench_cfg,
     def state_at(run, nth_reception):
         x0, trace = sp.run_conditions(plant, N, T, seed, run)
         sim = sp.run_closed_loop(plant, law, trace, x0, T)
-        k = sp.reception_steps(trace)[nth_reception]
+        k = np.flatnonzero(~trace.d)[nth_reception]
         return k, sim.states[k]
 
     k2, bad2 = state_at(2, 1)

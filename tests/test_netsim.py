@@ -29,7 +29,7 @@ class TestDropoutTrace:
     def test_accepts_maximal_burst(self):
         trace = sp.DropoutTrace(d=np.array([False, True, True]), N_bound=3)
         assert len(trace) == 3
-        np.testing.assert_array_equal(sp.reception_steps(trace), [0])
+        np.testing.assert_array_equal(np.flatnonzero(~trace.d), [0])
 
     def test_flags_are_frozen(self):
         trace = sp.DropoutTrace(d=np.array([False, True]), N_bound=3)
@@ -222,7 +222,7 @@ class TestLyapunovAtReceptions:
         rng = np.random.default_rng(46)
         sim = sp.run_closed_loop(bench_plant, designer, trace,
                                  rng.standard_normal(4), 40)
-        ks = sp.reception_steps(sim.dropped)
+        ks = np.flatnonzero(~sim.dropped.d)
         values = [float(sim.states[k] @ bench_l0.P @ sim.states[k])
                   for k in ks]
         assert all(b < a for a, b in zip(values, values[1:]))

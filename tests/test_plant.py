@@ -28,7 +28,7 @@ def naive_horizon(plant, N, Q, P):
     Upsilon = np.vstack([np.linalg.matrix_power(A, i) for i in range(1, N + 1)])
     Qbar = scipy.linalg.block_diag(*([Q] * (N - 1) + [P]))
     root = np.real(scipy.linalg.sqrtm(Qbar))
-    return Phi, Upsilon, Qbar, root @ Phi, -root @ Upsilon
+    return Phi, Upsilon, root @ Phi, -root @ Upsilon
 
 
 class TestPlantModel:
@@ -114,11 +114,9 @@ class TestHorizonMatrices:
         hm = sp.build_horizon_matrices(plant, 2, [[1.0]], [[1.0]])
         np.testing.assert_array_equal(hm.Phi, [[1.0, 0.0], [2.0, 1.0]])
         np.testing.assert_array_equal(hm.Upsilon, [[2.0], [4.0]])
-        np.testing.assert_array_equal(hm.Qbar, np.eye(2))
         np.testing.assert_array_equal(hm.G, hm.Phi)
         np.testing.assert_array_equal(hm.H, [[-2.0], [-4.0]])
         assert hm.N == 2
-        assert len(hm.phi_blocks) == 2
 
     @pytest.mark.parametrize("n,N", [(1, 3), (2, 4), (3, 5), (4, 10)])
     def test_matches_naive_construction(self, n, N):
@@ -127,19 +125,11 @@ class TestHorizonMatrices:
         Q = random_spd(rng, n)
         P = random_spd(rng, n)
         hm = sp.build_horizon_matrices(plant, N, Q, P)
-        Phi, Upsilon, Qbar, G, H = naive_horizon(plant, N, Q, P)
+        Phi, Upsilon, G, H = naive_horizon(plant, N, Q, P)
         np.testing.assert_allclose(hm.Phi, Phi, atol=1e-12, rtol=1e-12)
         np.testing.assert_allclose(hm.Upsilon, Upsilon, atol=1e-12, rtol=1e-12)
-        np.testing.assert_allclose(hm.Qbar, Qbar, atol=1e-12, rtol=1e-12)
         np.testing.assert_allclose(hm.G, G, atol=1e-10, rtol=1e-10)
         np.testing.assert_allclose(hm.H, H, atol=1e-10, rtol=1e-10)
-
-    def test_phi_blocks_are_row_slices(self):
-        rng = np.random.default_rng(3)
-        plant = random_reachable_plant(rng, 2)
-        hm = sp.build_horizon_matrices(plant, 4, np.eye(2), np.eye(2))
-        for i, block in enumerate(hm.phi_blocks):
-            np.testing.assert_array_equal(block, hm.Phi[2 * i:2 * (i + 1)])
 
     def test_stacked_prediction_equals_stepwise(self):
         rng = np.random.default_rng(17)

@@ -1,0 +1,82 @@
+"""The installed runtime needs numpy alone.
+
+scipy serves the tests as an independent oracle (the ``test`` extra), so a
+CLI run must not load it, and the package's imports must match what
+``pyproject.toml`` declares.
+"""
+from __future__ import annotations
+
+import ast
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from test_cli import src_env
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "sparseppc"
+
+
+def declared_dependencies() -> set:
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        tomllib = pytest.importorskip("tomli")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("-", "_")
+            for req in requirements}
+
+
+def third_party_imports() -> dict:
+    """Top-level third-party module -> package files that import it.
+
+    Every import statement counts, including ones inside functions.
+    """
+    found: dict = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "sparseppc" and top not in sys.stdlib_module_names:
+                    found.setdefault(top, set()).add(path.name)
+    return found
+
+
+def test_cli_run_loads_no_scipy(tmp_path):
+    script = (
+        "import json, sys\n"
+        "from sparseppc.cli import main\n"
+        "code = main(['design', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        "                               if m.split('.')[0] == 'scipy')]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "configs" / "benchmark.json"),
+         str(tmp_path)],
+        capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert (tmp_path / "design_report.json").exists()
+    assert loaded == []
+
+
+def test_imports_match_declared_dependencies():
+    imported = third_party_imports()
+    declared = declared_dependencies()
+    assert declared == {"numpy"}
+    undeclared = {m: sorted(files) for m, files in imported.items()
+                  if m not in declared}
+    assert not undeclared, f"imported but not declared: {undeclared}"
+    assert not declared - set(imported), (
+        f"declared but never imported: {sorted(declared - set(imported))}")

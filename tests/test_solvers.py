@@ -14,6 +14,7 @@ import pytest
 
 import sparseppc as sp
 from sparseppc import DesignError, ParameterError
+from sparseppc.cli import ExperimentConfig, build_controller
 
 from conftest import random_reachable_plant, random_spd
 
@@ -175,7 +176,7 @@ def test_packet_sparsity_is_scale_invariant(bench_l0, family):
     # ||x|| ~ 1e-8 and below.
     hm = bench_l0.hm
     solve = {
-        "omp": lambda x: sp.omp_l0(hm, bench_l0.W, x, validate_w=False),
+        "omp": lambda x: sp.omp_l0(hm, bench_l0.W, x),
         "ls": lambda x: sp.least_squares_packet(hm, x),
         "ridge": lambda x: sp.ridge_packet(hm, 0.3, x),
     }[family]
@@ -340,7 +341,7 @@ class TestOmp:
         rng = np.random.default_rng(14)
         hm = toy_hm(rng, n=2, N=4)
         W = hm.H.T @ hm.H + np.eye(2)
-        pkt = sp.omp_l0(hm, W, rng.standard_normal(2), validate_w=False)
+        pkt = sp.omp_l0(hm, W, rng.standard_normal(2))
         assert pkt.iterations == 0
         assert np.all(pkt.u == 0.0)
         assert pkt.certificate["feasible"]
@@ -379,10 +380,8 @@ class TestOmp:
         # Two identical columns correlate equally; the first must win.
         G = np.array([[1.0, 1.0], [0.0, 0.0]])
         hm = sp.HorizonMatrices(N=2, G=G, H=np.array([[1.0], [0.0]]),
-                                Phi=G, Upsilon=np.zeros((2, 1)),
-                                Qbar=np.eye(2), phi_blocks=(G[:1], G[1:]))
-        pkt = sp.omp_l0(hm, np.array([[0.25]]), np.array([1.0]),
-                        validate_w=False)
+                                Phi=G, Upsilon=np.zeros((2, 1)))
+        pkt = sp.omp_l0(hm, np.array([[0.25]]), np.array([1.0]))
         np.testing.assert_allclose(pkt.u, [1.0, 0.0], atol=1e-12)
         assert pkt.iterations == 1
 
@@ -391,17 +390,21 @@ class TestOmp:
         hm = toy_hm(rng, n=2, N=3)
         x = rng.standard_normal(2)
         with pytest.raises(DesignError):
-            sp.omp_l0(hm, np.zeros((2, 2)), x, validate_w=False)
+            sp.omp_l0(hm, np.zeros((2, 2)), x)
 
     def test_validate_w_rejects_nonstrict_weight(self):
+        # OMP takes W as given; a W override is vetted where it enters.
         rng = np.random.default_rng(22)
-        hm = toy_hm(rng, n=2, N=4)
-        wstar = sp.compute_wstar(hm)
-        x = rng.standard_normal(2)
-        with pytest.raises(DesignError):
-            sp.omp_l0(hm, wstar, x)  # equality is not strict dominance
-        pkt = sp.omp_l0(hm, wstar + 0.1 * np.eye(2), x)
-        assert pkt.certificate["feasible"]
+        plant = random_reachable_plant(rng, 2)
+        spec = {"name": "omp", "family": "l0", "beta": 0.5}
+        cfg = ExperimentConfig(plant=plant, horizon=4, Q=np.eye(2),
+                               controllers=(spec,), channel_gap=1, runs=1,
+                               T=1, seed=0)
+        wstar = build_controller(cfg, spec).design.Wstar
+        with pytest.raises(DesignError, match="strictly dominate"):
+            build_controller(cfg, dict(spec, W=wstar))  # equality is not strict
+        law = build_controller(cfg, dict(spec, W=wstar + 0.1 * np.eye(2))).designer
+        assert law(rng.standard_normal(2)).certificate["feasible"]
 
     def test_rejects_bad_shape(self):
         rng = np.random.default_rng(26)
