@@ -2,8 +2,8 @@
 
 The package covers the full loop: horizon-stacked prediction matrices, the
 Riccati recursion for terminal weights, sparse packet solvers (an exact
-homotopy for the l1-regularized packet and greedy l0 matching pursuit) next
-to quadratic baselines, the two stability design rules that certify them,
+explicit law with a homotopy fallback for the l1-regularized packet and
+greedy l0 matching pursuit) next to quadratic baselines, the two stability design rules that certify them,
 and a dropout-channel simulator with a buffered actuator.
 """
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -47,9 +48,16 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _finite(values: np.ndarray, name: str) -> np.ndarray:
+    # Python's json reads NaN and Infinity as numbers.
+    _require(bool(np.isfinite(values).all()), f"{name} must be finite")
+    return values
+
+
 def _as_number(value, name: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{name} must be a number, got {value!r}")
+    _require(math.isfinite(value), f"{name} must be finite")
     return float(value)
 
 
@@ -69,7 +77,7 @@ def _as_matrix(value, name: str) -> np.ndarray:
         for entry in row:
             _require(isinstance(entry, (int, float)) and not isinstance(entry, bool),
                      f"{name} entries must be numbers")
-    return np.asarray(value, dtype=float)
+    return _finite(np.asarray(value, dtype=float), name)
 
 
 def _as_vector(value, name: str) -> np.ndarray:
@@ -81,7 +89,7 @@ def _as_vector(value, name: str) -> np.ndarray:
     for entry in value:
         _require(isinstance(entry, (int, float)) and not isinstance(entry, bool),
                  f"{name} entries must be numbers")
-    return np.asarray(value, dtype=float)
+    return _finite(np.asarray(value, dtype=float), name)
 
 
 @dataclass(frozen=True)

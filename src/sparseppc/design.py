@@ -16,6 +16,7 @@ states so a finished design can be certified numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,8 +24,7 @@ from .errors import DegeneracyError, DesignError, ParameterError, SolverError
 from .plant import (HorizonMatrices, PlantModel, _frozen,
                     build_horizon_matrices, propagate, require_spd)
 from .riccati import solve_dare
-from .solvers import (LassoLaw, OmpLaw, fista_l1l2, least_squares_packet,
-                      omp_l0)
+from .solvers import LassoLaw, OmpLaw, least_squares_packet, omp_l0
 
 # Identity check between the stacked least-squares weight and P - Q on the
 # cheap-control Riccati solution.
@@ -72,12 +72,17 @@ def omega_contains(hm: HorizonMatrices, mu: float, x) -> bool:
 def value_function(hm: HorizonMatrices, mu: float, Q, x) -> float:
     """``V(x) = ||G u - H x||^2 + mu ||u||_1 + x' Q x`` at the optimal packet.
 
-    The packet comes from the exact l1l2 solver.  Raises
+    The packet comes from the exact l1l2 law, :class:`LassoLaw`.  Raises
     :class:`SolverError` if its KKT certificate does not show an exact
     optimum.
     """
+    return _value(LassoLaw(hm, mu), Q, x)
+
+
+def _value(law: LassoLaw, Q, x) -> float:
+    # value_function on a given law, such as the one of a design.
     x = np.asarray(x, dtype=float).reshape(-1)
-    pkt = fista_l1l2(hm, mu, x)
+    pkt = law(x)
     if not pkt.certificate["converged"]:
         raise SolverError(
             "the l1l2 packet is not exact at the value-function state "
@@ -112,9 +117,17 @@ class L1L2Design:
     Wstar: np.ndarray
     hm: HorizonMatrices
 
+    @cached_property
+    def law(self) -> LassoLaw:
+        """The design's one packet law, shared by its designer and audits.
+
+        Its region cache lives as long as the design.
+        """
+        return LassoLaw(self.hm, self.mu)
+
     def designer(self) -> LassoLaw:
         """The packet law of this design; ``law(x)`` is a :class:`Packet`."""
-        return LassoLaw(self.hm, self.mu)
+        return self.law
 
 
 @dataclass(frozen=True)
@@ -313,7 +326,7 @@ def audit_value_sandwich(design: L1L2Design, x,
     overestimate the true optimum.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    value = value_function(design.hm, design.mu, design.Q, x)
+    value = _value(design.law, design.Q, x)
     nx = float(np.linalg.norm(x))
     lower = design.lam_min_q * nx * nx
     upper = design.a1 * nx + (design.a2 + design.lam_max_q) * nx * nx
@@ -338,14 +351,14 @@ def audit_contraction_l1l2(design: L1L2Design, x, dropouts: int,
     """
     i = _check_dropouts(dropouts, design.N)
     x = np.asarray(x, dtype=float).reshape(-1)
-    pkt = fista_l1l2(design.hm, design.mu, x)
+    pkt = design.law(x)
     if not pkt.certificate["converged"]:
         raise SolverError("the l1l2 packet is not exact at the audited state")
     start = pkt.certificate["objective"] + float(x @ (design.Q @ x))
     z = x
     for step in range(i):
         z = propagate(design.plant, z, pkt.u[step])
-    end = value_function(design.hm, design.mu, design.Q, z)
+    end = _value(design.law, design.Q, z)
     bound = design.rho * start + design.epsilon + design.lam_min_q / 4.0
     passed = end <= bound * (1.0 + rel_slack)
     return ContractionAuditL1L2(dropouts=i, value_start=start, value_end=end,

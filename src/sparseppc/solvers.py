@@ -221,46 +221,168 @@ def _lasso_path(GtG: np.ndarray, b: np.ndarray, target: float,
     return support, signs, steps
 
 
+def _row_maps(K: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # Per-row products K[r] @ B[r], each row summed on its own (see
+    # plant.row_matmul).
+    return np.einsum("rij,rj->ri", K, B)
+
+
 class LassoLaw(PacketLaw):
-    """Exact minimizer of ``||G u - H x||^2 + mu ||u||_1`` by homotopy.
+    """Exact minimizer of ``||G u - H x||^2 + mu ||u||_1`` as an explicit law.
 
-    The lasso solution is piecewise affine in its weight, so the active-set
-    homotopy of Osborne, Presnell & Turlach (2000) follows it exactly.  With
-    ``c = G'Hx - G'G u`` the optimality conditions read ``c_S = lam s_S`` on
-    the support ``S`` with signs ``s`` and ``|c_j| <= lam`` off it, for
-    ``lam = mu / 2``.  The path starts at ``lam = ||G'Hx||_inf``, where
-    ``u = 0`` is optimal, and lowers ``lam`` to ``mu / 2``.  Between
-    breakpoints ``u_S = (G'G)_SS^(-1) (G'Hx - lam s)_S``; at each breakpoint
-    one index joins or leaves ``S``.  The packet is a final refit on the last
-    support.  Each state follows its own path; ``G'G`` and ``G'H`` are shared.
+    With ``b = G'Hx`` and ``c = b - G'G u`` the optimality conditions read
+    ``c_S = lam s_S`` on the support ``S`` with signs ``s`` and
+    ``|c_j| <= lam`` off it, for ``lam = mu / 2``.  ``G'G`` is positive
+    definite, so the minimizer is unique and piecewise affine in ``x``: one
+    region per sorted ``(S, s)``, on which ``u = K b - c_r`` with
+    ``K = (G'G)_SS^(-1)`` zero-padded to ``N x N`` and ``c_r = lam K s``
+    (explicit MPC, Bemporad, Morari, Dua & Pistikopoulos 2002).
 
-    States in the dead zone ``||G'Hx||_inf <= mu / 2`` get the exact zero
-    packet after 0 steps.  ``iterations`` counts path breakpoints, the first
-    entry included, up to a cap of ``10 N``.  ``converged`` means exact: the
-    KKT residual of the returned packet is at most
-    ``1e-9 max(mu, ||G'Hx||_inf)``; a packet that hits the cap is judged by
-    that certificate alone.
+    The law caches the regions its states have reached, up to ``REGIONS``
+    of them.  The rows of one call outside the dead zone are tested against
+    every cached region at once (Tøndel, Johansen & Bemporad 2003): a row
+    takes a region when the region's ``u`` and ``c`` meet the conditions
+    with a relative margin of ``MARGIN``, ``s_i u_i > MARGIN ||K||_inf
+    ||b||_inf`` on ``S`` and ``|c_j| < lam - MARGIN ||b||_inf`` off it, and
+    no other cached region does.  Any other row walks the active-set
+    homotopy of Osborne, Presnell & Turlach (2000) from ``||b||_inf``, where
+    ``u = 0`` is optimal, down to ``lam``, and its region joins the cache;
+    the rows no cached region passed are tested against that region before
+    the next walk.  Either way the packet is the region's map followed by
+    one refinement pass on the normal equations
+    ``(G'G)_SS u_S = b_S - lam s``, so a packet has the same bits whatever
+    the cache held.  An entry left with the wrong sign is rounding at the
+    region's boundary and is set to zero.
+
+    States in the dead zone ``||b||_inf <= mu / 2`` get the exact zero
+    packet.  ``u``, ``sparsity`` and the certificate's ``kkt_residual``,
+    ``objective`` and ``converged`` depend on the state alone; ``iterations``
+    and the certificate's ``path_walked`` record the route.  A walked row's
+    ``iterations`` counts its path breakpoints, the first entry included, up
+    to a cap of ``10 N``; a cache hit and a dead-zone state walk no path and
+    count 0.  ``converged`` means exact: the KKT residual of the returned
+    packet is at most ``1e-9 max(mu, ||b||_inf)``; a packet whose path hits
+    the cap is judged by that certificate alone.
     """
 
     tag = SolverTag.L1L2
+    # Regions kept per law; a region found when the cache is full serves
+    # the call that found it and is not kept.
+    REGIONS = 64
+    # Relative margin of the cached-region test (see the class docstring).
+    MARGIN = 1e-9
+    # Bound on the elements of the (rows, regions, 3 N) test array.
+    _TEST_ELEMENTS = 1 << 15
 
     def __init__(self, hm: HorizonMatrices, mu: float):
         mu = float(mu)
         if mu <= 0.0:
             raise ParameterError(f"mu must be positive, got {mu}")
         self.hm, self.mu = hm, mu
+        # Region key -> slot in the arrays of ``_cache``, which are made
+        # when the first region is stored.
+        self._keys: dict = {}
+        self._cache: tuple = ()
+
+    def _region(self, support: list, signs: np.ndarray) -> tuple:
+        """The arrays of the region ``(S, s)`` and whether it was uncached.
+
+        The tests, bounds and scales of :meth:`_passes` come first, then
+        ``K``, ``off`` and the signs of :meth:`_refit`.  They are built from
+        the sorted support, so they have the same bits however the region
+        was reached; the region is cached while there is room.
+        """
+        key = tuple(sorted(zip(support, signs.tolist())))
+        if key in self._keys:
+            return tuple(a[self._keys[key]] for a in self._cache), False
+        GtG, N, lam = self.hm.GtG, self.hm.N, 0.5 * self.mu
+        S = [j for j, _ in key]
+        sub = np.ix_(S, S)
+        K = np.zeros((N, N))
+        K[sub] = np.linalg.solve(GtG[sub], np.eye(len(S)))
+        sign = np.zeros(N)
+        sign[S] = [s for _, s in key]
+        c = lam * (K @ sign)
+        M, d = np.eye(N) - GtG @ K, GtG @ c      # c = M b + d
+        # The tests map b to the slacks s_i u_i on S and lam -+ c_j off it,
+        # offset by the bounds; a slack must exceed MARGIN ||b||_inf times
+        # its scale, ||K||_inf on S and 1 off it.  No condition applies to
+        # u off S, nor to c on S.
+        free = np.concatenate((sign == 0.0, sign != 0.0, sign != 0.0))
+        tests = np.vstack((sign[:, None] * K, -M, M))
+        tests[free] = 0.0
+        bounds = np.concatenate((-sign * c, lam - d, lam + d))
+        bounds[free] = np.inf
+        scales = np.ones(3 * N)
+        scales[:N] = np.abs(K).sum(axis=1).max()
+        region = (tests, bounds, scales, K, -c, sign)
+        r = len(self._keys)
+        if not r:
+            # One slot per region for each array of the region.
+            self._cache = tuple(np.empty((self.REGIONS,) + a.shape)
+                                for a in region)
+        if r < self.REGIONS:
+            self._keys[key] = r
+            for store, value in zip(self._cache, region):
+                store[r] = value
+        return region, True
+
+    def _passes(self, tests, bounds, scales, B, bmax) -> np.ndarray:
+        """``(rows, regions)``: which regions meet the conditions at each row."""
+        slack = np.einsum("qij,rj->rqi", tests, B) + bounds
+        return (slack > (self.MARGIN * bmax)[:, None, None] * scales).all(axis=2)
+
+    def _match(self, B, bmax) -> tuple:
+        """Cached region of each row, -1 if none; and which rows had several."""
+        count = len(self._keys)
+        if not (count and B.shape[0]):
+            return np.full(B.shape[0], -1), np.zeros(B.shape[0], dtype=bool)
+        cached = [a[:count] for a in self._cache[:3]]
+        step = max(1, self._TEST_ELEMENTS // (count * 3 * self.hm.N))
+        ok = np.concatenate([self._passes(*cached, B[lo:lo + step],
+                                          bmax[lo:lo + step])
+                             for lo in range(0, B.shape[0], step)])
+        hits = ok.sum(axis=1)
+        return np.where(hits == 1, ok.argmax(axis=1), -1), hits > 1
+
+    def _refit(self, K, off, signs, B) -> np.ndarray:
+        # The region map of each row, one refinement pass on the normal
+        # equations, and the boundary's wrong-signed rounding set to zero.
+        U = _row_maps(K, B) + off
+        U += _row_maps(K, B - row_matmul(U, self.hm.GtG)) + off
+        return np.where(signs * U < 0.0, 0.0, U)
 
     def _solve(self, X):
         hm, mu, GtG = self.hm, self.mu, self.hm.GtG
-        target = 0.5 * mu
         b = row_matmul(X, hm.GtH)
         corr = np.abs(b).max(axis=1, initial=0.0)
         U = np.zeros((X.shape[0], hm.N))
         steps = np.zeros(X.shape[0], dtype=int)
-        for i in np.flatnonzero(corr > target):
-            support, signs, steps[i] = _lasso_path(GtG, b[i], target, 10 * hm.N)
-            U[i, support] = np.linalg.solve(GtG[support][:, support],
-                                            b[i, support] - target * signs)
+        walked = np.zeros(X.shape[0], dtype=bool)
+        active = np.flatnonzero(corr > 0.5 * mu)
+        B, bmax = b[active], corr[active]
+        q, several = self._match(B, bmax)
+        hit = q >= 0
+        if hit.any():
+            U[active[hit]] = self._refit(*(a[q[hit]] for a in self._cache[3:]),
+                                         B[hit])
+        left = np.flatnonzero(~hit)
+        while left.size:
+            i, left = left[0], left[1:]
+            support, signs, steps[active[i]] = _lasso_path(
+                GtG, B[i], 0.5 * mu, 10 * hm.N)
+            walked[active[i]] = True
+            region, new = self._region(support, signs)
+            rows = np.array([i])
+            retest = left[~several[left]] if new else left[:0]
+            if retest.size:
+                ok = self._passes(*(a[None] for a in region[:3]), B[retest],
+                                  bmax[retest])[:, 0]
+                rows = np.concatenate((rows, retest[ok]))
+                left = np.setdiff1d(left, retest[ok], assume_unique=True)
+            U[active[rows]] = self._refit(
+                *(np.repeat(a[None], rows.size, axis=0) for a in region[3:]),
+                B[rows])
 
         kkt = _kkt_residual(U, 2.0 * (row_matmul(U, GtG) - b), mu)
         resid = row_matmul(U, hm.G) - row_matmul(X, hm.H)
@@ -268,6 +390,7 @@ class LassoLaw(PacketLaw):
             "kkt_residual": kkt,
             "objective": row_dot(resid, resid) + mu * np.abs(U).sum(axis=1),
             "converged": kkt <= 1e-9 * np.maximum(mu, corr),
+            "path_walked": walked,
         }
         return U, steps, certificate
 

@@ -192,6 +192,38 @@ class TestExitCodes:
         assert err.startswith("design error: bad: W does not strictly dominate")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("controllers[2].W", "nan"),
+        ("controllers[2].W", "inf"),
+        ("Q", "nan"),
+        ("controllers[0].mu", "inf"),
+        ("controllers[0].r", "inf"),
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, key, value):
+        # Python's json reads NaN and Infinity; each must stop at the config
+        # check, not in the design (a LinAlgError, a silent pass, or exit 3
+        # after overflow warnings).
+        cfg = json.loads((ROOT / "configs" / "benchmark.json").read_text())
+        bad = float(value)
+        if key == "Q":
+            cfg["Q"] = np.eye(4).tolist()
+            cfg["Q"][1][2] = bad
+        elif key.endswith(".W"):
+            W = np.eye(4).tolist()
+            W[0][3] = bad
+            cfg["controllers"][2]["W"] = W
+        else:
+            cfg["controllers"][0][key.rsplit(".", 1)[1]] = bad
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sparseppc.cli", "design", "--config",
+             str(path), "--out", str(out)],
+            capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 2
+        assert proc.stderr == f"config error: {key} must be finite\n"
+        assert not out.exists()
+
 
 class TestDesignCommand:
     def test_scalar_deadbeat_report(self, tmp_path, capsys):

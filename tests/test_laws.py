@@ -242,3 +242,165 @@ def test_failure_is_pinned_on_the_earliest_step_then_lowest_run(bench_cfg,
     x0, trace = sp.run_conditions(plant, N, T, seed, 2)
     with pytest.raises(DesignError):
         sp.run_closed_loop(plant, fussy, trace, x0, T)
+
+
+# ---------------------------------------------------------------------------
+# The l1l2 region cache
+
+
+def lasso_states(law, count, seed):
+    """States with ``||x||`` log-uniform in [1e-8, 1e3], a tenth of them
+    inside the dead zone and a tenth within 1e-9 relative of its edge."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((count, law.hm.H.shape[1]))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    # The dead zone ends where ||G'H x||_inf reaches mu / 2.
+    edge = 0.5 * law.mu / np.abs(X @ law.hm.GtH.T).max(axis=1)
+    scale = 10.0 ** rng.uniform(-8.0, 3.0, count)
+    tenth = count // 10
+    scale[:tenth] = edge[:tenth] * rng.uniform(0.0, 1.0, tenth)
+    scale[tenth:2 * tenth] = edge[tenth:2 * tenth] * (
+        1.0 + rng.uniform(-1e-9, 1e-9, tenth))
+    return X * scale[:, None]
+
+
+def solve_rows(hm, mu, X):
+    """Each row solved by a fresh law, stacked like one batched call."""
+    parts = [sp.LassoLaw(hm, mu)._solve(x[None]) for x in X]
+    return (np.concatenate([p[0] for p in parts]),
+            np.concatenate([p[1] for p in parts]),
+            {k: np.concatenate([p[2][k] for p in parts]) for k in parts[0][2]})
+
+
+def assert_same_packets(solved, ref):
+    """Same packets, sparsity and route-free certificate, all converged."""
+    U, _, cert = solved
+    U_ref, _, cert_ref = ref
+    np.testing.assert_array_equal(U, U_ref)
+    np.testing.assert_array_equal(sp.solvers._row_nonzeros(U),
+                                  sp.solvers._row_nonzeros(U_ref))
+    for key in ("kkt_residual", "objective", "converged"):
+        np.testing.assert_array_equal(cert[key], cert_ref[key])
+    assert cert["converged"].all()
+
+
+def fresh_lasso(bench_laws, name):
+    law = bench_laws[name][1]
+    return sp.LassoLaw(law.hm, law.mu)
+
+
+@pytest.mark.parametrize("name", ["L1L2(i)", "L1L2(ii)"])
+def test_lasso_packets_do_not_depend_on_the_cache(bench_laws, name):
+    cold, warm = fresh_lasso(bench_laws, name), fresh_lasso(bench_laws, name)
+    warm.packets(lasso_states(warm, 2000, 7))
+    X = lasso_states(cold, 3000, 8)
+    ref = cold._solve(X)
+    solved = warm._solve(X)
+    assert_same_packets(solved, ref)
+    # Rows 300-599 sit at the dead-zone edge, where a packet entry is within
+    # the test's margin of zero, so most of them walk.  The warm law answers
+    # almost every later row from its cache; a hit walks no breakpoint.
+    _, steps, cert = solved
+    assert cert["path_walked"][600:].sum() < 0.03 * 2400
+    assert (steps[~cert["path_walked"]] == 0).all()
+    assert (steps[cert["path_walked"]] > 0).all()
+    # A fresh law per row walks the path for every active row.
+    rows = slice(200, 800)
+    alone = solve_rows(cold.hm, cold.mu, X[rows])
+    assert_same_packets(alone, (ref[0][rows], ref[1][rows],
+                                {k: v[rows] for k, v in ref[2].items()}))
+    active = alone[0].any(axis=1)
+    assert active.sum() > 200
+    assert (alone[2]["path_walked"] == active).all()
+
+
+def region_of(law, x):
+    """The sorted (support, signs) the homotopy reaches at ``x``; () in the
+    dead zone."""
+    b = law.hm.GtH @ x
+    if np.abs(b).max() <= 0.5 * law.mu:
+        return ()
+    support, signs, _ = sp.solvers._lasso_path(law.hm.GtG, b, 0.5 * law.mu,
+                                               10 * law.hm.N)
+    return tuple(sorted(zip(support, signs.tolist())))
+
+
+@pytest.mark.parametrize("name", ["L1L2(i)", "L1L2(ii)"])
+def test_lasso_packets_at_region_boundaries_do_not_depend_on_the_cache(
+        bench_laws, name):
+    # Pairs of states in two regions, bisected onto the boundary between
+    # them: there a packet entry or a correlation's slack is within
+    # rounding of zero, so only a margin in the cached-region test keeps a
+    # hit on the region the path reaches.
+    law = fresh_lasso(bench_laws, name)
+    rng = np.random.default_rng(11)
+    X = []
+    while len(X) < 200:
+        xa, xb = rng.standard_normal((2, 4)) * 10.0 ** rng.uniform(-3.0, 1.0)
+        ra, rb = region_of(law, xa), region_of(law, xb)
+        if ra == rb or () in (ra, rb):
+            continue
+        lo, hi = 0.0, 1.0
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            if region_of(law, xa + mid * (xb - xa)) == ra:
+                lo = mid
+            else:
+                hi = mid
+        X += [xa + lo * (xb - xa), xa + hi * (xb - xa)]
+    X = np.array(X)
+    law._solve(X[::-1])
+    assert_same_packets(law._solve(X), solve_rows(law.hm, law.mu, X))
+
+
+def test_a_state_in_two_cached_regions_walks_the_path(bench_laws):
+    law = fresh_lasso(bench_laws, "L1L2(ii)")
+    x = lasso_states(law, 100, 9)[50]
+    first = law(x)
+    assert first.certificate["path_walked"] and first.sparsity > 0
+    assert not law(x).certificate["path_walked"]
+    # Cache a second copy of the state's region: the state now passes two
+    # regions, which is no unique answer, so it walks again.
+    (r,) = law._keys.values()
+    for store in law._cache:
+        store[1] = store[r]
+    law._keys["copy"] = 1
+    again = law(x)
+    assert again.certificate["path_walked"]
+    assert again.iterations == first.iterations
+    np.testing.assert_array_equal(again.u, first.u)
+    assert again.certificate == first.certificate
+
+
+def test_a_full_region_cache_gives_the_same_packets(bench_laws):
+    law = fresh_lasso(bench_laws, "L1L2(i)")
+    rng = np.random.default_rng(10)
+    while len(law._keys) < law.REGIONS:
+        support = rng.choice(law.hm.N, rng.integers(1, law.hm.N + 1),
+                             replace=False).tolist()
+        law._region(support, rng.choice([-1.0, 1.0], len(support)))
+    keys = dict(law._keys)
+    X = lasso_states(law, 3000, 8)
+    solved = law._solve(X)
+    assert law._keys == keys
+    assert_same_packets(solved, fresh_lasso(bench_laws, "L1L2(i)")._solve(X))
+
+
+@pytest.mark.parametrize("name, walks", [("L1L2(i)", 12), ("L1L2(ii)", 21)])
+def test_monte_carlo_walks_each_region_about_once(bench_cfg, monkeypatch,
+                                                  name, walks):
+    # 100 runs at seed 0 make about 1,730 active receptions per controller;
+    # the walk counts were measured and repeat exactly.
+    count = []
+
+    def counting(*args):
+        count.append(1)
+        return path(*args)
+
+    path = sp.solvers._lasso_path
+    monkeypatch.setattr(sp.solvers, "_lasso_path", counting)
+    spec = next(s for s in bench_cfg.controllers if s["name"] == name)
+    law = build_controller(bench_cfg, spec).designer
+    sp.monte_carlo(bench_cfg.plant, {name: law}, bench_cfg.horizon, runs=100,
+                   T=100, seed=0)
+    assert len(count) <= walks + 3
