@@ -24,7 +24,7 @@ from .design import (audit_contraction_l0, audit_contraction_l1l2,
                      audit_residual_l0, audit_value_sandwich, compute_wstar,
                      design_l0, design_l1l2)
 from .errors import (ConfigError, DesignError, ParameterError, ProtocolError,
-                     SimulationRunError, SolverError, SparsePpcError)
+                     SimulationRunError, SolverError, SparsePpcError, each_row)
 from .netsim import _generator, monte_carlo, run_closed_loop, run_conditions
 from .plant import PlantModel, build_horizon_matrices
 from .riccati import fixed_point_residual, solve_dare
@@ -439,51 +439,74 @@ def cmd_montecarlo(cfg: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
+AUDITED = ("l1l2", "l0")
+
+
+def _checks(family: str) -> tuple:
+    """The checks of an audited family, in the order they draw their states:
+    ``(name, batched audit, whether it takes the dropout counts)``.
+
+    The table is built on each call, so an audit function wrapped by name
+    in this module (as ``perfbench``'s tracer does) is the one that runs.
+    """
+    if family == "l1l2":
+        return (("value_sandwich", audit_value_sandwich, False),
+                ("contraction", audit_contraction_l1l2, True))
+    return (("residual_bound", audit_residual_l0, False),
+            ("contraction", audit_contraction_l0, True))
+
+
+def _audit_check(audit, design, *draws: np.ndarray) -> tuple:
+    """``(failures, worst slack, up to 3 error messages)`` of one check.
+
+    ``draws`` are the audit's per-draw arguments after the design, the
+    states and, for a contraction, the dropout counts.  All draws go
+    through one batched call; when a solver check fails in it, each draw is
+    audited alone, so every failing draw counts once.
+    """
+    def call(rows):
+        return audit(design, *(arg[rows] for arg in draws))
+
+    caught = (DesignError, SolverError)
+    try:
+        records, errors = [call(slice(None))], []
+    except caught:
+        records, errors = [], []
+        for _, record, exc in each_row(call, len(draws[0]), caught):
+            if exc is None:
+                records.append(record)
+            else:
+                errors.append(str(exc))
+    failures = len(errors) + sum(int((~r.passed).sum()) for r in records)
+    worst = min((float(r.slack.min()) for r in records), default=np.inf)
+    return failures, worst, errors[:3]
+
+
 def cmd_audit(cfg: ExperimentConfig, args) -> int:
     draws = cfg.runs
     designs = {spec["name"]: build_controller(cfg, spec).design
-               for spec in cfg.controllers if spec["family"] in ("l1l2", "l0")}
+               for spec in cfg.controllers if spec["family"] in AUDITED}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     summary = {"seed": cfg.seed, "draws": draws, "controllers": []}
     failures_total = 0
     rng = _generator(cfg.seed)
+    X = np.empty((draws, cfg.plant.n))
+    dropouts = np.empty(draws, dtype=int)
     for spec in cfg.controllers:
         name, family = spec["name"], spec["family"]
         entry = {"name": name, "family": family, "inequalities": []}
         summary["controllers"].append(entry)
-        if family not in ("l1l2", "l0") or draws == 0:
+        if family not in AUDITED or draws == 0:
             continue
-        design = designs[name]
-        if family == "l1l2":
-            checks = {
-                "value_sandwich": lambda x, i: audit_value_sandwich(design, x),
-                "contraction": lambda x, i: audit_contraction_l1l2(design, x, i),
-            }
-        else:
-            checks = {
-                "residual_bound": lambda x, i: audit_residual_l0(design, x),
-                "contraction": lambda x, i: audit_contraction_l0(design, x, i),
-            }
-        for check_name, check in checks.items():
-            n_fail = 0
-            worst = np.inf
-            errors: list[str] = []
-            for _ in range(draws):
-                x = rng.standard_normal(cfg.plant.n)
-                i = int(rng.integers(1, cfg.horizon + 1))
-                try:
-                    record = check(x, i)
-                except (DesignError, SolverError) as exc:
-                    n_fail += 1
-                    if len(errors) < 3:
-                        errors.append(str(exc))
-                    continue
-                if hasattr(record, "slack"):
-                    worst = min(worst, record.slack)
-                if not record.passed:
-                    n_fail += 1
+        for check_name, audit, uses_dropouts in _checks(family):
+            # Each draw takes its state and then its dropout count.
+            for k in range(draws):
+                X[k] = rng.standard_normal(cfg.plant.n)
+                dropouts[k] = rng.integers(1, cfg.horizon + 1)
+            n_fail, worst, errors = _audit_check(
+                audit, designs[name], *((X, dropouts) if uses_dropouts else (X,)))
             failures_total += n_fail
             entry["inequalities"].append({
                 "name": check_name,

@@ -10,7 +10,8 @@ enough that the Lyapunov function ``x' P x`` strictly decreases at every
 reception; this gives asymptotic stability under bounded dropouts.
 
 The audit helpers evaluate both sides of each design inequality on concrete
-states so a finished design can be certified numerically.
+states, one state or a whole batch per call, so a finished design can be
+certified numerically.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import numpy as np
 
 from .errors import DegeneracyError, DesignError, ParameterError, SolverError
 from .plant import (HorizonMatrices, PlantModel, _frozen,
-                    build_horizon_matrices, propagate, require_spd)
+                    build_horizon_matrices, require_spd, row_dot, row_matmul)
 from .riccati import solve_dare
-from .solvers import LassoLaw, OmpLaw, least_squares_packet, omp_l0
+from .solvers import LassoLaw, LinearLaw, OmpLaw
 
 # Identity check between the stacked least-squares weight and P - Q on the
 # cheap-control Riccati solution.
@@ -76,20 +77,20 @@ def value_function(hm: HorizonMatrices, mu: float, Q, x) -> float:
     :class:`SolverError` if its KKT certificate does not show an exact
     optimum.
     """
-    return _value(LassoLaw(hm, mu), Q, x)
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    return _values(LassoLaw(hm, mu), np.asarray(Q, dtype=float), x)[0].item()
 
 
-def _value(law: LassoLaw, Q, x) -> float:
-    # value_function on a given law, such as the one of a design.
-    x = np.asarray(x, dtype=float).reshape(-1)
-    pkt = law(x)
-    if not pkt.certificate["converged"]:
+def _values(law: LassoLaw, Q: np.ndarray, X: np.ndarray) -> np.ndarray:
+    # value_function at each row of X on a given law, such as a design's.
+    _, _, certificate = law.solve(X)
+    inexact = ~certificate["converged"]
+    if inexact.any():
         raise SolverError(
             "the l1l2 packet is not exact at the value-function state "
-            f"(kkt residual {pkt.certificate['kkt_residual']:.3e})"
+            f"(kkt residual {certificate['kkt_residual'][inexact.argmax()]:.3e})"
         )
-    Q = np.asarray(Q, dtype=float)
-    return pkt.certificate["objective"] + float(x @ (Q @ x))
+    return certificate["objective"] + _quad(X, Q)
 
 
 @dataclass(frozen=True)
@@ -148,13 +149,23 @@ class L0Design:
     Wstar: np.ndarray
     hm: HorizonMatrices
 
-    def designer(self) -> OmpLaw:
-        """The packet law of this design; ``law(x)`` is a :class:`Packet`.
+    @cached_property
+    def law(self) -> OmpLaw:
+        """The design's one packet law, shared by its designer and audits.
 
         The law does not check ``W`` against ``W*``: ``design_l0`` checks the
         ``W`` it builds, and the CLI checks a config override of it.
         """
         return OmpLaw(self.hm, self.W)
+
+    @cached_property
+    def ls_law(self) -> LinearLaw:
+        """The least-squares law ``u*`` that the residual audit compares to."""
+        return LinearLaw(self.hm)
+
+    def designer(self) -> OmpLaw:
+        """The packet law of this design; ``law(x)`` is a :class:`Packet`."""
+        return self.law
 
 
 def design_l1l2(plant: PlantModel, Q, mu: float, N: int,
@@ -269,21 +280,27 @@ def design_l0(plant: PlantModel, Q, N: int, beta: float) -> L0Design:
 
 # ---------------------------------------------------------------------------
 # Audits
+#
+# Each audit takes one state ``x`` or a batch ``X`` of states in rows.  A
+# batch is checked with one law solve per packet family (two for the l1l2
+# contraction: at the start and at the end states) and returns a record
+# whose fields hold one value per row; a single state is the batch's
+# one-row case and gets plain Python scalars.  All state products are
+# row-independent (``plant.row_matmul``), so every row has the same bits
+# alone or in a batch.  A row that fails a solver check raises for the
+# whole batch; ``errors.each_row`` pins such a failure on its rows.
 
 
 @dataclass(frozen=True)
 class SandwichAudit:
-    """Lower/upper value-function bounds evaluated at one state."""
+    """Lower/upper value-function bounds; ``slack`` is the margin to the
+    nearer bound, negative when the sandwich fails."""
 
     lower: float
     value: float
     upper: float
+    slack: float
     passed: bool
-
-    @property
-    def slack(self) -> float:
-        """Margin to the nearer bound; negative when the sandwich fails."""
-        return min(self.value - self.lower, self.upper - self.value)
 
 
 @dataclass(frozen=True)
@@ -317,55 +334,90 @@ class ResidualAudit:
     passed: bool
 
 
+def _states(x) -> tuple:
+    # The states as rows, and whether a single state was given.
+    X = np.asarray(x, dtype=float)
+    return (X.reshape(1, -1), True) if X.ndim == 1 else (X, False)
+
+
+def _record(cls, single: bool, **fields):
+    # An audit record of a batch, or of its one row as Python scalars.
+    if single:
+        fields = {k: v[0].item() for k, v in fields.items()}
+    return cls(**fields)
+
+
+def _check_dropouts(dropouts, N: int, rows: int) -> np.ndarray:
+    # One dropout count per row, each an integer in [1, N].
+    i = np.asarray(dropouts)
+    if (i.dtype.kind not in "iu" or i.ndim > 1 or i.size not in (1, rows)
+            or not ((1 <= i) & (i <= N)).all()):
+        raise ParameterError(
+            f"dropouts must be integers in [1, {N}], one per state, "
+            f"got {dropouts!r}"
+        )
+    return np.broadcast_to(i, (rows,)).astype(int)
+
+
+def _quad(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    # x'Mx of each row.
+    return row_dot(X, row_matmul(X, M))
+
+
+def _open_loop(plant: PlantModel, X: np.ndarray, U: np.ndarray,
+               dropouts: np.ndarray) -> np.ndarray:
+    # Row r after replaying the first dropouts[r] entries of its packet.
+    Z = X
+    for step in range(int(dropouts.max(initial=0))):
+        moved = row_matmul(Z, plant.A) + U[:, step, None] * plant.B[:, 0]
+        Z = np.where((step < dropouts)[:, None], moved, Z)
+    return Z
+
+
 def audit_value_sandwich(design: L1L2Design, x,
                          rel_slack: float = 1e-6) -> SandwichAudit:
     """Check ``lambda_min(Q) ||x||^2 <= V(x) <= a1 ||x|| + (a2 + lambda_max(Q)) ||x||^2``.
 
     The upper side gets ``rel_slack`` of relative headroom for solver
     inexactness; the lower side is exact because the evaluated value can only
-    overestimate the true optimum.
+    overestimate the true optimum.  Raises :class:`SolverError` if a packet
+    is not exact.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    value = _value(design.law, design.Q, x)
-    nx = float(np.linalg.norm(x))
+    X, single = _states(x)
+    value = _values(design.law, design.Q, X)
+    nx = np.sqrt(row_dot(X, X))
     lower = design.lam_min_q * nx * nx
     upper = design.a1 * nx + (design.a2 + design.lam_max_q) * nx * nx
-    passed = lower <= value <= upper * (1.0 + rel_slack)
-    return SandwichAudit(lower=lower, value=value, upper=upper, passed=passed)
+    passed = (lower <= value) & (value <= upper * (1.0 + rel_slack))
+    return _record(SandwichAudit, single, lower=lower, value=value,
+                   upper=upper,
+                   slack=np.minimum(value - lower, upper - value),
+                   passed=passed)
 
 
-def _check_dropouts(dropouts: int, N: int) -> int:
-    if not isinstance(dropouts, (int, np.integer)) or not 1 <= dropouts <= N:
-        raise ParameterError(
-            f"dropouts must be an integer in [1, {N}], got {dropouts!r}"
-        )
-    return int(dropouts)
-
-
-def audit_contraction_l1l2(design: L1L2Design, x, dropouts: int,
+def audit_contraction_l1l2(design: L1L2Design, x, dropouts,
                            rel_slack: float = 1e-6) -> ContractionAuditL1L2:
     """Evaluate ``V`` before and after ``dropouts`` buffered open-loop steps.
 
     Checks ``V(f^i(x)) <= rho V(x) + epsilon + lambda_min(Q)/4`` where the
-    open loop replays the first ``i`` entries of the packet computed at ``x``.
+    open loop replays the first ``i`` entries of the packet computed at
+    ``x``.  ``dropouts`` is one count for all states or one per state.
     """
-    i = _check_dropouts(dropouts, design.N)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    pkt = design.law(x)
-    if not pkt.certificate["converged"]:
+    X, single = _states(x)
+    i = _check_dropouts(dropouts, design.N, X.shape[0])
+    U, _, certificate = design.law.solve(X)
+    if not certificate["converged"].all():
         raise SolverError("the l1l2 packet is not exact at the audited state")
-    start = pkt.certificate["objective"] + float(x @ (design.Q @ x))
-    z = x
-    for step in range(i):
-        z = propagate(design.plant, z, pkt.u[step])
-    end = _value(design.law, design.Q, z)
+    start = certificate["objective"] + _quad(X, design.Q)
+    end = _values(design.law, design.Q, _open_loop(design.plant, X, U, i))
     bound = design.rho * start + design.epsilon + design.lam_min_q / 4.0
     passed = end <= bound * (1.0 + rel_slack)
-    return ContractionAuditL1L2(dropouts=i, value_start=start, value_end=end,
-                                bound=bound, slack=bound - end, passed=passed)
+    return _record(ContractionAuditL1L2, single, dropouts=i,
+                   value_start=start, value_end=end, bound=bound,
+                   slack=bound - end, passed=passed)
 
 
-def audit_contraction_l0(design: L0Design, x, dropouts: int,
+def audit_contraction_l0(design: L0Design, x, dropouts,
                          rel_slack: float = 1e-6) -> ContractionAuditL0:
     """Lyapunov decay along ``dropouts`` buffered steps of the OMP packet.
 
@@ -375,24 +427,22 @@ def audit_contraction_l0(design: L0Design, x, dropouts: int,
     corrupted designs can be probed; an infeasible constraint surfaces as
     :class:`DesignError`.
     """
-    i = _check_dropouts(dropouts, design.N)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    pkt = omp_l0(design.hm, design.W, x)
-    z = x
-    for step in range(i):
-        z = propagate(design.plant, z, pkt.u[step])
-    start = float(x @ (design.P @ x))
-    end = float(z @ (design.P @ z))
-    x_eps = float(x @ (design.Eps @ x))
+    X, single = _states(x)
+    i = _check_dropouts(dropouts, design.N, X.shape[0])
+    U, _, _ = design.law.solve(X)
+    Z = _open_loop(design.plant, X, U, i)
+    start = _quad(X, design.P)
+    end = _quad(Z, design.P)
+    x_eps = _quad(X, design.Eps)
     bound_geometric = design.rho ** i * start + design.c * x_eps
     bound_onestep = design.rho * start + design.c * x_eps
-    passed = (end <= bound_geometric * (1.0 + rel_slack)
-              and end <= bound_onestep * (1.0 + rel_slack))
-    slack = min(bound_geometric, bound_onestep) - end
-    return ContractionAuditL0(dropouts=i, value_start=start, value_end=end,
-                              bound_geometric=bound_geometric,
-                              bound_onestep=bound_onestep,
-                              slack=slack, passed=passed)
+    passed = ((end <= bound_geometric * (1.0 + rel_slack))
+              & (end <= bound_onestep * (1.0 + rel_slack)))
+    return _record(ContractionAuditL0, single, dropouts=i, value_start=start,
+                   value_end=end, bound_geometric=bound_geometric,
+                   bound_onestep=bound_onestep,
+                   slack=np.minimum(bound_geometric, bound_onestep) - end,
+                   passed=passed)
 
 
 def audit_residual_l0(design: L0Design, x,
@@ -403,14 +453,12 @@ def audit_residual_l0(design: L0Design, x,
     least-squares residual makes the bound an exact consequence of the
     feasibility constraint, so only rounding slack is allowed.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    hm = design.hm
-    pkt = omp_l0(hm, design.W, x)
-    ustar = least_squares_packet(hm, x).u
-    dev = hm.G @ (pkt.u - ustar)
-    lhs = float(dev @ dev)
+    X, single = _states(x)
+    U, _, _ = design.law.solve(X)
+    Ustar, _, _ = design.ls_law.solve(X)
+    dev = row_matmul(U - Ustar, design.hm.G)
+    lhs = row_dot(dev, dev)
     gap = design.W - design.Wstar
-    rhs = float(x @ (0.5 * (gap + gap.T) @ x))
-    passed = lhs <= rhs + abs_slack
-    return ResidualAudit(lhs=lhs, rhs=rhs, slack=rhs + abs_slack - lhs,
-                         passed=passed)
+    rhs = _quad(X, 0.5 * (gap + gap.T))
+    return _record(ResidualAudit, single, lhs=lhs, rhs=rhs,
+                   slack=rhs + abs_slack - lhs, passed=lhs <= rhs + abs_slack)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how a failed batch
+names its failing rows."""
 
 
 class SparsePpcError(Exception):
@@ -41,3 +42,21 @@ class SimulationRunError(SparsePpcError):
         self.run_index = run_index
         self.seed = seed
         self.cause = cause
+
+
+def each_row(call, rows: int, errors=Exception):
+    """Run a batched call on each of ``rows`` rows alone, in row order.
+
+    ``call(s)`` takes the slice ``s`` of one row.  Yields ``(row, result,
+    None)``, or ``(row, None, error)`` when the call raises one of
+    ``errors``.  A batched packet law or audit stops at its first failing
+    row; this is how such a failure is pinned on the rows that fail on
+    their own.
+    """
+    for row in range(rows):
+        try:
+            result = call(slice(row, row + 1))
+        except errors as exc:
+            yield row, None, exc
+        else:
+            yield row, result, None

@@ -13,7 +13,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ParameterError, ProtocolError, SimulationRunError
+from .errors import (ParameterError, ProtocolError, SimulationRunError,
+                     each_row)
 from .plant import PlantModel, row_matmul
 from .solvers import Packet
 
@@ -128,12 +129,9 @@ def _packets(law, X: np.ndarray, rows: np.ndarray) -> tuple:
     try:
         return law.packets(X)
     except Exception as exc:
-        if rows.size > 1:
-            for i, row in enumerate(rows):
-                try:
-                    law.packets(X[i:i + 1])
-                except Exception as row_exc:
-                    raise _RunFailure(row, row_exc) from row_exc
+        for i, _, row_exc in each_row(lambda s: law.packets(X[s]), rows.size):
+            if row_exc is not None:
+                raise _RunFailure(rows[i], row_exc) from row_exc
         raise _RunFailure(rows[0], exc) from exc
 
 

@@ -3,9 +3,10 @@
 Each family has one packet law, built once from the horizon matrices: it
 works from their Gram matrix ``G'G`` and correlation map ``G'H`` (the
 quadratic families fold both into a constant gain), so no per-packet work
-rebuilds them or repeats a factorization.  ``law.packets(X)`` maps a
-batch of states, one per row, to their packets; ``law(x)`` returns the
-:class:`Packet` of one state with its solver certificate.  The module-level
+rebuilds them or repeats a factorization.  ``law.solve(X)`` maps a batch
+of states, one per row, to their packets, iteration counts and solver
+certificates; ``law.packets(X)`` keeps the packets and their sparsity, and
+``law(x)`` returns the :class:`Packet` of one state.  The module-level
 functions ``least_squares_packet``, ``ridge_packet``, ``fista_l1l2`` and
 ``omp_l0`` are one-row views of the same laws.
 
@@ -81,10 +82,10 @@ def _state_vector(hm: HorizonMatrices, x) -> np.ndarray:
 class PacketLaw:
     """The packet law of one solver family, built once from its design.
 
-    Subclasses implement ``_solve(X) -> (U, iterations, certificate)`` for
-    states in the rows of ``X`` and raise on the first row that fails a
-    check.  Each certificate entry holds one value per row, or, when it is
-    2-D, one sequence per row whose first ``iterations`` entries count.
+    ``solve(X)`` is the one entry to a law: ``packets``, ``law(x)``, the
+    closed loop and the design audits all go through it.  Subclasses
+    implement ``_solve`` for a checked batch and raise on the first row
+    that fails a check.
     """
 
     hm: HorizonMatrices
@@ -93,17 +94,26 @@ class PacketLaw:
     def _solve(self, X: np.ndarray):
         raise NotImplementedError
 
-    def packets(self, X) -> tuple:
-        """Packets of the states in the rows of ``X`` and their sparsity."""
+    def solve(self, X) -> tuple:
+        """``(U, iterations, certificate)`` for the states in the rows of ``X``.
+
+        Row ``r`` of ``U`` is the packet of ``X[r]``.  Each certificate entry
+        holds one value per row, or, when it is 2-D, one sequence per row
+        whose first ``iterations`` entries count.
+        """
         n = self.hm.H.shape[1]
         X = np.ascontiguousarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != n:
             raise ParameterError(f"X must have shape (rows, {n}), got {X.shape}")
-        U, _, _ = self._solve(X)
+        return self._solve(X)
+
+    def packets(self, X) -> tuple:
+        """Packets of the states in the rows of ``X`` and their sparsity."""
+        U, _, _ = self.solve(X)
         return U, _row_nonzeros(U)
 
     def __call__(self, x) -> Packet:
-        U, iterations, certificate = self._solve(_state_vector(self.hm, x)[None])
+        U, iterations, certificate = self.solve(_state_vector(self.hm, x)[None])
         steps = int(iterations[0])
         return Packet(u=_frozen(U[0]), sparsity=int(_row_nonzeros(U)[0]),
                       solver_tag=self.tag, iterations=steps,

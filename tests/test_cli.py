@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparseppc import ConfigError, OmpLaw
+from sparseppc import ConfigError, LassoLaw, OmpLaw, PacketLaw
+from sparseppc import cli
 from sparseppc.cli import build_controller, load_config, main
-from sparseppc.netsim import monte_carlo
+from sparseppc.netsim import _generator, monte_carlo
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -386,6 +387,77 @@ class TestAuditCommand:
         assert entry["failures"] > 0
         assert entry["errors"]  # carries the solver's explanation
         assert "FAILURES" in capsys.readouterr().out
+        # The batch fails as a whole; every draw is still counted once, and
+        # the messages are capped.
+        for entry in payload["controllers"][0]["inequalities"]:
+            assert entry["failures"] == entry["draws"] == 4
+            assert 1 <= len(entry["errors"]) <= 3
+
+    def test_an_inexact_l1l2_packet_fails_its_own_draw(self, tmp_path,
+                                                      monkeypatch):
+        # Label the packets of states with a positive first coordinate
+        # inexact: the batch raises, and each such draw, and only it, fails
+        # with the value function's message.
+        solve = LassoLaw._solve
+
+        def inexact(self, X):
+            U, steps, certificate = solve(self, X)
+            certificate["converged"] = certificate["converged"] & (X[:, 0] <= 0)
+            return U, steps, certificate
+
+        monkeypatch.setattr(LassoLaw, "_solve", inexact)
+        path = write_config(tmp_path, variant(controllers=BASE["controllers"][:1]))
+        assert main(["audit", "--config", str(path), "--out", str(tmp_path),
+                     "--runs", "6"]) == 4
+        rng = _generator(BASE["run"]["seed"])
+        first = [(rng.standard_normal(2), rng.integers(1, 5))[0]
+                 for _ in range(6)]
+        expected = sum(x[0] > 0 for x in first)
+        assert 0 < expected < 6
+        entry = json.loads((tmp_path / "audit.json").read_text())[
+            "controllers"][0]["inequalities"][0]
+        assert entry["name"] == "value_sandwich"
+        assert entry["failures"] == expected
+        assert len(entry["errors"]) == min(expected, 3)
+        assert all(e.startswith("the l1l2 packet is not exact at the "
+                                "value-function state (kkt residual ")
+                   for e in entry["errors"])
+        assert entry["worst_slack"] >= 0.0
+
+    def test_each_check_solves_its_draws_in_one_batch(self, tmp_path,
+                                                      monkeypatch):
+        # Guard against per-draw solving: each check makes one law solve
+        # over all of its draws, and the l1l2 contraction and the residual
+        # bound one more (the end states; the least-squares packets).
+        solves = []
+        solve = PacketLaw.solve
+
+        def counted(self, X):
+            solves.append(len(X))
+            return solve(self, X)
+
+        monkeypatch.setattr(PacketLaw, "solve", counted)
+        per_check = {}
+        for name in ("audit_value_sandwich", "audit_contraction_l1l2",
+                     "audit_residual_l0", "audit_contraction_l0"):
+            def counting(*args, _audit=getattr(cli, name), _name=name):
+                before = len(solves)
+                try:
+                    return _audit(*args)
+                finally:
+                    per_check.setdefault(_name, []).append(len(solves) - before)
+
+            monkeypatch.setattr(cli, name, counting)
+        path = write_config(tmp_path, variant())
+        assert main(["audit", "--config", str(path), "--out", str(tmp_path),
+                     "--runs", "7"]) == 0
+        assert sorted(per_check) == ["audit_contraction_l0",
+                                     "audit_contraction_l1l2",
+                                     "audit_residual_l0",
+                                     "audit_value_sandwich"]
+        for name, calls in per_check.items():
+            assert len(calls) == 1 and 1 <= calls[0] <= 2, (name, calls)
+        assert solves and all(rows == 7 for rows in solves)
 
 
 def test_console_script_is_installed(tmp_path):

@@ -318,3 +318,71 @@ class TestAudits:
         rng = np.random.default_rng(95)
         with pytest.raises(DesignError):
             sp.audit_residual_l0(bad, rng.standard_normal(4))
+
+
+def audit_states(l1l2, rng):
+    """States at several scales, one in the l1l2 dead zone, and x = 0."""
+    X = rng.standard_normal((12, 4)) * rng.uniform(0.05, 5.0, (12, 1))
+    d = rng.standard_normal(4)
+    dead = 0.25 * l1l2.mu / np.max(np.abs(l1l2.hm.GtH @ d)) * d
+    assert sp.omega_contains(l1l2.hm, l1l2.mu, dead)
+    return np.vstack((X, dead, np.zeros(4)))
+
+
+AUDIT_CASES = [
+    ("l1l2", sp.audit_value_sandwich, False),
+    ("l1l2", sp.audit_contraction_l1l2, True),
+    ("l0", sp.audit_residual_l0, False),
+    ("l0", sp.audit_contraction_l0, True),
+]
+
+
+class TestBatchedAudits:
+    @pytest.mark.parametrize("family, audit, takes_dropouts", AUDIT_CASES,
+                             ids=[c[1].__name__ for c in AUDIT_CASES])
+    def test_each_row_is_the_single_state_audit(self, bench_l1l2, bench_l0,
+                                               family, audit, takes_dropouts):
+        design = bench_l1l2 if family == "l1l2" else bench_l0
+        rng = np.random.default_rng(96)
+        X = audit_states(bench_l1l2, rng)
+        dropouts = rng.integers(1, BENCH_N + 1, len(X))
+        dropouts[:2] = (1, BENCH_N)
+        dropouts[-2:] = (BENCH_N, 1)
+        extra = (dropouts,) if takes_dropouts else ()
+        batch = audit(design, X, *extra)
+        for r, x in enumerate(X):
+            alone = audit(design, x, *(int(a[r]) for a in extra))
+            assert alone.passed is True
+            for field in dataclasses.fields(alone):
+                value = getattr(alone, field.name)
+                assert type(value) in (bool, int, float), field.name
+                # Bit for bit, not just equal in value.
+                assert (np.asarray(value).tobytes()
+                        == np.asarray(getattr(batch, field.name)[r]).tobytes()
+                        ), (field.name, r)
+
+    @pytest.mark.parametrize("audit", [sp.audit_contraction_l1l2,
+                                       sp.audit_contraction_l0])
+    @pytest.mark.parametrize("bad", [0, BENCH_N + 1, -1])
+    def test_a_dropout_outside_the_horizon_is_rejected(self, bench_l1l2,
+                                                       bench_l0, audit, bad):
+        design = (bench_l1l2 if audit is sp.audit_contraction_l1l2
+                  else bench_l0)
+        X = np.ones((4, 4))
+        dropouts = np.array([1, BENCH_N, bad, 2])
+        with pytest.raises(ParameterError, match="dropouts"):
+            audit(design, X, dropouts)
+        with pytest.raises(ParameterError, match="dropouts"):
+            audit(design, X, bad)
+        with pytest.raises(ParameterError, match="dropouts"):
+            audit(design, X, np.array([1, BENCH_N, 2]))  # one per state
+
+    def test_a_failing_row_fails_the_batch(self, bench_l0):
+        # An infeasible OMP constraint at one state raises for the batch,
+        # as it does for that state alone.
+        bad = dataclasses.replace(bench_l0, W=0.5 * bench_l0.Wstar)
+        X = np.vstack((np.zeros(4), np.ones(4)))
+        sp.audit_residual_l0(bad, X[0])
+        with pytest.raises(DesignError):
+            sp.audit_residual_l0(bad, X)
+

@@ -266,7 +266,7 @@ def lasso_states(law, count, seed):
 
 def solve_rows(hm, mu, X):
     """Each row solved by a fresh law, stacked like one batched call."""
-    parts = [sp.LassoLaw(hm, mu)._solve(x[None]) for x in X]
+    parts = [sp.LassoLaw(hm, mu).solve(x[None]) for x in X]
     return (np.concatenate([p[0] for p in parts]),
             np.concatenate([p[1] for p in parts]),
             {k: np.concatenate([p[2][k] for p in parts]) for k in parts[0][2]})
@@ -294,8 +294,8 @@ def test_lasso_packets_do_not_depend_on_the_cache(bench_laws, name):
     cold, warm = fresh_lasso(bench_laws, name), fresh_lasso(bench_laws, name)
     warm.packets(lasso_states(warm, 2000, 7))
     X = lasso_states(cold, 3000, 8)
-    ref = cold._solve(X)
-    solved = warm._solve(X)
+    ref = cold.solve(X)
+    solved = warm.solve(X)
     assert_same_packets(solved, ref)
     # Rows 300-599 sit at the dead-zone edge, where a packet entry is within
     # the test's margin of zero, so most of them walk.  The warm law answers
@@ -349,8 +349,8 @@ def test_lasso_packets_at_region_boundaries_do_not_depend_on_the_cache(
                 hi = mid
         X += [xa + lo * (xb - xa), xa + hi * (xb - xa)]
     X = np.array(X)
-    law._solve(X[::-1])
-    assert_same_packets(law._solve(X), solve_rows(law.hm, law.mu, X))
+    law.solve(X[::-1])
+    assert_same_packets(law.solve(X), solve_rows(law.hm, law.mu, X))
 
 
 def test_a_state_in_two_cached_regions_walks_the_path(bench_laws):
@@ -381,9 +381,9 @@ def test_a_full_region_cache_gives_the_same_packets(bench_laws):
         law._region(support, rng.choice([-1.0, 1.0], len(support)))
     keys = dict(law._keys)
     X = lasso_states(law, 3000, 8)
-    solved = law._solve(X)
+    solved = law.solve(X)
     assert law._keys == keys
-    assert_same_packets(solved, fresh_lasso(bench_laws, "L1L2(i)")._solve(X))
+    assert_same_packets(solved, fresh_lasso(bench_laws, "L1L2(i)").solve(X))
 
 
 @pytest.mark.parametrize("name, walks", [("L1L2(i)", 12), ("L1L2(ii)", 21)])
