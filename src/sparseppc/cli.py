@@ -280,14 +280,14 @@ def build_controller(cfg: ExperimentConfig, spec: dict) -> BuiltController:
         report.update(mu=design.mu, epsilon=design.epsilon, a1=design.a1,
                       a2=design.a2, rho=design.rho, R=design.R,
                       Wstar=_listify(design.Wstar))
-        return BuiltController(name, family, design.designer(), report,
+        return BuiltController(name, family, design.law, report,
                                design=design)
 
     if family == "l0":
         design = design_l0(plant, Q, N, spec["beta"])
         overridden = "W" in spec
         if overridden:
-            # The designer and the audits both use the override.
+            # The law and the audits both use the override.
             W = spec["W"]
             design = dataclasses.replace(design, W=0.5 * (W + W.T))
         gap = 0.5 * ((design.W - design.Wstar) + (design.W - design.Wstar).T)
@@ -304,7 +304,7 @@ def build_controller(cfg: ExperimentConfig, spec: dict) -> BuiltController:
         report["residuals"]["wstar_identity"] = float(
             np.linalg.norm(design.Wstar - (design.P - design.Q), "fro"))
         report["residuals"]["loewner_margin"] = margin
-        return BuiltController(name, family, design.designer(), report,
+        return BuiltController(name, family, design.law, report,
                                design=design)
 
     # Quadratic baselines: terminal weight from the Riccati equation at the

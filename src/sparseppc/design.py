@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegeneracyError, DesignError, ParameterError, SolverError
-from .plant import (HorizonMatrices, PlantModel, _frozen,
+from .plant import (HorizonMatrices, PlantModel, _frozen, _state_vector,
                     build_horizon_matrices, require_spd, row_dot, row_matmul)
 from .riccati import solve_dare
 from .solvers import LassoLaw, LinearLaw, OmpLaw
@@ -61,13 +61,14 @@ def compute_wstar(hm: HorizonMatrices) -> np.ndarray:
 def omega_contains(hm: HorizonMatrices, mu: float, x) -> bool:
     """Whether ``x`` lies in the dead zone ``||G'Hx||_inf <= mu / 2``.
 
-    States inside it make the zero packet optimal for the l1 cost.
+    States inside it make the zero packet optimal for the l1 cost.  This is
+    :class:`LassoLaw`'s own test on the same bits: the law returns the exact
+    zero packet at each state accepted here and solves at each one rejected.
     """
     if mu <= 0.0:
         raise ParameterError(f"mu must be positive, got {mu}")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    corr = hm.G.T @ (hm.H @ x)
-    return bool(np.max(np.abs(corr)) <= mu / 2.0)
+    b = row_matmul(_state_vector(x, hm.H.shape[1])[None], hm.GtH)
+    return bool(np.abs(b).max() <= 0.5 * mu)
 
 
 def value_function(hm: HorizonMatrices, mu: float, Q, x) -> float:
@@ -120,15 +121,12 @@ class L1L2Design:
 
     @cached_property
     def law(self) -> LassoLaw:
-        """The design's one packet law, shared by its designer and audits.
+        """The design's one packet law, shared by the closed loop and the
+        audits; ``law(x)`` is a :class:`Packet`.
 
         Its region cache lives as long as the design.
         """
         return LassoLaw(self.hm, self.mu)
-
-    def designer(self) -> LassoLaw:
-        """The packet law of this design; ``law(x)`` is a :class:`Packet`."""
-        return self.law
 
 
 @dataclass(frozen=True)
@@ -151,7 +149,8 @@ class L0Design:
 
     @cached_property
     def law(self) -> OmpLaw:
-        """The design's one packet law, shared by its designer and audits.
+        """The design's one packet law, shared by the closed loop and the
+        audits; ``law(x)`` is a :class:`Packet`.
 
         The law does not check ``W`` against ``W*``: ``design_l0`` checks the
         ``W`` it builds, and the CLI checks a config override of it.
@@ -162,10 +161,6 @@ class L0Design:
     def ls_law(self) -> LinearLaw:
         """The least-squares law ``u*`` that the residual audit compares to."""
         return LinearLaw(self.hm)
-
-    def designer(self) -> OmpLaw:
-        """The packet law of this design; ``law(x)`` is a :class:`Packet`."""
-        return self.law
 
 
 def design_l1l2(plant: PlantModel, Q, mu: float, N: int,

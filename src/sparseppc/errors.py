@@ -15,7 +15,8 @@ class DegeneracyError(SparsePpcError):
 
 
 class SolverError(SparsePpcError):
-    """An iterative solver failed to reach its tolerance."""
+    """A solver result failed its check: the Riccati iteration or gain, or
+    the KKT certificate of an l1l2 packet, which must show an exact optimum."""
 
 
 class DesignError(SparsePpcError):

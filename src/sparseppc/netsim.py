@@ -9,14 +9,13 @@ length, so the buffer never runs dry for traces that respect their bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .errors import (ParameterError, ProtocolError, SimulationRunError,
                      each_row)
-from .plant import PlantModel, row_matmul
-from .solvers import Packet
+from .plant import PlantModel, _state_vector, row_matmul
 
 
 @dataclass(frozen=True)
@@ -111,18 +110,6 @@ class _RunFailure(Exception):
         self.cause = cause
 
 
-class _PerRow:
-    """A plain designer ``x -> Packet`` seen as a packet law, one row at a time."""
-
-    def __init__(self, designer: Callable[[np.ndarray], Packet]):
-        self.designer = designer
-
-    def packets(self, X: np.ndarray) -> tuple:
-        pkts = [self.designer(x) for x in X]
-        return (np.array([p.u for p in pkts], dtype=float),
-                np.array([p.sparsity for p in pkts]))
-
-
 def _packets(law, X: np.ndarray, rows: np.ndarray) -> tuple:
     """``law.packets(X)``; a failure is pinned on the lowest-indexed row of
     ``rows`` that also fails on its own."""
@@ -135,55 +122,56 @@ def _packets(law, X: np.ndarray, rows: np.ndarray) -> tuple:
         raise _RunFailure(rows[0], exc) from exc
 
 
+def _require_law(designer) -> None:
+    # The closed loop takes packet laws only (``solvers.PacketLaw`` or any
+    # object with ``packets(X)``); anything else is refused before a run.
+    if not callable(getattr(designer, "packets", None)):
+        raise ParameterError("a designer must be a packet law with "
+                             f"packets(X), got {type(designer).__name__}")
+
+
 def _rollout(plant: PlantModel, law, X0: np.ndarray, D: np.ndarray) -> tuple:
     """Advance a batch of runs together through the buffered protocol.
 
-    Row ``r`` starts at ``X0[r]`` and follows the dropout flags ``D[r]``;
-    each step makes one ``law.packets`` call on the receiving rows.  Returns
-    ``(states, inputs, sparsity)`` of shapes ``(runs, T + 1, n)``,
-    ``(runs, T)`` and ``(runs, T)``.  Every state product is row-independent
-    (``plant.row_matmul``), so a run computes the same bits alone or inside
-    any batch.  A failure raises :class:`_RunFailure` for the lowest-indexed
-    run that fails at the earliest failing step.
+    Row ``r`` starts at ``X0[r]`` and follows the dropout flags ``D[r]``,
+    whose first step is a delivery for every run (see
+    :class:`DropoutTrace`); each step makes one ``law.packets`` call on the
+    receiving rows.  Returns ``(states, inputs, sparsity, norms)`` of shapes
+    ``(runs, T + 1, n)``, ``(runs, T)``, ``(runs, T)`` and ``(runs, T + 1)``.
+    Every state product is row-independent (``plant.row_matmul``), so a run
+    computes the same bits alone or inside any batch.  A failure raises
+    :class:`_RunFailure` for the lowest-indexed run that fails at the
+    earliest failing step.
     """
     runs, T = D.shape
     states = np.empty((runs, T + 1, plant.n))
     inputs = np.empty((runs, T))
     sparsity = np.full((runs, T), np.nan)
     X = states[:, 0] = X0
-    buffer = np.zeros((runs, 0))             # each run's last packet ...
-    length = np.zeros(runs, dtype=int)       # ... its length ...
-    age = np.zeros(runs, dtype=int)          # ... and the steps since it came
+    age = np.zeros(runs, dtype=int)          # steps since each run's packet
     every = np.arange(runs)
     for k in range(T):
         drop = D[:, k]
         recv = np.flatnonzero(~drop)
         if recv.size:
             U, sparsity[recv, k] = _packets(law, X[recv], recv)
-            if U.shape[1] > buffer.shape[1]:
-                buffer = np.pad(buffer, ((0, 0), (0, U.shape[1] - buffer.shape[1])))
-            buffer[recv, :U.shape[1]] = U
-            length[recv] = U.shape[1]
+            if k == 0:                       # every run receives at step 0
+                buffer = np.empty((runs, U.shape[1]))
+            buffer[recv] = U
             age[recv] = 0
         age[drop] += 1
-        over = np.flatnonzero(drop & (age >= length))
+        over = np.flatnonzero(age >= buffer.shape[1])
         if over.size:
-            row = over[0]
-            raise _RunFailure(row, ProtocolError(
+            raise _RunFailure(over[0], ProtocolError(
                 f"dropout run at step {k} exceeds the buffered packet "
-                f"horizon ({length[row]})"))
+                f"horizon ({buffer.shape[1]})"))
         u = inputs[:, k] = buffer[every, age]
         X = states[:, k + 1] = row_matmul(X, plant.A) + u[:, None] * plant.B[:, 0]
-    return states, inputs, sparsity
+    return states, inputs, sparsity, np.linalg.norm(states, axis=2)
 
 
-def _as_law(designer):
-    return designer if hasattr(designer, "packets") else _PerRow(designer)
-
-
-def _sim_traces(states, inputs, sparsity, dropped: list) -> list:
+def _sim_traces(states, inputs, sparsity, norms, dropped: list) -> list:
     """One read-only :class:`SimTrace` per row of a rollout."""
-    norms = np.linalg.norm(states, axis=2)
     for arr in (states, inputs, sparsity, norms):
         arr.setflags(write=False)
     return [SimTrace(states=states[r], inputs=inputs[r], dropped=dropped[r],
@@ -191,27 +179,28 @@ def _sim_traces(states, inputs, sparsity, dropped: list) -> list:
             for r in range(len(dropped))]
 
 
-def run_closed_loop(plant: PlantModel,
-                    designer: Callable[[np.ndarray], Packet],
-                    trace: DropoutTrace, x0, T: int) -> SimTrace:
+def run_closed_loop(plant: PlantModel, designer, trace: DropoutTrace, x0,
+                    T: int) -> SimTrace:
     """Roll the buffered-actuator protocol for ``T`` steps.
 
-    On a delivered step the designer is invoked on the current state and the
-    packet's first entry applied; on a dropped step the buffer's age advances
-    and the corresponding packet entry is applied.  A dropout run that
-    outlives the buffered packet raises :class:`ProtocolError`.  The
-    designer is a packet law (``solvers.PacketLaw``) or any callable
-    ``x -> Packet``; this is the one-run case of the batched Monte Carlo
-    rollout and gives the same bits as that run there.
+    On a delivered step the designer computes the packet at the current
+    state and its first entry is applied; on a dropped step the buffer's age
+    advances and the corresponding packet entry is applied.  A dropout run
+    that outlives the buffered packet raises :class:`ProtocolError`.  The
+    designer must be a packet law (``solvers.PacketLaw``, or any object with
+    ``packets(X)``); anything else raises :class:`ParameterError`.  This is
+    the one-run case of the batched Monte Carlo rollout and gives the same
+    bits as that run there.
     """
+    _require_law(designer)
     if not isinstance(T, (int, np.integer)) or T < 1:
         raise ParameterError(f"T must be a positive integer, got {T!r}")
     T = int(T)
     if len(trace) < T:
         raise ParameterError(f"trace length {len(trace)} is shorter than T = {T}")
-    x0 = np.asarray(x0, dtype=float).reshape(1, plant.n)
+    x0 = _state_vector(x0, plant.n)[None]
     try:
-        rollout = _rollout(plant, _as_law(designer), x0, trace.d[None, :T])
+        rollout = _rollout(plant, designer, x0, trace.d[None, :T])
     except _RunFailure as failure:
         # Raise the run's own error, keeping what it was raised from.
         raise failure.cause from failure.cause.__cause__
@@ -246,21 +235,25 @@ def run_conditions(plant: PlantModel, N: int, T: int, seed: int, run_idx: int,
     return x0, trace
 
 
-def monte_carlo(plant: PlantModel, designers: Mapping[str, Callable],
+def monte_carlo(plant: PlantModel, designers: Mapping[str, object],
                 N: int, runs: int, T: int = 100, seed: int = 0,
                 receptions_between_bursts: int = 1,
                 keep_traces: bool = False) -> MonteCarloResult:
     """Average closed-loop norm and packet sparsity over independent runs.
 
-    Run ``k`` starts from the conditions of :func:`run_conditions`; each
-    designer advances all runs together, and run ``k`` of the study has the
-    same bits as :func:`run_closed_loop` on those conditions.  A failing run
-    aborts the study with its index and seed attached for replay: the
+    Each designer is a packet law, as for :func:`run_closed_loop`; anything
+    else raises :class:`ParameterError` before a run starts.  Run ``k``
+    starts from the conditions of :func:`run_conditions`; each designer
+    advances all runs together, and run ``k`` of the study has the same bits
+    as :func:`run_closed_loop` on those conditions.  A failing run aborts
+    the study with its index and seed attached for replay: the
     lowest-indexed run failing at the earliest step, designers taken in
-    order.
+    order.  ``keep_traces`` keeps every run's :class:`SimTrace`.
     """
     if not designers:
         raise ParameterError("at least one designer is required")
+    for designer in designers.values():
+        _require_law(designer)
     if not isinstance(runs, (int, np.integer)) or runs < 1:
         raise ParameterError(f"runs must be a positive integer, got {runs!r}")
     runs = int(runs)
@@ -279,17 +272,16 @@ def monte_carlo(plant: PlantModel, designers: Mapping[str, Callable],
     D = np.array([trace.d for trace in traces])
 
     avg_norm, avg_sparsity, kept = {}, {}, {}
-    for name, designer in designers.items():
+    for name, law in designers.items():
         try:
-            rollout = _rollout(plant, _as_law(designer), X0, D)
+            rollout = _rollout(plant, law, X0, D)
         except _RunFailure as failure:
             raise SimulationRunError(failure.row, int(seed),
                                      failure.cause) from failure.cause
-        sims = _sim_traces(*rollout, traces)
-        avg_norm[name] = np.stack([sim.norms[:T] for sim in sims]).mean(axis=0)
+        _, _, spars_mat, norms = rollout
+        avg_norm[name] = norms[:, :T].mean(axis=0)
         # NaN marks steps without a freshly computed packet; average over the
         # runs that did compute one, NaN if none did.
-        spars_mat = rollout[2]
         counts = np.sum(~np.isnan(spars_mat), axis=0)
         sums = np.nansum(spars_mat, axis=0)
         avg = np.full(T, np.nan)
@@ -297,7 +289,7 @@ def monte_carlo(plant: PlantModel, designers: Mapping[str, Callable],
         avg[nz] = sums[nz] / counts[nz]
         avg_sparsity[name] = avg
         if keep_traces:
-            kept[name] = sims
+            kept[name] = _sim_traces(*rollout, traces)
 
     return MonteCarloResult(steps=np.arange(T), avg_norm=avg_norm,
                             avg_sparsity=avg_sparsity, runs=runs,

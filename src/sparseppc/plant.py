@@ -57,6 +57,14 @@ def spd_sqrt(M: np.ndarray) -> np.ndarray:
     return 0.5 * (root + root.T)
 
 
+def _state_vector(x, n: int) -> np.ndarray:
+    # ``x`` as a float vector of length ``n``, or ParameterError.
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.shape != (n,):
+        raise ParameterError(f"x must have length {n}, got shape {x.shape}")
+    return x
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
@@ -118,7 +126,7 @@ def propagate(plant: PlantModel, x: np.ndarray, u: float) -> np.ndarray:
     The one-row case of the batched step in ``netsim``: the same bits as a
     state advanced inside a batch of runs.
     """
-    x = np.asarray(x, dtype=float).reshape(1, plant.n)
+    x = _state_vector(x, plant.n)[None]
     return row_matmul(x, plant.A)[0] + plant.B[:, 0] * float(u)
 
 

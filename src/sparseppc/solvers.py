@@ -22,7 +22,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegeneracyError, DesignError, ParameterError
-from .plant import HorizonMatrices, _frozen, row_dot, row_matmul
+from .plant import (HorizonMatrices, _frozen, _state_vector, row_dot,
+                    row_matmul)
 
 
 class SolverTag(Enum):
@@ -71,14 +72,6 @@ def count_nonzero(u: np.ndarray) -> int:
     return int(_row_nonzeros(np.asarray(u, dtype=float).reshape(1, -1))[0])
 
 
-def _state_vector(hm: HorizonMatrices, x) -> np.ndarray:
-    n = hm.H.shape[1]
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (n,):
-        raise ParameterError(f"x must have length {n}, got shape {x.shape}")
-    return x
-
-
 class PacketLaw:
     """The packet law of one solver family, built once from its design.
 
@@ -113,7 +106,8 @@ class PacketLaw:
         return U, _row_nonzeros(U)
 
     def __call__(self, x) -> Packet:
-        U, iterations, certificate = self.solve(_state_vector(self.hm, x)[None])
+        x = _state_vector(x, self.hm.H.shape[1])
+        U, iterations, certificate = self.solve(x[None])
         steps = int(iterations[0])
         return Packet(u=_frozen(U[0]), sparsity=int(_row_nonzeros(U)[0]),
                       solver_tag=self.tag, iterations=steps,
@@ -264,9 +258,10 @@ class LassoLaw(PacketLaw):
     the cache held.  An entry left with the wrong sign is rounding at the
     region's boundary and is set to zero.
 
-    States in the dead zone ``||b||_inf <= mu / 2`` get the exact zero
-    packet.  ``u``, ``sparsity`` and the certificate's ``kkt_residual``,
-    ``objective`` and ``converged`` depend on the state alone; ``iterations``
+    States in the dead zone ``||b||_inf <= mu / 2``, tested on the bits
+    ``design.omega_contains`` tests, get the exact zero packet.  ``u``,
+    ``sparsity`` and the certificate's ``kkt_residual``, ``objective`` and
+    ``converged`` depend on the state alone; ``iterations``
     and the certificate's ``path_walked`` record the route.  A walked row's
     ``iterations`` counts its path breakpoints, the first entry included, up
     to a cap of ``10 N``; a cache hit and a dead-zone state walk no path and

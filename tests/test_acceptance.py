@@ -26,7 +26,7 @@ def report(num: int, ok: bool, detail: str):
 @pytest.fixture(scope="module")
 def mc_omp(bench_plant, bench_l0):
     start = time.perf_counter()
-    result = sp.monte_carlo(bench_plant, {"omp": bench_l0.designer()},
+    result = sp.monte_carlo(bench_plant, {"omp": bench_l0.law},
                             BENCH_N, runs=100, T=100, seed=0,
                             keep_traces=True)
     return result, time.perf_counter() - start
@@ -34,7 +34,7 @@ def mc_omp(bench_plant, bench_l0):
 
 @pytest.fixture(scope="module")
 def mc_l1l2(bench_plant, bench_l1l2):
-    result = sp.monte_carlo(bench_plant, {"l1l2": bench_l1l2.designer()},
+    result = sp.monte_carlo(bench_plant, {"l1l2": bench_l1l2.law},
                             BENCH_N, runs=100, T=100, seed=0,
                             keep_traces=True)
     return result

@@ -168,7 +168,7 @@ class TestL1L2Design:
     def test_designer_closure_solves_l1l2(self, bench_l1l2):
         rng = np.random.default_rng(73)
         x = rng.standard_normal(4)
-        pkt = bench_l1l2.designer()(x)
+        pkt = bench_l1l2.law(x)
         ref = sp.fista_l1l2(bench_l1l2.hm, BENCH_MU, x)
         np.testing.assert_allclose(pkt.u, ref.u, atol=1e-12)
         assert pkt.solver_tag is sp.SolverTag.L1L2
@@ -255,7 +255,7 @@ class TestL0Design:
     def test_designer_closure_runs_omp(self, bench_l0):
         rng = np.random.default_rng(82)
         x = rng.standard_normal(4)
-        pkt = bench_l0.designer()(x)
+        pkt = bench_l0.law(x)
         assert pkt.solver_tag is sp.SolverTag.L0_OMP
         resid = bench_l0.hm.G @ pkt.u - bench_l0.hm.H @ x
         assert float(resid @ resid) <= float(x @ bench_l0.W @ x) + 1e-12

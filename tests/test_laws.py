@@ -192,13 +192,9 @@ def test_omp_law_rejects_an_infeasible_weight(bench_l0):
 # Batched closed loop
 
 
-@pytest.mark.parametrize("name", ["L1L2(i)", "OMP", "RIDGE", "LS", "callable"])
+@pytest.mark.parametrize("name", ["L1L2(i)", "OMP", "RIDGE", "LS"])
 def test_monte_carlo_run_equals_its_one_run_rollout(bench_cfg, bench_laws, name):
-    if name == "callable":
-        hm = bench_laws["LS"][1].hm
-        designer = lambda x: sp.least_squares_packet(hm, x)  # noqa: E731
-    else:
-        designer = bench_laws[name][1]
+    designer = bench_laws[name][1]
     N, T, seed = bench_cfg.horizon, 60, 7
     res = sp.monte_carlo(bench_cfg.plant, {name: designer}, N, runs=40, T=T,
                          seed=seed, keep_traces=True)
@@ -226,10 +222,16 @@ def test_failure_is_pinned_on_the_earliest_step_then_lowest_run(bench_cfg,
     k1, bad1 = state_at(1, -1)
     assert 0 < k2 < k1
 
-    def fussy(x):
-        if np.array_equal(x, bad2) or np.array_equal(x, bad1):
-            raise DesignError("refused state")
-        return law(x)
+    class Fussy:
+        """The LS law, refusing a batch that holds either chosen state."""
+
+        def packets(self, X):
+            for x in X:
+                if np.array_equal(x, bad2) or np.array_equal(x, bad1):
+                    raise DesignError("refused state")
+            return law.packets(X)
+
+    fussy = Fussy()
 
     # Run 1 fails too, but later: the earliest failing step decides.
     with pytest.raises(SimulationRunError) as err:
@@ -312,6 +314,41 @@ def test_lasso_packets_do_not_depend_on_the_cache(bench_laws, name):
     active = alone[0].any(axis=1)
     assert active.sum() > 200
     assert (alone[2]["path_walked"] == active).all()
+
+
+def omega_edge_states(law, count, seed):
+    """States on both sides of the dead-zone edge that ``omega_contains``
+    draws: along ``count`` random directions, the scale is bisected until
+    the last state it accepts and the first it rejects are adjacent floats.
+    """
+    rng = np.random.default_rng(seed)
+    inside, outside = [], []
+    for d in rng.standard_normal((count, law.hm.H.shape[1])):
+        edge = 0.5 * law.mu / np.abs(law.hm.GtH @ d).max()
+        lo, hi = 0.5 * edge, 2.0 * edge
+        assert sp.omega_contains(law.hm, law.mu, lo * d)
+        assert not sp.omega_contains(law.hm, law.mu, hi * d)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if sp.omega_contains(law.hm, law.mu, mid * d):
+                lo = mid
+            else:
+                hi = mid
+        inside.append(lo * d)
+        outside.append(hi * d)
+    return np.array(inside), np.array(outside)
+
+
+@pytest.mark.parametrize("name", ["L1L2(i)", "L1L2(ii)"])
+def test_omega_contains_is_the_laws_dead_zone(bench_laws, name):
+    law = fresh_lasso(bench_laws, name)
+    inside, outside = omega_edge_states(law, 200, 31)
+    # Every accepted state gets the exact zero packet without a walk ...
+    U, steps, cert = law.solve(inside)
+    assert (U == 0.0).all()
+    assert not cert["path_walked"].any() and (steps == 0).all()
+    # ... and every rejected one walks the path on a fresh law.
+    _, steps, cert = solve_rows(law.hm, law.mu, outside)
+    assert cert["path_walked"].all() and (steps > 0).all()
 
 
 def region_of(law, x):

@@ -10,11 +10,23 @@ from sparseppc import ParameterError, ProtocolError, SimulationRunError
 from conftest import BENCH_N
 
 
-def constant_packet(u):
-    u = np.asarray(u, dtype=float)
-    pkt = sp.Packet(u=u, sparsity=sp.count_nonzero(u),
-                    solver_tag=sp.SolverTag.LS, iterations=0, certificate={})
-    return lambda x: pkt
+class ConstantLaw:
+    """A fake packet law that plans the packet ``u`` at every state and
+    counts the states it was asked for."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+        self.states = 0
+
+    def packets(self, X):
+        self.states += len(X)
+        return (np.tile(self.u, (len(X), 1)),
+                np.full(len(X), sp.count_nonzero(self.u)))
+
+
+class BrokenLaw:
+    def packets(self, X):
+        raise ValueError("boom")
 
 
 class TestDropoutTrace:
@@ -152,7 +164,7 @@ class TestClosedLoop:
         # Integrator with a fixed plan: dropped steps must apply entries 1, 2.
         plant = sp.PlantModel(A=[[1.0]], B=[1.0])
         trace = sp.DropoutTrace(d=np.array([False, True, True]), N_bound=4)
-        sim = sp.run_closed_loop(plant, constant_packet([1.0, 2.0, 3.0]),
+        sim = sp.run_closed_loop(plant, ConstantLaw([1.0, 2.0, 3.0]),
                                  trace, [0.0], 3)
         np.testing.assert_array_equal(sim.inputs, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(sim.states, [[0.0], [1.0], [3.0], [6.0]])
@@ -161,7 +173,7 @@ class TestClosedLoop:
         plant = sp.PlantModel(A=[[1.0]], B=[1.0])
         trace = sp.DropoutTrace(d=np.array([False, True, False, True]),
                                 N_bound=3)
-        sim = sp.run_closed_loop(plant, constant_packet([5.0, 7.0]),
+        sim = sp.run_closed_loop(plant, ConstantLaw([5.0, 7.0]),
                                  trace, [0.0], 4)
         np.testing.assert_array_equal(sim.inputs, [5.0, 7.0, 5.0, 7.0])
 
@@ -170,7 +182,7 @@ class TestClosedLoop:
         trace = sp.DropoutTrace(d=np.array([False, True, True, True]),
                                 N_bound=5)
         with pytest.raises(ProtocolError):
-            sp.run_closed_loop(plant, constant_packet([1.0, 2.0, 3.0]),
+            sp.run_closed_loop(plant, ConstantLaw([1.0, 2.0, 3.0]),
                                trace, [0.0], 4)
 
     def test_states_re_propagate_exactly(self):
@@ -179,8 +191,8 @@ class TestClosedLoop:
                               B=rng.standard_normal(3))
         hm = sp.build_horizon_matrices(plant, 4, np.eye(3), np.eye(3))
         trace = sp.gen_bounded_uniform_trace(4, 20, seed=3)
-        sim = sp.run_closed_loop(plant, lambda x: sp.least_squares_packet(hm, x),
-                                 trace, rng.standard_normal(3), 20)
+        sim = sp.run_closed_loop(plant, sp.LinearLaw(hm), trace,
+                                 rng.standard_normal(3), 20)
         for k in range(20):
             np.testing.assert_array_equal(
                 sim.states[k + 1], sp.propagate(plant, sim.states[k],
@@ -192,7 +204,7 @@ class TestClosedLoop:
         plant = sp.PlantModel(A=[[0.5]], B=[1.0])
         trace = sp.DropoutTrace(d=np.array([False, True, False, True]),
                                 N_bound=3)
-        sim = sp.run_closed_loop(plant, constant_packet([1.0, 0.0]),
+        sim = sp.run_closed_loop(plant, ConstantLaw([1.0, 0.0]),
                                  trace, [1.0], 4)
         assert not np.isnan(sim.sparsity[0]) and not np.isnan(sim.sparsity[2])
         assert np.isnan(sim.sparsity[1]) and np.isnan(sim.sparsity[3])
@@ -202,22 +214,28 @@ class TestClosedLoop:
         # With u = 0 throughout, the norm contracts exactly like A = I/2.
         plant = sp.PlantModel(A=0.5 * np.eye(2), B=[1.0, 1.0])
         trace = sp.gen_bounded_uniform_trace(3, 10, seed=9)
-        sim = sp.run_closed_loop(plant, constant_packet([0.0, 0.0, 0.0]),
+        sim = sp.run_closed_loop(plant, ConstantLaw([0.0, 0.0, 0.0]),
                                  trace, [4.0, 0.0], 10)
         np.testing.assert_allclose(sim.norms,
                                    4.0 * 0.5 ** np.arange(11), rtol=1e-12)
+
+    def test_a_designer_that_is_no_law_is_rejected(self):
+        plant = sp.PlantModel(A=[[1.0]], B=[1.0])
+        trace = sp.DropoutTrace(d=np.array([False, True]), N_bound=3)
+        with pytest.raises(ParameterError, match="packet law"):
+            sp.run_closed_loop(plant, lambda x: 3, trace, [0.0], 2)
 
     def test_rejects_short_trace(self):
         plant = sp.PlantModel(A=[[1.0]], B=[1.0])
         trace = sp.DropoutTrace(d=np.array([False, True]), N_bound=3)
         with pytest.raises(ParameterError):
-            sp.run_closed_loop(plant, constant_packet([1.0, 1.0]),
+            sp.run_closed_loop(plant, ConstantLaw([1.0, 1.0]),
                                trace, [0.0], 5)
 
 
 class TestLyapunovAtReceptions:
     def test_p_value_decreases_between_receptions(self, bench_plant, bench_l0):
-        designer = bench_l0.designer()
+        designer = bench_l0.law
         trace = sp.gen_bounded_uniform_trace(BENCH_N, 40, seed=17)
         rng = np.random.default_rng(46)
         sim = sp.run_closed_loop(bench_plant, designer, trace,
@@ -236,10 +254,7 @@ def small_plant():
 @pytest.fixture(scope="module")
 def small_designers(small_plant):
     hm = sp.build_horizon_matrices(small_plant, 3, np.eye(2), np.eye(2))
-    return {
-        "ls": lambda x: sp.least_squares_packet(hm, x),
-        "lasso": lambda x: sp.fista_l1l2(hm, 0.5, x),
-    }
+    return {"ls": sp.LinearLaw(hm), "lasso": sp.LassoLaw(hm, 0.5)}
 
 
 class TestMonteCarlo:
@@ -295,11 +310,8 @@ class TestMonteCarlo:
             assert not np.isnan(res.avg_sparsity[name][0])
 
     def test_failing_designer_reports_run_and_seed(self, small_plant):
-        def broken(x):
-            raise ValueError("boom")
-
         with pytest.raises(SimulationRunError) as err:
-            sp.monte_carlo(small_plant, {"bad": broken}, 3, runs=2, T=5,
+            sp.monte_carlo(small_plant, {"bad": BrokenLaw()}, 3, runs=2, T=5,
                            seed=9)
         assert err.value.run_index == 0
         assert err.value.seed == 9
@@ -309,3 +321,26 @@ class TestMonteCarlo:
             sp.monte_carlo(small_plant, {}, 3, runs=1)
         with pytest.raises(ParameterError):
             sp.monte_carlo(small_plant, small_designers, 3, runs=0)
+
+    def test_a_designer_that_is_no_law_is_rejected_before_any_run(
+            self, small_plant):
+        law = ConstantLaw([1.0, 0.0, 0.0])
+        for designers in ({"a": 5}, {"law": law, "a": 5},
+                          {"callable": lambda x: law}):
+            with pytest.raises(ParameterError, match="packet law"):
+                sp.monte_carlo(small_plant, designers, 3, runs=2, T=5)
+        assert law.states == 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda plant, hm, x: sp.omega_contains(hm, 0.5, x),
+    lambda plant, hm, x: sp.propagate(plant, x, 1.0),
+    lambda plant, hm, x: sp.run_closed_loop(
+        plant, sp.LinearLaw(hm), sp.gen_bounded_uniform_trace(3, 4, seed=0),
+        x, 4),
+], ids=["omega_contains", "propagate", "run_closed_loop"])
+@pytest.mark.parametrize("x", [[1.0], [1.0, 2.0, 3.0], np.ones((2, 2))])
+def test_a_state_of_the_wrong_length_is_a_parameter_error(small_plant, call, x):
+    hm = sp.build_horizon_matrices(small_plant, 3, np.eye(2), np.eye(2))
+    with pytest.raises(ParameterError, match="length 2"):
+        call(small_plant, hm, x)

@@ -80,3 +80,20 @@ def test_imports_match_declared_dependencies():
     assert not undeclared, f"imported but not declared: {undeclared}"
     assert not declared - set(imported), (
         f"declared but never imported: {sorted(declared - set(imported))}")
+
+
+ONE_ROW_VIEWS = {"least_squares_packet", "ridge_packet", "fista_l1l2", "omp_l0"}
+
+
+def test_no_module_calls_a_one_row_view():
+    # Each one-row view builds a cold law per call; the package computes
+    # every packet through a law built once per design.
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in ONE_ROW_VIEWS:
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert not calls, f"one-row views called in the package: {calls}"
