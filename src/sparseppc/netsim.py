@@ -4,6 +4,13 @@ At every reception the actuator stores the freshly computed packet and applies
 its first entry; during a dropout burst it walks forward through the buffered
 packet instead.  Dropout bursts are bounded by one less than the packet
 length, so the buffer never runs dry for traces that respect their bound.
+
+A run's reception steps are fixed by its dropout trace, and they cut its
+steps into segments: from one reception to the next, or to the end.  A
+batch of runs is rolled out reception-major.  Round ``j`` computes the
+``j``-th packet of every run that has one in a single packet-law call, and
+each of those runs then replays its packet through its own segment.  No
+packet is computed during a dropout burst.
 """
 
 from __future__ import annotations
@@ -32,20 +39,19 @@ class DropoutTrace:
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=bool).reshape(-1)
-        if not isinstance(self.N_bound, (int, np.integer)) or self.N_bound < 1:
-            raise ParameterError(f"N_bound must be a positive integer, got {self.N_bound!r}")
+        N_bound = _integer(self.N_bound, "N_bound", 1)
         if d.size and d[0]:
             raise ParameterError("first step of a dropout trace must be a delivery")
         # Burst lengths are the distances between the rises and the falls.
         edges = np.flatnonzero(np.diff(np.concatenate(([0], d, [0]))))
-        if np.max(edges[1::2] - edges[::2], initial=0) > self.N_bound - 1:
+        if np.max(edges[1::2] - edges[::2], initial=0) > N_bound - 1:
             raise ParameterError(
-                f"dropout burst longer than N_bound - 1 = {self.N_bound - 1}"
+                f"dropout burst longer than N_bound - 1 = {N_bound - 1}"
             )
         d = d.copy()
         d.setflags(write=False)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "N_bound", int(self.N_bound))
+        object.__setattr__(self, "N_bound", N_bound)
 
     def __len__(self) -> int:
         return self.d.size
@@ -67,6 +73,15 @@ class SimTrace:
     norms: np.ndarray
 
 
+def _integer(value, name: str, minimum: int) -> int:
+    """``value`` as an ``int``, or ParameterError unless it is an integer
+    of at least ``minimum``."""
+    if not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, "
+                             f"got {value!r}")
+    return int(value)
+
+
 def _seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
@@ -85,20 +100,15 @@ def gen_bounded_uniform_trace(N: int, T: int, seed,
     Starts with a reception at step 0 and truncates at length ``T``.  The
     number of consecutive receptions separating bursts defaults to one.
     """
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise ParameterError(f"N must be an integer >= 2, got {N!r}")
-    if not isinstance(T, (int, np.integer)) or T < 1:
-        raise ParameterError(f"T must be a positive integer, got {T!r}")
-    gap = int(receptions_between_bursts)
-    if gap < 1:
-        raise ParameterError("receptions_between_bursts must be at least 1")
+    N, T = _integer(N, "N", 2), _integer(T, "T", 1)
+    gap = _integer(receptions_between_bursts, "receptions_between_bursts", 1)
     # Each cycle of gap receptions and one burst covers at least gap + 1
     # steps.  The stream serves this trace alone, so drawing more bursts
     # than T needs changes nothing.
-    bursts = _generator(seed).integers(1, N, size=-(-int(T) // (gap + 1)))
+    bursts = _generator(seed).integers(1, N, size=-(-T // (gap + 1)))
     lengths = np.column_stack((np.full(bursts.size, gap), bursts)).ravel()
     flags = np.repeat(np.tile([False, True], bursts.size), lengths)
-    return DropoutTrace(d=flags[:T], N_bound=int(N))
+    return DropoutTrace(d=flags[:T], N_bound=N)
 
 
 class _RunFailure(Exception):
@@ -110,16 +120,25 @@ class _RunFailure(Exception):
         self.cause = cause
 
 
-def _packets(law, X: np.ndarray, rows: np.ndarray) -> tuple:
-    """``law.packets(X)``; a failure is pinned on the lowest-indexed row of
-    ``rows`` that also fails on its own."""
+def _packets(law, X: np.ndarray, keys: np.ndarray) -> tuple:
+    """``law.packets(X)`` as ``(U, sparsity, failed)``.
+
+    A failed batch is retried row by row: ``failed`` maps each row that
+    fails alone to its error, and ``U`` and ``sparsity`` hold the other
+    rows in order (``None`` if there are none).  If no row fails alone, the
+    batch's error is pinned on the row with the smallest ``keys`` entry.
+    """
     try:
-        return law.packets(X)
+        return (*law.packets(X), {})
     except Exception as exc:
-        for i, _, row_exc in each_row(lambda s: law.packets(X[s]), rows.size):
-            if row_exc is not None:
-                raise _RunFailure(rows[i], row_exc) from row_exc
-        raise _RunFailure(rows[0], exc) from exc
+        tried = list(each_row(lambda s: law.packets(X[s]), len(X)))
+        failed = {i: row_exc for i, _, row_exc in tried if row_exc is not None}
+        if not failed:
+            failed = {int(np.argmin(keys)): exc}
+        done = [result for i, result, _ in tried if i not in failed]
+        if not done:
+            return None, None, failed
+        return (*map(np.concatenate, zip(*done)), failed)
 
 
 def _require_law(designer) -> None:
@@ -131,42 +150,78 @@ def _require_law(designer) -> None:
 
 
 def _rollout(plant: PlantModel, law, X0: np.ndarray, D: np.ndarray) -> tuple:
-    """Advance a batch of runs together through the buffered protocol.
+    """Advance a batch of runs through the buffered protocol, reception by
+    reception.
 
     Row ``r`` starts at ``X0[r]`` and follows the dropout flags ``D[r]``,
     whose first step is a delivery for every run (see
-    :class:`DropoutTrace`); each step makes one ``law.packets`` call on the
-    receiving rows.  Returns ``(states, inputs, sparsity, norms)`` of shapes
-    ``(runs, T + 1, n)``, ``(runs, T)``, ``(runs, T)`` and ``(runs, T + 1)``.
-    Every state product is row-independent (``plant.row_matmul``), so a run
-    computes the same bits alone or inside any batch.  A failure raises
-    :class:`_RunFailure` for the lowest-indexed run that fails at the
-    earliest failing step.
+    :class:`DropoutTrace`).  A run's receptions cut its steps into
+    segments, each from one reception to the next or to ``T``.  Round ``j``
+    makes one ``law.packets`` call on the ``j``-th reception state of every
+    run that has one; each of those runs then applies its packet's entries
+    through its own segment.  A segment longer than the packet is a
+    :class:`ProtocolError` at step ``start + width``.  Returns ``(states,
+    inputs, sparsity, norms)`` of shapes ``(runs, T + 1, n)``, ``(runs,
+    T)``, ``(runs, T)`` and ``(runs, T + 1)``.  Every state product is
+    row-independent (``plant.row_matmul``), so a run computes the same bits
+    alone or inside any batch.  Each run stops at its own first failure;
+    the rollout then raises :class:`_RunFailure` for the earliest failing
+    step, a law failure before a protocol failure at the same step, and
+    the lowest-indexed run.
     """
     runs, T = D.shape
     states = np.empty((runs, T + 1, plant.n))
     inputs = np.empty((runs, T))
     sparsity = np.full((runs, T), np.nan)
-    X = states[:, 0] = X0
-    age = np.zeros(runs, dtype=int)          # steps since each run's packet
-    every = np.arange(runs)
-    for k in range(T):
-        drop = D[:, k]
-        recv = np.flatnonzero(~drop)
-        if recv.size:
-            U, sparsity[recv, k] = _packets(law, X[recv], recv)
-            if k == 0:                       # every run receives at step 0
-                buffer = np.empty((runs, U.shape[1]))
-            buffer[recv] = U
-            age[recv] = 0
-        age[drop] += 1
-        over = np.flatnonzero(age >= buffer.shape[1])
-        if over.size:
-            raise _RunFailure(over[0], ProtocolError(
-                f"dropout run at step {k} exceeds the buffered packet "
-                f"horizon ({buffer.shape[1]})"))
-        u = inputs[:, k] = buffer[every, age]
-        X = states[:, k + 1] = row_matmul(X, plant.A) + u[:, None] * plant.B[:, 0]
+    states[:, 0] = X0
+    # Every reception as (run, start, segment length, index j in its run),
+    # sorted by round j, then longest segment first, then run.
+    run_of, start = np.nonzero(~D)
+    nth = np.cumsum(~D, axis=1)[~D] - 1
+    end = np.append(start[1:], T)
+    end[np.append(run_of[1:] != run_of[:-1], True)] = T
+    order = np.lexsort((run_of, start - end, nth))
+    run_of, start, length = run_of[order], start[order], (end - start)[order]
+    bounds = np.searchsorted(nth[order], np.arange(nth.max() + 2))
+    b = plant.B[:, 0]
+    alive = np.ones(runs, dtype=bool)
+    failures = []  # (step, law 0 / protocol 1, run, error)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        live = lo + np.flatnonzero(alive[run_of[lo:hi]])
+        if not live.size:  # later rounds hold a subset of these runs
+            break
+        rows, at, span = run_of[live], start[live], length[live]
+        X = states[rows, at]
+        U, sparsity_j, failed = _packets(law, X, at * runs + rows)
+        if failed:
+            for i, exc in failed.items():
+                failures.append((at[i], 0, rows[i], exc))
+            alive[rows[list(failed)]] = False
+            ok = alive[rows]
+            rows, at, span, X = rows[ok], at[ok], span[ok], X[ok]
+            if not rows.size:
+                continue
+        sparsity[rows, at] = sparsity_j
+        width = U.shape[1]
+        for i in np.flatnonzero(span > width):
+            failures.append((at[i] + width, 1, rows[i], ProtocolError(
+                f"dropout run at step {at[i] + width} exceeds the buffered "
+                f"packet horizon ({width})")))
+        alive[rows[span > width]] = False
+        span = np.minimum(span, width)
+        # Rows are sorted by segment length, so each step's rows are a prefix.
+        steps = np.arange(span[0]) < span[:, None]
+        path = np.empty((rows.size, span[0] + 1, plant.n))
+        path[:, 0] = X
+        for i, active in enumerate(steps.sum(axis=0)):
+            path[:active, i + 1] = (row_matmul(path[:active, i], plant.A)
+                                    + U[:active, i, None] * b)
+        r, i = np.nonzero(steps)
+        states[rows[r], at[r] + i + 1] = path[r, i + 1]
+        inputs[rows[r], at[r] + i] = U[r, i]
+    if failures:
+        _, _, row, cause = min(failures, key=lambda f: f[:3])
+        raise _RunFailure(row, cause)
     return states, inputs, sparsity, np.linalg.norm(states, axis=2)
 
 
@@ -184,18 +239,16 @@ def run_closed_loop(plant: PlantModel, designer, trace: DropoutTrace, x0,
     """Roll the buffered-actuator protocol for ``T`` steps.
 
     On a delivered step the designer computes the packet at the current
-    state and its first entry is applied; on a dropped step the buffer's age
-    advances and the corresponding packet entry is applied.  A dropout run
-    that outlives the buffered packet raises :class:`ProtocolError`.  The
-    designer must be a packet law (``solvers.PacketLaw``, or any object with
-    ``packets(X)``); anything else raises :class:`ParameterError`.  This is
-    the one-run case of the batched Monte Carlo rollout and gives the same
-    bits as that run there.
+    state and its first entry is applied; on each dropped step after it the
+    next entry of that packet is applied.  A dropout run that outlives the
+    buffered packet raises :class:`ProtocolError`.  The designer must be a
+    packet law (``solvers.PacketLaw``, or any object with ``packets(X)``);
+    anything else raises :class:`ParameterError`.  This is the one-run case
+    of the batched Monte Carlo rollout and gives the same bits as that run
+    there.
     """
     _require_law(designer)
-    if not isinstance(T, (int, np.integer)) or T < 1:
-        raise ParameterError(f"T must be a positive integer, got {T!r}")
-    T = int(T)
+    T = _integer(T, "T", 1)
     if len(trace) < T:
         raise ParameterError(f"trace length {len(trace)} is shorter than T = {T}")
     x0 = _state_vector(x0, plant.n)[None]
@@ -242,21 +295,23 @@ def monte_carlo(plant: PlantModel, designers: Mapping[str, object],
     """Average closed-loop norm and packet sparsity over independent runs.
 
     Each designer is a packet law, as for :func:`run_closed_loop`; anything
-    else raises :class:`ParameterError` before a run starts.  Run ``k``
-    starts from the conditions of :func:`run_conditions`; each designer
-    advances all runs together, and run ``k`` of the study has the same bits
-    as :func:`run_closed_loop` on those conditions.  A failing run aborts
-    the study with its index and seed attached for replay: the
-    lowest-indexed run failing at the earliest step, designers taken in
-    order.  ``keep_traces`` keeps every run's :class:`SimTrace`.
+    else, or a bad ``runs``, ``N``, ``T`` or ``receptions_between_bursts``,
+    raises :class:`ParameterError` before a run starts.  Run ``k`` starts
+    from the conditions of :func:`run_conditions`; each designer advances
+    all runs together, one law call per reception round, and run ``k`` of
+    the study has the same bits as :func:`run_closed_loop` on those
+    conditions.  A failing run aborts the study with its index and seed
+    attached for replay: the lowest-indexed run failing at the earliest
+    step (a law failure before a protocol failure there), designers taken
+    in order.  ``keep_traces`` keeps every run's :class:`SimTrace`.
     """
     if not designers:
         raise ParameterError("at least one designer is required")
     for designer in designers.values():
         _require_law(designer)
-    if not isinstance(runs, (int, np.integer)) or runs < 1:
-        raise ParameterError(f"runs must be a positive integer, got {runs!r}")
-    runs = int(runs)
+    runs = _integer(runs, "runs", 1)
+    N, T = _integer(N, "N", 2), _integer(T, "T", 1)
+    _integer(receptions_between_bursts, "receptions_between_bursts", 1)
 
     x0s, traces = [], []
     for run_idx in range(runs):
@@ -267,7 +322,6 @@ def monte_carlo(plant: PlantModel, designers: Mapping[str, object],
             raise SimulationRunError(run_idx, int(seed), exc) from exc
         x0s.append(x0)
         traces.append(trace)
-    T = int(T)
     X0 = np.array(x0s)
     D = np.array([trace.d for trace in traces])
 

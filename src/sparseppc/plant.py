@@ -58,11 +58,14 @@ def spd_sqrt(M: np.ndarray) -> np.ndarray:
 
 
 def _state_vector(x, n: int) -> np.ndarray:
-    # ``x`` as a float vector of length ``n``, or ParameterError.
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (n,):
-        raise ParameterError(f"x must have length {n}, got shape {x.shape}")
-    return x
+    # ``x`` as a float vector of length ``n``, or ParameterError.  Only the
+    # shapes that hold one vector are accepted: ``(n,)``, ``(n, 1)`` and
+    # ``(1, n)``, so a matrix with ``n`` entries is not taken for a state.
+    x = np.asarray(x, dtype=float)
+    if x.shape not in ((n,), (n, 1), (1, n)):
+        raise ParameterError(f"x must be one vector of length {n}, got shape "
+                             f"{x.shape}")
+    return x.reshape(n)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

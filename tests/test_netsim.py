@@ -1,6 +1,8 @@
 """Dropout traces, the buffered-actuator protocol, and the Monte Carlo loop."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -322,6 +324,18 @@ class TestMonteCarlo:
         with pytest.raises(ParameterError):
             sp.monte_carlo(small_plant, small_designers, 3, runs=0)
 
+    @pytest.mark.parametrize("bad", [
+        {"N": 1}, {"N": 0}, {"N": 2.5}, {"T": 0}, {"T": -3}, {"T": 1.5},
+        {"receptions_between_bursts": 0},
+    ], ids=["N=1", "N=0", "N=2.5", "T=0", "T=-3", "T=1.5", "gap=0"])
+    def test_a_bad_horizon_or_length_is_rejected_before_any_run(
+            self, small_plant, bad):
+        law = ConstantLaw([1.0, 0.0, 0.0])
+        args = {"N": 3, "runs": 2, "T": 5, **bad}
+        with pytest.raises(ParameterError, match=next(iter(bad))):
+            sp.monte_carlo(small_plant, {"law": law}, **args)
+        assert law.states == 0
+
     def test_a_designer_that_is_no_law_is_rejected_before_any_run(
             self, small_plant):
         law = ConstantLaw([1.0, 0.0, 0.0])
@@ -332,15 +346,241 @@ class TestMonteCarlo:
         assert law.states == 0
 
 
-@pytest.mark.parametrize("call", [
+def alone(plant, law, N, T, seed, k, gap=1):
+    """Run ``k`` of a study, rolled out on its own; its error if it fails."""
+    x0, trace = sp.run_conditions(plant, N, T, seed, k, gap)
+    try:
+        return sp.run_closed_loop(plant, law, trace, x0, T)
+    except sp.SparsePpcError as exc:
+        return exc
+
+
+def protocol_step(exc):
+    assert isinstance(exc, ProtocolError), exc
+    return int(re.search(r"at step (\d+)", str(exc)).group(1))
+
+
+class CountingLaw:
+    """A packet law that records the row count of every call."""
+
+    def __init__(self, law):
+        self.law = law
+        self.rows = []
+
+    def packets(self, X):
+        self.rows.append(len(X))
+        return self.law.packets(X)
+
+
+def step_major_rollout(plant, law, X0, D):
+    """The step-by-step loop the reception rounds replaced, kept as the
+    reference: one law call per step on the runs that receive, and an
+    actuator buffer with an age per run.  Returns the rollout, or the
+    ``(run, error)`` of the first failure."""
+    runs, T = D.shape
+    states = np.empty((runs, T + 1, plant.n))
+    inputs = np.empty((runs, T))
+    sparsity = np.full((runs, T), np.nan)
+    X = states[:, 0] = X0
+    age = np.zeros(runs, dtype=int)
+    for k in range(T):
+        recv = np.flatnonzero(~D[:, k])
+        if recv.size:
+            try:
+                U, sparsity[recv, k] = law.packets(X[recv])
+            except sp.SparsePpcError:
+                for r in recv:
+                    try:
+                        law.packets(X[r:r + 1])
+                    except sp.SparsePpcError as exc:
+                        return r, exc
+                raise
+            if k == 0:
+                buffer = np.empty((runs, U.shape[1]))
+            buffer[recv] = U
+            age[recv] = 0
+        age[D[:, k]] += 1
+        over = np.flatnonzero(age >= buffer.shape[1])
+        if over.size:
+            return over[0], ProtocolError(f"at step {k}")
+        u = inputs[:, k] = buffer[np.arange(runs), age]
+        X = states[:, k + 1] = (sp.plant.row_matmul(X, plant.A)
+                                + u[:, None] * plant.B[:, 0])
+    return states, inputs, sparsity
+
+
+class TestReceptionRounds:
+    @pytest.mark.parametrize("gap", [1, 2, 3])
+    def test_rounds_equal_the_step_major_loop(self, small_plant,
+                                              small_designers, gap):
+        N, T, runs = 3, 40, 25
+        conditions = [sp.run_conditions(small_plant, N, T, 7, k, gap)
+                      for k in range(runs)]
+        X0 = np.array([x0 for x0, _ in conditions])
+        D = np.array([trace.d for _, trace in conditions])
+        for name, law in small_designers.items():
+            got = sp.netsim._rollout(small_plant, law, X0, D)
+            for a, b in zip(got, step_major_rollout(small_plant, law, X0, D)):
+                np.testing.assert_array_equal(a, b, name)
+
+    @pytest.mark.parametrize("gap", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_failures_pin_as_in_the_step_major_loop(self, small_plant, seed,
+                                                    gap):
+        # Packets of 3 entries against bursts of up to 4 losses, and a law
+        # that refuses the states in a band of norms the runs decay through:
+        # some seeds fail first on the protocol, some on the law.
+        hm = sp.build_horizon_matrices(small_plant, 3, np.eye(2), np.eye(2))
+        law = sp.LinearLaw(hm)
+
+        class Fussy:
+            def packets(self, X):
+                norms = np.linalg.norm(X, axis=1)
+                if np.any((norms > 0.2) & (norms < 0.4)):
+                    raise sp.DesignError("state in the refused band")
+                return law.packets(X)
+
+        N, T, runs = 5, 30, 6
+        conditions = [sp.run_conditions(small_plant, N, T, seed, k, gap)
+                      for k in range(runs)]
+        X0 = np.array([x0 for x0, _ in conditions])
+        D = np.array([trace.d for _, trace in conditions])
+        run, exc = step_major_rollout(small_plant, Fussy(), X0, D)
+        with pytest.raises(sp.netsim._RunFailure) as err:
+            sp.netsim._rollout(small_plant, Fussy(), X0, D)
+        assert err.value.row == run
+        assert type(err.value.cause) is type(exc)
+        if isinstance(exc, ProtocolError):
+            assert str(exc) in str(err.value.cause)
+
+    def test_batched_equals_alone_with_back_to_back_receptions(
+            self, small_plant, small_designers):
+        N, T, seed, runs, gap = 3, 30, 6, 7, 3
+        res = sp.monte_carlo(small_plant, small_designers, N, runs=runs, T=T,
+                             seed=seed, receptions_between_bursts=gap,
+                             keep_traces=True)
+        received = ~np.array([t.dropped.d for t in res.traces["ls"]])
+        # Segments of length one: a reception right after a reception.
+        assert np.any(received[:, 1:] & received[:, :-1])
+        for name, law in small_designers.items():
+            for k in range(runs):
+                sim = alone(small_plant, law, N, T, seed, k, gap)
+                batched = res.traces[name][k]
+                for field in ("states", "inputs", "sparsity", "norms"):
+                    np.testing.assert_array_equal(
+                        getattr(batched, field), getattr(sim, field),
+                        (name, k, field))
+
+    def test_a_first_burst_as_long_as_the_packet_is_a_protocol_error(
+            self, small_plant):
+        # The traces allow bursts of up to 4 losses, the packets hold 3
+        # entries: a first burst of 3 or 4 runs dry at step 3.
+        N, T, seed, runs = 5, 12, 2, 6
+        law = ConstantLaw([1.0, -1.0, 0.5])
+        errors = [alone(small_plant, law, N, T, seed, k) for k in range(runs)]
+        steps = [protocol_step(exc) for exc in errors]
+        first_burst = [np.argmin(sp.run_conditions(
+            small_plant, N, T, seed, k)[1].d[1:]) for k in range(runs)]
+        assert [s == 3 for s in steps] == [b >= 3 for b in first_burst]
+        assert min(steps) == 3
+        with pytest.raises(SimulationRunError) as err:
+            sp.monte_carlo(small_plant, {"law": law}, N, runs=runs, T=T,
+                           seed=seed)
+        assert err.value.run_index == steps.index(3)
+        assert str(err.value.cause) == str(errors[steps.index(3)])
+
+    def test_a_law_failure_precedes_a_protocol_failure_at_the_same_step(
+            self, small_plant):
+        # Seed 191: runs 1 and 2 run out of packet at step 5, and run 3
+        # receives at step 5; the law refuses run 3's state there.
+        N, T, seed, runs = 5, 12, 191, 4
+        hm = sp.build_horizon_matrices(small_plant, 3, np.eye(2), np.eye(2))
+        law = sp.LinearLaw(hm)
+        x0, trace = sp.run_conditions(small_plant, N, T, seed, 3)
+        refused = sp.run_closed_loop(small_plant, law, trace, x0, 5).states[5]
+
+        class Refusing:
+            def packets(self, X):
+                if np.any(np.all(X == refused, axis=1)):
+                    raise sp.DesignError("refused state")
+                return law.packets(X)
+
+        errors = [alone(small_plant, Refusing(), N, T, seed, k)
+                  for k in range(runs)]
+        assert [protocol_step(errors[k]) for k in (0, 1, 2)] == [6, 5, 5]
+        assert isinstance(errors[3], sp.DesignError)
+        with pytest.raises(SimulationRunError) as err:
+            sp.monte_carlo(small_plant, {"refusing": Refusing()}, N,
+                           runs=runs, T=T, seed=seed)
+        assert err.value.run_index == 3
+        assert isinstance(err.value.cause, sp.DesignError)
+
+    def test_a_batch_failing_only_as_a_batch_is_pinned_on_its_earliest_row(
+            self, small_plant):
+        law = ConstantLaw([1.0, 0.0, 0.0])
+
+        class BatchShy:
+            def packets(self, X):
+                if len(X) > 1:
+                    raise sp.SolverError("batch refused")
+                return law.packets(X)
+
+        with pytest.raises(SimulationRunError) as err:
+            sp.monte_carlo(small_plant, {"shy": BatchShy()}, 3, runs=3, T=8,
+                           seed=1)
+        assert err.value.run_index == 0
+        assert str(err.value.cause) == "batch refused"
+
+    def test_one_law_call_per_reception_round(self, small_plant,
+                                              small_designers):
+        N, T, seed, runs = 3, 30, 4, 40
+        counts = np.array([np.count_nonzero(~sp.run_conditions(
+            small_plant, N, T, seed, k)[1].d) for k in range(runs)])
+        law = CountingLaw(small_designers["lasso"])
+        sp.monte_carlo(small_plant, {"lasso": law}, N, runs=runs, T=T,
+                       seed=seed)
+        # Call j holds every run with more than j receptions.
+        assert len(law.rows) == counts.max()
+        assert law.rows == [int(np.sum(counts > j))
+                            for j in range(counts.max())]
+        assert len(set(law.rows)) > 1
+
+
+STATE_CALLS = [
     lambda plant, hm, x: sp.omega_contains(hm, 0.5, x),
     lambda plant, hm, x: sp.propagate(plant, x, 1.0),
     lambda plant, hm, x: sp.run_closed_loop(
         plant, sp.LinearLaw(hm), sp.gen_bounded_uniform_trace(3, 4, seed=0),
         x, 4),
-], ids=["omega_contains", "propagate", "run_closed_loop"])
+]
+STATE_CALL_IDS = ["omega_contains", "propagate", "run_closed_loop"]
+
+
+@pytest.mark.parametrize("call", STATE_CALLS, ids=STATE_CALL_IDS)
 @pytest.mark.parametrize("x", [[1.0], [1.0, 2.0, 3.0], np.ones((2, 2))])
 def test_a_state_of_the_wrong_length_is_a_parameter_error(small_plant, call, x):
     hm = sp.build_horizon_matrices(small_plant, 3, np.eye(2), np.eye(2))
     with pytest.raises(ParameterError, match="length 2"):
         call(small_plant, hm, x)
+
+
+@pytest.mark.parametrize("call", STATE_CALLS, ids=STATE_CALL_IDS)
+def test_a_matrix_with_n_entries_is_not_a_state(bench_plant, call):
+    # A (2, 2) matrix holds four entries, as many as the 4-state plant's
+    # state, but no shape that holds one vector.
+    hm = sp.build_horizon_matrices(bench_plant, 3, np.eye(4), np.eye(4))
+    with pytest.raises(ParameterError, match="length 4"):
+        call(bench_plant, hm, np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("call", STATE_CALLS, ids=STATE_CALL_IDS)
+def test_a_row_or_column_vector_is_a_state(small_plant, call):
+    hm = sp.build_horizon_matrices(small_plant, 3, np.eye(2), np.eye(2))
+    x = np.array([0.3, -1.2])
+    flat = call(small_plant, hm, x)
+    for shaped in (x[:, None], x[None, :]):
+        again = call(small_plant, hm, shaped)
+        if isinstance(flat, sp.SimTrace):
+            np.testing.assert_array_equal(again.states, flat.states)
+        else:
+            np.testing.assert_array_equal(again, flat)
