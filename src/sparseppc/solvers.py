@@ -11,7 +11,12 @@ functions ``least_squares_packet``, ``ridge_packet``, ``fista_l1l2`` and
 ``omp_l0`` are one-row views of the same laws.
 
 Every product with a state goes through :func:`plant.row_matmul`, so a
-state's packet has the same bits alone or inside a batch of runs.
+state's packet has the same bits alone or inside a batch of runs.  The one
+exception is the slack product of :class:`LassoLaw`'s cached-region test, a
+BLAS GEMM whose rounding may depend on the other rows.  That is safe: a row
+takes a region only with a relative margin of ``1e-9``, far above
+rounding, and its packet then comes from the region's map on
+``row_matmul``, the same region the homotopy would reach.
 """
 
 from __future__ import annotations
@@ -172,57 +177,76 @@ def _ratio(num: np.ndarray, den: np.ndarray, valid: np.ndarray) -> np.ndarray:
 _SIDES = np.array([[1.0], [-1.0]])
 
 
-def _lasso_path(GtG: np.ndarray, b: np.ndarray, target: float,
-                max_steps: int) -> tuple[list, np.ndarray, int]:
-    """Support, signs and breakpoint count of the lasso path at ``target``.
+def _lasso_path(GtG: np.ndarray, B: np.ndarray, target: float,
+                max_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and breakpoint counts of the lasso paths of the rows of ``B``.
 
-    Follows ``min u'G'Gu - 2 b'u + 2 lam ||u||_1`` from
+    Row ``b`` of ``B`` follows ``min u'G'Gu - 2 b'u + 2 lam ||u||_1`` from
     ``lam = ||b||_inf`` (which must exceed ``target``) down to ``target``,
-    taking at most ``max_steps`` breakpoints.
+    taking at most ``max_steps`` breakpoints, the first included.  Returns
+    the signs of each row's support at ``target``, 0 off it, and each row's
+    own breakpoint count.  The rows walk in lockstep: each breakpoint is one
+    stacked solve over the rows still walking, each system padded to
+    ``N x N`` with the identity off its support, and every product goes
+    through :func:`plant.row_matmul`, so a row's path has the same bits
+    alone or in a batch.
     """
-    lam = float(np.max(np.abs(b)))
-    support = [int(np.argmax(np.abs(b)))]
-    signs = np.sign(b[support])
-    entered, left = True, None
-    steps = 1
-    while steps < max_steps:
-        cols = GtG[:, support]
-        sol = np.linalg.solve(cols[support], np.array((b[support], signs)).T)
-        d = sol[:, 1]
-        u_S = sol[:, 0] - lam * d
-        # Lowering lam by t moves u_S by t d and each correlation c_j by
+    rows, N = B.shape
+    signs = np.zeros((rows, N))
+    steps = np.full(rows, max_steps)
+    # The rows still walking, with their own copies of b, lam and the
+    # support signs, the index that moved last and the sign it left with
+    # (0 if it joined).
+    walk, b, i = np.arange(rows), B, np.arange(rows)
+    lam, m = np.abs(b).max(axis=1), np.abs(b).argmax(axis=1)
+    s = np.zeros((rows, N))
+    s[i, m] = np.sign(b[i, m])
+    gone = np.zeros(rows)
+    eye = np.eye(N)
+    for step in range(1, max_steps):
+        on = s != 0.0
+        sol = np.linalg.solve(
+            np.where(on[:, :, None] & on[:, None, :], GtG, eye),
+            np.stack((np.where(on, b, 0.0), s), axis=2))
+        d = sol[:, :, 1]
+        u = sol[:, :, 0] - lam[:, None] * d
+        # Lowering lam by t moves u by t d and each correlation c_j by
         # -t a_j.  An index joins when |c_j| meets lam - t and leaves when
-        # its entry of u_S reaches zero.  The index that just moved may not
+        # its entry of u reaches zero.  The index that just moved may not
         # move straight back: a new entry cannot leave at once, and one that
         # just left cannot re-enter at once with its old sign.
-        # Row 0 of ``hit`` is where c_j rises to lam - t (joining with sign
-        # +1), row 1 where it falls to -(lam - t) (sign -1).
-        c = b - cols @ u_S
-        a = cols @ d
-        den = 1.0 - _SIDES * a
-        hit = _ratio(np.maximum(lam - _SIDES * c, 0.0), den, den > 0.0)
-        drop = _ratio(np.maximum(signs * u_S, 0.0), np.abs(d), signs * d < 0.0)
-        if left is not None:
-            hit[0 if left[1] > 0.0 else 1, left[0]] = np.inf
-        join = hit.min(axis=0)
-        join[support] = np.inf
-        if entered:
-            drop[-1] = np.inf
-        j, k = int(join.argmin()), int(drop.argmin())
-        t = min(join[j], drop[k])
-        if t >= lam - target:
-            break
+        # ``hit[:, 0]`` is where c_j rises to lam - t (joining with sign
+        # +1), ``hit[:, 1]`` where it falls to -(lam - t) (sign -1).
+        c = b - row_matmul(u, GtG)
+        den = 1.0 - _SIDES * row_matmul(d, GtG)[:, None, :]
+        gap = np.maximum(lam[:, None, None] - _SIDES * c[:, None, :], 0.0)
+        hit = _ratio(gap, den, den > 0.0)
+        drop = _ratio(np.maximum(s * u, 0.0), np.abs(d), s * d < 0.0)
+        back = (gone < 0.0).astype(int)
+        hit[i, back, m] = np.where(gone != 0.0, np.inf, hit[i, back, m])
+        drop[i, m] = np.where(gone == 0.0, np.inf, drop[i, m])
+        join = hit.min(axis=1)
+        join[on] = np.inf
+        j, k = join.argmin(axis=1), drop.argmin(axis=1)
+        tj, tk = join[i, j], drop[i, k]
+        t = np.minimum(tj, tk)
+        go = t < lam - target
+        if not go.all():
+            stop = ~go
+            signs[walk[stop]], steps[walk[stop]] = s[stop], step
+            if not go.any():
+                return signs, steps
+            walk, b, lam, s, m, j, k, tj, tk, t, hit = (
+                a[go] for a in (walk, b, lam, s, m, j, k, tj, tk, t, hit))
+            i = i[:walk.size]
         lam -= t
-        steps += 1
-        entered = join[j] <= drop[k]
-        if entered:
-            support.append(j)
-            signs = np.append(signs, 1.0 if hit[0, j] <= hit[1, j] else -1.0)
-            left = None
-        else:
-            left = (support.pop(k), signs[k])
-            signs = np.delete(signs, k)
-    return support, signs, steps
+        entered = tj <= tk
+        m = np.where(entered, j, k)
+        gone = np.where(entered, 0.0, s[i, m])
+        s[i, m] = np.where(
+            entered, np.where(hit[i, 0, j] <= hit[i, 1, j], 1.0, -1.0), 0.0)
+    signs[walk] = s
+    return signs, steps
 
 
 def _row_maps(K: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -238,7 +262,7 @@ class LassoLaw(PacketLaw):
     ``c_S = lam s_S`` on the support ``S`` with signs ``s`` and
     ``|c_j| <= lam`` off it, for ``lam = mu / 2``.  ``G'G`` is positive
     definite, so the minimizer is unique and piecewise affine in ``x``: one
-    region per sorted ``(S, s)``, on which ``u = K b - c_r`` with
+    region per ``(S, s)``, on which ``u = K b - c_r`` with
     ``K = (G'G)_SS^(-1)`` zero-padded to ``N x N`` and ``c_r = lam K s``
     (explicit MPC, Bemporad, Morari, Dua & Pistikopoulos 2002).
 
@@ -248,12 +272,13 @@ class LassoLaw(PacketLaw):
     takes a region when the region's ``u`` and ``c`` meet the conditions
     with a relative margin of ``MARGIN``, ``s_i u_i > MARGIN ||K||_inf
     ||b||_inf`` on ``S`` and ``|c_j| < lam - MARGIN ||b||_inf`` off it, and
-    no other cached region does.  Any other row walks the active-set
+    no other cached region does.  The call's other rows walk the active-set
     homotopy of Osborne, Presnell & Turlach (2000) from ``||b||_inf``, where
-    ``u = 0`` is optimal, down to ``lam``, and its region joins the cache;
-    the rows no cached region passed are tested against that region before
-    the next walk.  Either way the packet is the region's map followed by
-    one refinement pass on the normal equations
+    ``u = 0`` is optimal, down to ``lam``, all in lockstep as Batch-OMP
+    grows its supports (Rubinstein, Zibulevsky & Elad 2008).  The new
+    regions they reach are built in one stacked pass and join the cache in
+    the order the rows first reached them.  Either way the packet is the
+    region's map followed by one refinement pass on the normal equations
     ``(G'G)_SS u_S = b_S - lam s``, so a packet has the same bits whatever
     the cache held.  An entry left with the wrong sign is rounding at the
     region's boundary and is set to zero.
@@ -263,11 +288,12 @@ class LassoLaw(PacketLaw):
     ``sparsity`` and the certificate's ``kkt_residual``, ``objective`` and
     ``converged`` depend on the state alone; ``iterations``
     and the certificate's ``path_walked`` record the route.  A walked row's
-    ``iterations`` counts its path breakpoints, the first entry included, up
-    to a cap of ``10 N``; a cache hit and a dead-zone state walk no path and
-    count 0.  ``converged`` means exact: the KKT residual of the returned
-    packet is at most ``1e-9 max(mu, ||b||_inf)``; a packet whose path hits
-    the cap is judged by that certificate alone.
+    ``iterations`` counts its own path's breakpoints, the first entry
+    included, up to a cap of ``10 N``, whatever the rows it walked beside; a
+    cache hit and a dead-zone state walk no path and count 0.  ``converged``
+    means exact: the KKT residual of the returned packet is at most
+    ``1e-9 max(mu, ||b||_inf)``; a packet whose path hits the cap is judged
+    by that certificate alone.
     """
 
     tag = SolverTag.L1L2
@@ -276,79 +302,115 @@ class LassoLaw(PacketLaw):
     REGIONS = 64
     # Relative margin of the cached-region test (see the class docstring).
     MARGIN = 1e-9
-    # Bound on the elements of the (rows, regions, 3 N) test array.
-    _TEST_ELEMENTS = 1 << 15
+    # Bound on the elements of the (rows, regions, 3 N) test array.  At
+    # N <= 16 it keeps each slack product under the 2^18 multiply-adds at
+    # which OpenBLAS splits a GEMM across threads: on a loaded 2-core host
+    # those hand-offs stalled a 500-run study up to tenfold.
+    _TEST_ELEMENTS = 1 << 14
 
     def __init__(self, hm: HorizonMatrices, mu: float):
         mu = float(mu)
         if mu <= 0.0:
             raise ParameterError(f"mu must be positive, got {mu}")
         self.hm, self.mu = hm, mu
-        # Region key -> slot in the arrays of ``_cache``, which are made
-        # when the first region is stored.
+        # Region key (its signs as int8 bytes) -> slot in the arrays of
+        # ``_cache``, which are made when the first region is stored.
         self._keys: dict = {}
         self._cache: tuple = ()
 
-    def _region(self, support: list, signs: np.ndarray) -> tuple:
-        """The arrays of the region ``(S, s)`` and whether it was uncached.
+    def _regions(self, signs: np.ndarray) -> tuple:
+        """The stacked arrays of the regions whose signs are the rows of
+        ``signs`` (0 off the support).
 
         The tests, bounds and scales of :meth:`_passes` come first, then
-        ``K``, ``off`` and the signs of :meth:`_refit`.  They are built from
-        the sorted support, so they have the same bits however the region
-        was reached; the region is cached while there is room.
+        ``K``, ``off`` and the signs of :meth:`_refit`.  The ``(G'G)_SS``
+        inverses are one stacked solve per support size, over the sorted
+        support; every operation acts on each region as it would on that
+        region alone, so a region's arrays have the same bits whichever
+        regions it was built with and however it was reached.
         """
-        key = tuple(sorted(zip(support, signs.tolist())))
-        if key in self._keys:
-            return tuple(a[self._keys[key]] for a in self._cache), False
         GtG, N, lam = self.hm.GtG, self.hm.N, 0.5 * self.mu
-        S = [j for j, _ in key]
-        sub = np.ix_(S, S)
-        K = np.zeros((N, N))
-        K[sub] = np.linalg.solve(GtG[sub], np.eye(len(S)))
-        sign = np.zeros(N)
-        sign[S] = [s for _, s in key]
-        c = lam * (K @ sign)
-        M, d = np.eye(N) - GtG @ K, GtG @ c      # c = M b + d
+        on = signs != 0.0
+        size = on.sum(axis=1)
+        K = np.zeros((len(signs), N, N))
+        for k in np.flatnonzero(np.bincount(size)):
+            rows = np.flatnonzero(size == k)
+            S = np.nonzero(on[rows])[1].reshape(rows.size, k)
+            sub = S[:, :, None], S[:, None, :]
+            K[(rows[:, None, None],) + sub] = np.linalg.solve(
+                GtG[sub], np.eye(k)[None])
+        c = lam * (K @ signs[:, :, None])[:, :, 0]
+        M = np.eye(N) - GtG @ K                  # c = M b + d
+        d = (GtG @ c[:, :, None])[:, :, 0]
         # The tests map b to the slacks s_i u_i on S and lam -+ c_j off it,
         # offset by the bounds; a slack must exceed MARGIN ||b||_inf times
         # its scale, ||K||_inf on S and 1 off it.  No condition applies to
         # u off S, nor to c on S.
-        free = np.concatenate((sign == 0.0, sign != 0.0, sign != 0.0))
-        tests = np.vstack((sign[:, None] * K, -M, M))
+        free = np.concatenate((~on, on, on), axis=1)
+        tests = np.concatenate((signs[:, :, None] * K, -M, M), axis=1)
         tests[free] = 0.0
-        bounds = np.concatenate((-sign * c, lam - d, lam + d))
+        bounds = np.concatenate((-signs * c, lam - d, lam + d), axis=1)
         bounds[free] = np.inf
-        scales = np.ones(3 * N)
-        scales[:N] = np.abs(K).sum(axis=1).max()
-        region = (tests, bounds, scales, K, -c, sign)
-        r = len(self._keys)
-        if not r:
-            # One slot per region for each array of the region.
-            self._cache = tuple(np.empty((self.REGIONS,) + a.shape)
-                                for a in region)
-        if r < self.REGIONS:
-            self._keys[key] = r
-            for store, value in zip(self._cache, region):
-                store[r] = value
-        return region, True
+        scales = np.ones((len(signs), 3 * N))
+        scales[:, :N] = np.abs(K).sum(axis=2).max(axis=1)[:, None]
+        return tests, bounds, scales, K, -c, signs
+
+    def _learn(self, signs: np.ndarray) -> tuple:
+        """Slot of each walked row's region, and the ``K``, ``off`` and signs
+        of every slot.
+
+        The regions not yet cached are built by one :meth:`_regions` call
+        and take the free slots in the order the rows first reached them.
+        Those left over when the cache is full take slots from ``REGIONS``
+        on, which only the returned arrays hold.
+        """
+        count = len(self._keys)
+        slots = np.empty(len(signs), dtype=int)
+        new, first = {}, []
+        for r, row in enumerate(signs.astype(np.int8)):
+            key = row.tobytes()
+            slot = self._keys.get(key, new.get(key))
+            if slot is None:
+                slot = new[key] = count + len(first)
+                first.append(r)
+            slots[r] = slot
+        if not first:
+            return slots, self._cache[3:]
+        fresh = self._regions(signs[first])
+        if not self._cache:
+            self._cache = tuple(np.empty((self.REGIONS,) + a.shape[1:])
+                                for a in fresh)
+        room = min(len(first), self.REGIONS - count)
+        for store, a in zip(self._cache, fresh):
+            store[count:count + room] = a[:room]
+        self._keys.update(list(new.items())[:room])
+        if room == len(first):
+            return slots, self._cache[3:]
+        return slots, [np.concatenate((a, f[room:]))
+                       for a, f in zip(self._cache[3:], fresh[3:])]
 
     def _passes(self, tests, bounds, scales, B, bmax) -> np.ndarray:
-        """``(rows, regions)``: which regions meet the conditions at each row."""
-        slack = np.einsum("qij,rj->rqi", tests, B) + bounds
+        """``(rows, regions)``: which regions meet the conditions at each row.
+
+        The slacks are one BLAS product, whose rounding may depend on the
+        other rows; that is safe because a row takes a region only with a
+        relative margin of ``MARGIN``, far above rounding.
+        """
+        rows, N = B.shape
+        slack = (B @ tests.reshape(-1, N).T).reshape(rows, -1, 3 * N) + bounds
         return (slack > (self.MARGIN * bmax)[:, None, None] * scales).all(axis=2)
 
-    def _match(self, B, bmax) -> tuple:
-        """Cached region of each row, -1 if none; and which rows had several."""
+    def _match(self, B, bmax) -> np.ndarray:
+        """Cached region of each row; -1 if none or several pass."""
         count = len(self._keys)
         if not (count and B.shape[0]):
-            return np.full(B.shape[0], -1), np.zeros(B.shape[0], dtype=bool)
+            return np.full(B.shape[0], -1)
         cached = [a[:count] for a in self._cache[:3]]
         step = max(1, self._TEST_ELEMENTS // (count * 3 * self.hm.N))
         ok = np.concatenate([self._passes(*cached, B[lo:lo + step],
                                           bmax[lo:lo + step])
                              for lo in range(0, B.shape[0], step)])
-        hits = ok.sum(axis=1)
-        return np.where(hits == 1, ok.argmax(axis=1), -1), hits > 1
+        return np.where(ok.sum(axis=1) == 1, ok.argmax(axis=1), -1)
 
     def _refit(self, K, off, signs, B) -> np.ndarray:
         # The region map of each row, one refinement pass on the normal
@@ -365,29 +427,17 @@ class LassoLaw(PacketLaw):
         steps = np.zeros(X.shape[0], dtype=int)
         walked = np.zeros(X.shape[0], dtype=bool)
         active = np.flatnonzero(corr > 0.5 * mu)
-        B, bmax = b[active], corr[active]
-        q, several = self._match(B, bmax)
-        hit = q >= 0
-        if hit.any():
-            U[active[hit]] = self._refit(*(a[q[hit]] for a in self._cache[3:]),
-                                         B[hit])
-        left = np.flatnonzero(~hit)
-        while left.size:
-            i, left = left[0], left[1:]
-            support, signs, steps[active[i]] = _lasso_path(
-                GtG, B[i], 0.5 * mu, 10 * hm.N)
-            walked[active[i]] = True
-            region, new = self._region(support, signs)
-            rows = np.array([i])
-            retest = left[~several[left]] if new else left[:0]
-            if retest.size:
-                ok = self._passes(*(a[None] for a in region[:3]), B[retest],
-                                  bmax[retest])[:, 0]
-                rows = np.concatenate((rows, retest[ok]))
-                left = np.setdiff1d(left, retest[ok], assume_unique=True)
-            U[active[rows]] = self._refit(
-                *(np.repeat(a[None], rows.size, axis=0) for a in region[3:]),
-                B[rows])
+        B = b[active]
+        slot = self._match(B, corr[active])
+        miss = np.flatnonzero(slot < 0)
+        table = self._cache[3:]
+        if miss.size:
+            signs, steps[active[miss]] = _lasso_path(GtG, B[miss], 0.5 * mu,
+                                                     10 * hm.N)
+            walked[active[miss]] = True
+            slot[miss], table = self._learn(signs)
+        if active.size:
+            U[active] = self._refit(*(a[slot] for a in table), B)
 
         kkt = _kkt_residual(U, 2.0 * (row_matmul(U, GtG) - b), mu)
         resid = row_matmul(U, hm.G) - row_matmul(X, hm.H)

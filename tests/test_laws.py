@@ -357,22 +357,18 @@ def region_of(law, x):
     b = law.hm.GtH @ x
     if np.abs(b).max() <= 0.5 * law.mu:
         return ()
-    support, signs, _ = sp.solvers._lasso_path(law.hm.GtG, b, 0.5 * law.mu,
-                                               10 * law.hm.N)
-    return tuple(sorted(zip(support, signs.tolist())))
+    (signs,), _ = sp.solvers._lasso_path(law.hm.GtG, b[None], 0.5 * law.mu,
+                                         10 * law.hm.N)
+    return tuple((j, signs[j]) for j in np.flatnonzero(signs))
 
 
-@pytest.mark.parametrize("name", ["L1L2(i)", "L1L2(ii)"])
-def test_lasso_packets_at_region_boundaries_do_not_depend_on_the_cache(
-        bench_laws, name):
-    # Pairs of states in two regions, bisected onto the boundary between
-    # them: there a packet entry or a correlation's slack is within
-    # rounding of zero, so only a margin in the cached-region test keeps a
-    # hit on the region the path reaches.
-    law = fresh_lasso(bench_laws, name)
-    rng = np.random.default_rng(11)
+def boundary_states(law, count, seed):
+    """``count`` states from pairs in two regions, bisected onto the
+    boundary between them: there a packet entry or a correlation's slack is
+    within rounding of zero."""
+    rng = np.random.default_rng(seed)
     X = []
-    while len(X) < 200:
+    while len(X) < count:
         xa, xb = rng.standard_normal((2, 4)) * 10.0 ** rng.uniform(-3.0, 1.0)
         ra, rb = region_of(law, xa), region_of(law, xb)
         if ra == rb or () in (ra, rb):
@@ -385,7 +381,16 @@ def test_lasso_packets_at_region_boundaries_do_not_depend_on_the_cache(
             else:
                 hi = mid
         X += [xa + lo * (xb - xa), xa + hi * (xb - xa)]
-    X = np.array(X)
+    return np.array(X)
+
+
+@pytest.mark.parametrize("name", ["L1L2(i)", "L1L2(ii)"])
+def test_lasso_packets_at_region_boundaries_do_not_depend_on_the_cache(
+        bench_laws, name):
+    # At a region boundary only a margin in the cached-region test keeps a
+    # hit on the region the path reaches.
+    law = fresh_lasso(bench_laws, name)
+    X = boundary_states(law, 200, 11)
     law.solve(X[::-1])
     assert_same_packets(law.solve(X), solve_rows(law.hm, law.mu, X))
 
@@ -413,9 +418,8 @@ def test_a_full_region_cache_gives_the_same_packets(bench_laws):
     law = fresh_lasso(bench_laws, "L1L2(i)")
     rng = np.random.default_rng(10)
     while len(law._keys) < law.REGIONS:
-        support = rng.choice(law.hm.N, rng.integers(1, law.hm.N + 1),
-                             replace=False).tolist()
-        law._region(support, rng.choice([-1.0, 1.0], len(support)))
+        law._learn(random_signs(rng, law.hm.N, rng.integers(1, law.hm.N + 1),
+                                1))
     keys = dict(law._keys)
     X = lasso_states(law, 3000, 8)
     solved = law.solve(X)
@@ -426,8 +430,12 @@ def test_a_full_region_cache_gives_the_same_packets(bench_laws):
 @pytest.mark.parametrize("name, walks", [("L1L2(i)", 12), ("L1L2(ii)", 21)])
 def test_monte_carlo_walks_each_region_about_once(bench_cfg, monkeypatch,
                                                   name, walks):
-    # 100 runs at seed 0 make about 1,730 active receptions per controller;
-    # the walk counts were measured and repeat exactly.
+    # 100 runs at seed 0 make about 1,730 active receptions per controller.
+    # Each count is of _lasso_path calls, one per law call with a miss,
+    # whose rows walk in lockstep: 2 for both controllers, from 140 and 124
+    # rows.  The bounds are the walks of the one-row-at-a-time path, each
+    # of which found a new region; the counts were measured and repeat
+    # exactly.
     count = []
 
     def counting(*args):
@@ -441,3 +449,111 @@ def test_monte_carlo_walks_each_region_about_once(bench_cfg, monkeypatch,
     sp.monte_carlo(bench_cfg.plant, {name: law}, bench_cfg.horizon, runs=100,
                    T=100, seed=0)
     assert len(count) <= walks + 3
+
+
+# ---------------------------------------------------------------------------
+# Lockstep walks and stacked region builds
+
+
+def random_signs(rng, N, size, count):
+    """``count`` sign rows with ``size`` random nonzero entries each."""
+    signs = np.zeros((count, N))
+    for row in signs:
+        row[rng.choice(N, size, replace=False)] = rng.choice([-1.0, 1.0], size)
+    return signs
+
+
+def one_region(law, signs):
+    """The arrays of the region with these signs, built on its own the way
+    the law built one region at a time before it built them stacked."""
+    GtG, N, lam = law.hm.GtG, law.hm.N, 0.5 * law.mu
+    S = np.flatnonzero(signs)
+    sub = np.ix_(S, S)
+    K = np.zeros((N, N))
+    K[sub] = np.linalg.solve(GtG[sub], np.eye(len(S)))
+    sign = np.zeros(N)
+    sign[S] = signs[S]
+    c = lam * (K @ sign)
+    M, d = np.eye(N) - GtG @ K, GtG @ c
+    free = np.concatenate((sign == 0.0, sign != 0.0, sign != 0.0))
+    tests = np.vstack((sign[:, None] * K, -M, M))
+    tests[free] = 0.0
+    bounds = np.concatenate((-sign * c, lam - d, lam + d))
+    bounds[free] = np.inf
+    scales = np.ones(3 * N)
+    scales[:N] = np.abs(K).sum(axis=1).max()
+    return tests, bounds, scales, K, -c, sign
+
+
+@pytest.mark.parametrize("name", ["L1L2(i)", "L1L2(ii)"])
+def test_lockstep_walk_matches_one_row_walks(bench_laws, name):
+    law = fresh_lasso(bench_laws, name)
+    hm, target = law.hm, 0.5 * law.mu
+    X = np.vstack((lasso_states(law, 400, 13), boundary_states(law, 40, 14)))
+    B = X @ hm.GtH.T
+    inside = np.abs(B).max(axis=1) > target
+    B, X, edge = B[inside], X[inside], np.arange(len(X))[inside] >= 400
+    for cap in (10 * hm.N, 3):
+        signs, steps = sp.solvers._lasso_path(hm.GtG, B, target, cap)
+        assert ((1 <= steps) & (steps <= cap)).all()
+        for b, s, k in zip(B, signs, steps):
+            (s_alone,), (k_alone,) = sp.solvers._lasso_path(hm.GtG, b[None],
+                                                            target, cap)
+            assert s_alone.tobytes() == s.tobytes()
+            assert k_alone == k
+        if cap == 3:
+            # Some rows stop at the cap, some before it.
+            assert (steps == cap).any() and (steps < cap).any()
+            continue
+        assert (steps < cap).all() and steps.max() >= 4
+        assert np.isin(signs, (-1.0, 0.0, 1.0)).all()
+        for x, s, at_edge in zip(X, signs, edge):
+            ref = oracle_lasso(hm, law.mu, x)
+            differ = np.sign(ref) != s
+            # On a region boundary an entry of the optimum is within
+            # rounding of zero, and either side is the same packet.
+            tiny = np.abs(ref) <= 1e-9 * np.abs(ref).max()
+            assert not differ.any() or at_edge and tiny[differ].all(), x
+
+
+def test_stacked_region_build_keeps_each_regions_bits(bench_laws):
+    law = fresh_lasso(bench_laws, "L1L2(ii)")
+    N = law.hm.N
+    rng = np.random.default_rng(12)
+    signs = np.vstack([random_signs(rng, N, size, 3) for size in range(1, N + 1)])
+    signs = signs[rng.permutation(len(signs))]
+    built = law._regions(signs)
+    for r, row in enumerate(signs):
+        alone = law._regions(signs[r:r + 1])
+        for stacked, single, ref in zip(built, alone, one_region(law, row)):
+            assert stacked[r].tobytes() == ref.tobytes()
+            assert single[0].tobytes() == ref.tobytes()
+
+
+def test_new_regions_are_cached_in_order_of_first_appearance(bench_laws):
+    law = fresh_lasso(bench_laws, "L1L2(i)")
+    N, room = law.hm.N, law.REGIONS
+    rng = np.random.default_rng(15)
+    pool = np.unique(np.vstack([random_signs(rng, N, size, 30)
+                                for size in range(1, N + 1)]), axis=0)
+    pool = pool[rng.permutation(len(pool))][:room + 40]
+    # A first call caches ten regions.  The second repeats some of them and
+    # reaches more new regions, of every support size, than the cache has
+    # room for.
+    law._learn(pool[:10])
+    order = rng.integers(0, len(pool), 600)
+    slots, table = law._learn(pool[order])
+    first = list(range(10)) + [i for i in dict.fromkeys(order.tolist())
+                               if i >= 10]
+    assert len(first) > room
+    np.testing.assert_array_equal(slots, [first.index(i) for i in order])
+    np.testing.assert_array_equal(law._cache[5], pool[first[:room]])
+    np.testing.assert_array_equal(table[2], pool[first])
+    # Each region, kept or not, has the bits of its own build.
+    for slot, i in enumerate(first):
+        ref = one_region(law, pool[i])
+        kept = law._cache if slot < room else ()
+        for got, want in zip(kept, ref):
+            assert got[slot].tobytes() == want.tobytes()
+        for got, want in zip(table, ref[3:]):
+            assert got[slot].tobytes() == want.tobytes()
