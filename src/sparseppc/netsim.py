@@ -11,6 +11,13 @@ batch of runs is rolled out reception-major.  Round ``j`` computes the
 ``j``-th packet of every run that has one in a single packet-law call, and
 each of those runs then replays its packet through its own segment.  No
 packet is computed during a dropout burst.
+
+Monte Carlo run ``k`` of a study with master seed ``s`` draws its initial
+state from the Philox stream keyed by ``SeedSequence(s, spawn_key=(k, 0))``
+and its dropout trace from the one keyed by ``(k, 1)``.  The keys of all
+runs are derived at once, by numpy's ``SeedSequence`` hash on ``uint32``
+arrays, and one generator is re-keyed run by run, so a study's conditions
+are two arrays with the same bits as each run drawn alone.
 """
 
 from __future__ import annotations
@@ -40,14 +47,7 @@ class DropoutTrace:
     def __post_init__(self):
         d = np.asarray(self.d, dtype=bool).reshape(-1)
         N_bound = _integer(self.N_bound, "N_bound", 1)
-        if d.size and d[0]:
-            raise ParameterError("first step of a dropout trace must be a delivery")
-        # Burst lengths are the distances between the rises and the falls.
-        edges = np.flatnonzero(np.diff(np.concatenate(([0], d, [0]))))
-        if np.max(edges[1::2] - edges[::2], initial=0) > N_bound - 1:
-            raise ParameterError(
-                f"dropout burst longer than N_bound - 1 = {N_bound - 1}"
-            )
+        _check_flags(d[None], N_bound)
         d = d.copy()
         d.setflags(write=False)
         object.__setattr__(self, "d", d)
@@ -73,10 +73,27 @@ class SimTrace:
     norms: np.ndarray
 
 
+def _check_flags(D: np.ndarray, N_bound: int) -> None:
+    """ParameterError unless every row of the ``(rows, T)`` flags ``D``
+    starts with a delivery and has no burst of ``N_bound`` losses."""
+    if D[:, :1].any():
+        raise ParameterError("first step of a dropout trace must be a delivery")
+    # Burst lengths are the distances between the rises and the falls; the
+    # zero padding of each row keeps its bursts apart from its neighbours'.
+    padded = np.zeros((D.shape[0], D.shape[1] + 2), dtype=np.int8)
+    padded[:, 1:-1] = D
+    edges = np.flatnonzero(np.diff(padded.ravel()))
+    if np.max(edges[1::2] - edges[::2], initial=0) > N_bound - 1:
+        raise ParameterError(
+            f"dropout burst longer than N_bound - 1 = {N_bound - 1}"
+        )
+
+
 def _integer(value, name: str, minimum: int) -> int:
     """``value`` as an ``int``, or ParameterError unless it is an integer
-    of at least ``minimum``."""
-    if not isinstance(value, (int, np.integer)) or value < minimum:
+    (not a ``bool``) of at least ``minimum``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
         raise ParameterError(f"{name} must be an integer >= {minimum}, "
                              f"got {value!r}")
     return int(value)
@@ -93,6 +110,31 @@ def _generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_seed_sequence(seed)))
 
 
+def _trace_shape(N, T, receptions_between_bursts) -> tuple:
+    """``(N, T, gap)`` of a bounded-uniform trace, checked."""
+    return (_integer(N, "N", 2), _integer(T, "T", 1),
+            _integer(receptions_between_bursts, "receptions_between_bursts", 1))
+
+
+def _bursts(T: int, gap: int) -> int:
+    # Each cycle of gap receptions and one burst covers at least gap + 1
+    # steps.  The stream serves the trace alone, so drawing more bursts
+    # than T needs changes nothing.
+    return -(-T // (gap + 1))
+
+
+def _flags(bursts: np.ndarray, gap: int, T: int) -> np.ndarray:
+    """``(rows, T)`` dropout flags: per row, ``gap`` receptions before each
+    burst of ``bursts[row]``, truncated at ``T``."""
+    rows, cycles = bursts.shape
+    lengths = np.empty((rows, 2 * cycles), dtype=bursts.dtype)
+    lengths[:, ::2], lengths[:, 1::2] = gap, bursts
+    flat = np.repeat(np.tile([False, True], rows * cycles), lengths.ravel())
+    # Row r starts where the rows before it end, and covers at least T steps.
+    starts = np.cumsum(lengths.sum(axis=1)) - lengths.sum(axis=1)
+    return flat[starts[:, None] + np.arange(T)]
+
+
 def gen_bounded_uniform_trace(N: int, T: int, seed,
                               receptions_between_bursts: int = 1) -> DropoutTrace:
     """Alternating receptions and bursts of ``m ~ U{1, ..., N-1}`` losses.
@@ -100,15 +142,118 @@ def gen_bounded_uniform_trace(N: int, T: int, seed,
     Starts with a reception at step 0 and truncates at length ``T``.  The
     number of consecutive receptions separating bursts defaults to one.
     """
-    N, T = _integer(N, "N", 2), _integer(T, "T", 1)
-    gap = _integer(receptions_between_bursts, "receptions_between_bursts", 1)
-    # Each cycle of gap receptions and one burst covers at least gap + 1
-    # steps.  The stream serves this trace alone, so drawing more bursts
-    # than T needs changes nothing.
-    bursts = _generator(seed).integers(1, N, size=-(-T // (gap + 1)))
-    lengths = np.column_stack((np.full(bursts.size, gap), bursts)).ravel()
-    flags = np.repeat(np.tile([False, True], bursts.size), lengths)
-    return DropoutTrace(d=flags[:T], N_bound=N)
+    N, T, gap = _trace_shape(N, T, receptions_between_bursts)
+    bursts = _generator(seed).integers(1, N, size=_bursts(T, gap))
+    return DropoutTrace(d=_flags(bursts[None], gap, T)[0], N_bound=N)
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on uint32
+# arrays, one row per spawn key.  The constants are Python ints: a product
+# of numpy uint32 scalars warns on overflow, a product of arrays wraps.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _words(value: int) -> list:
+    """``value``'s 32-bit words, least significant first, as
+    ``SeedSequence`` splits an integer (``[0]`` for zero)."""
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hashmix(value: np.ndarray, const: list) -> np.ndarray:
+    value = value ^ const[0]
+    const[0] = (const[0] * _MULT_A) & _MASK32
+    value *= const[0]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> 16)
+
+
+def _philox_keys(entropy: np.ndarray) -> np.ndarray:
+    """``(rows, 2)`` uint64: ``generate_state(2, np.uint64)`` of the
+    ``SeedSequence`` whose assembled entropy is each row of the ``uint32``
+    matrix ``entropy`` (at least ``_POOL_SIZE`` words)."""
+    const = [_INIT_A]
+    pool = [_hashmix(entropy[:, i], const) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], const))
+    for src in range(_POOL_SIZE, entropy.shape[1]):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(entropy[:, src], const))
+    state, const = [], _INIT_B
+    for word in pool:
+        word = word ^ const
+        const = (const * _MULT_B) & _MASK32
+        word *= const
+        state.append((word ^ (word >> 16)).astype(np.uint64))
+    return np.column_stack((state[0] | state[1] << 32,
+                            state[2] | state[3] << 32))
+
+
+def _spawn_keys(seed: int, run_idx: np.ndarray) -> np.ndarray:
+    """``(rows, 2, 2)`` uint64: the Philox keys of ``SeedSequence(seed,
+    spawn_key=(k, c))`` for each ``k`` in ``run_idx`` and ``c`` in 0, 1,
+    which are the children of ``SeedSequence(seed, spawn_key=(k,))``."""
+    # The entropy is the seed's words, zero-padded to the pool size because
+    # a spawn key follows, then the words of k and c.
+    head = _words(seed)
+    head += [0] * (_POOL_SIZE - len(head))
+    k = np.repeat(np.asarray(run_idx, dtype=np.uint64), 2)
+    c = np.tile(np.arange(2, dtype=np.uint32), len(run_idx))
+    lo, hi = (k & _MASK32).astype(np.uint32), (k >> 32).astype(np.uint32)
+    keys = np.empty((k.size, 2), dtype=np.uint64)
+    for wide in (False, True):  # k of one 32-bit word, then of two
+        rows = np.flatnonzero((hi > 0) == wide)
+        if rows.size:
+            tail = [lo[rows], hi[rows], c[rows]] if wide else [lo[rows], c[rows]]
+            entropy = np.empty((rows.size, len(head) + len(tail)), np.uint32)
+            entropy[:, :len(head)] = head
+            entropy[:, len(head):] = np.column_stack(tail)
+            keys[rows] = _philox_keys(entropy)
+    return keys.reshape(-1, 2, 2)
+
+
+def _conditions(plant: PlantModel, N: int, T: int, seed: int,
+                run_idx: np.ndarray, gap: int) -> tuple:
+    """Initial states ``X0`` ``(runs, n)`` and dropout flags ``D`` ``(runs,
+    T)`` of the Monte Carlo runs ``run_idx``, from checked arguments.
+
+    Row ``r`` draws ``x0`` from the Philox stream keyed by
+    ``SeedSequence(seed, spawn_key=(run_idx[r], 0))`` and its bursts from
+    the one keyed by ``(run_idx[r], 1)``; one generator is re-keyed for
+    each, which costs far less than building it.
+    """
+    keys = _spawn_keys(seed, run_idx)
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    X0 = np.empty((len(keys), plant.n))
+    bursts = np.empty((len(keys), _bursts(T, gap)), dtype=np.int64)
+    for r, (key_x0, key_trace) in enumerate(keys):
+        state["state"]["key"] = key_x0
+        bitgen.state = state
+        rng.standard_normal(out=X0[r])
+        state["state"]["key"] = key_trace
+        bitgen.state = state
+        bursts[r] = rng.integers(1, N, size=bursts.shape[1])
+    D = _flags(bursts, gap, T)
+    _check_flags(D, N)
+    return X0, D
 
 
 class _RunFailure(Exception):
@@ -278,14 +423,20 @@ def run_conditions(plant: PlantModel, N: int, T: int, seed: int, run_idx: int,
     """Initial state and dropout trace ``(x0, trace)`` of Monte Carlo run
     ``run_idx``.
 
-    Both are drawn from the child of the master seed keyed by the run index,
-    so any run of a study can be replayed on its own.
+    ``x0`` comes from the Philox stream keyed by ``SeedSequence(seed,
+    spawn_key=(run_idx, 0))`` and the trace's bursts from the one keyed by
+    ``(run_idx, 1)``, the two children of the run's own seed sequence.
+    This is the one-row case of the conditions :func:`monte_carlo` derives
+    for all its runs at once, so any run of a study can be replayed on its
+    own.  ``seed`` and ``run_idx`` must be integers ``>= 0`` (``run_idx``
+    below ``2**64``), or :class:`ParameterError` is raised.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(run_idx),))
-    ss_x0, ss_trace = ss.spawn(2)
-    x0 = _generator(ss_x0).standard_normal(plant.n)
-    trace = gen_bounded_uniform_trace(N, T, ss_trace, receptions_between_bursts)
-    return x0, trace
+    N, T, gap = _trace_shape(N, T, receptions_between_bursts)
+    seed, run_idx = _integer(seed, "seed", 0), _integer(run_idx, "run_idx", 0)
+    if run_idx >> 64:
+        raise ParameterError(f"run_idx must be below 2**64, got {run_idx}")
+    X0, D = _conditions(plant, N, T, seed, [run_idx], gap)
+    return X0[0], DropoutTrace(d=D[0], N_bound=N)
 
 
 def monte_carlo(plant: PlantModel, designers: Mapping[str, object],
@@ -303,34 +454,27 @@ def monte_carlo(plant: PlantModel, designers: Mapping[str, object],
     conditions.  A failing run aborts the study with its index and seed
     attached for replay: the lowest-indexed run failing at the earliest
     step (a law failure before a protocol failure there), designers taken
-    in order.  ``keep_traces`` keeps every run's :class:`SimTrace`.
+    in order.  ``keep_traces`` keeps every run's :class:`SimTrace`.  A
+    ``seed`` that is not an integer ``>= 0`` raises
+    :class:`ParameterError`.
     """
     if not designers:
         raise ParameterError("at least one designer is required")
     for designer in designers.values():
         _require_law(designer)
     runs = _integer(runs, "runs", 1)
-    N, T = _integer(N, "N", 2), _integer(T, "T", 1)
-    _integer(receptions_between_bursts, "receptions_between_bursts", 1)
-
-    x0s, traces = [], []
-    for run_idx in range(runs):
-        try:
-            x0, trace = run_conditions(plant, N, T, seed, run_idx,
-                                       receptions_between_bursts)
-        except Exception as exc:
-            raise SimulationRunError(run_idx, int(seed), exc) from exc
-        x0s.append(x0)
-        traces.append(trace)
-    X0 = np.array(x0s)
-    D = np.array([trace.d for trace in traces])
+    N, T, gap = _trace_shape(N, T, receptions_between_bursts)
+    seed = _integer(seed, "seed", 0)
+    X0, D = _conditions(plant, N, T, seed, np.arange(runs), gap)
+    if keep_traces:
+        traces = [DropoutTrace(d=d, N_bound=N) for d in D]
 
     avg_norm, avg_sparsity, kept = {}, {}, {}
     for name, law in designers.items():
         try:
             rollout = _rollout(plant, law, X0, D)
         except _RunFailure as failure:
-            raise SimulationRunError(failure.row, int(seed),
+            raise SimulationRunError(failure.row, seed,
                                      failure.cause) from failure.cause
         _, _, spars_mat, norms = rollout
         avg_norm[name] = norms[:, :T].mean(axis=0)
@@ -347,4 +491,4 @@ def monte_carlo(plant: PlantModel, designers: Mapping[str, object],
 
     return MonteCarloResult(steps=np.arange(T), avg_norm=avg_norm,
                             avg_sparsity=avg_sparsity, runs=runs,
-                            seed=int(seed), traces=kept or None)
+                            seed=seed, traces=kept or None)

@@ -302,11 +302,12 @@ class LassoLaw(PacketLaw):
     REGIONS = 64
     # Relative margin of the cached-region test (see the class docstring).
     MARGIN = 1e-9
-    # Bound on the elements of the (rows, regions, 3 N) test array.  At
-    # N <= 16 it keeps each slack product under the 2^18 multiply-adds at
-    # which OpenBLAS splits a GEMM across threads: on a loaded 2-core host
-    # those hand-offs stalled a 500-run study up to tenfold.
-    _TEST_ELEMENTS = 1 << 14
+    # Bound on the multiply-adds of one slack product, rows x regions x 3N
+    # x N.  It keeps each product under the 2^18 at which OpenBLAS splits a
+    # GEMM across threads: on a loaded 2-core host those hand-offs stalled
+    # a 500-run study up to tenfold.  A chunk holds at least one row, so
+    # past N = 36 a full cache's one-row chunk exceeds the bound.
+    _TEST_MULADDS = 10 << 14
 
     def __init__(self, hm: HorizonMatrices, mu: float):
         mu = float(mu)
@@ -406,7 +407,7 @@ class LassoLaw(PacketLaw):
         if not (count and B.shape[0]):
             return np.full(B.shape[0], -1)
         cached = [a[:count] for a in self._cache[:3]]
-        step = max(1, self._TEST_ELEMENTS // (count * 3 * self.hm.N))
+        step = max(1, self._TEST_MULADDS // (count * 3 * self.hm.N ** 2))
         ok = np.concatenate([self._passes(*cached, B[lo:lo + step],
                                           bmax[lo:lo + step])
                              for lo in range(0, B.shape[0], step)])

@@ -557,3 +557,28 @@ def test_new_regions_are_cached_in_order_of_first_appearance(bench_laws):
             assert got[slot].tobytes() == want.tobytes()
         for got, want in zip(table, ref[3:]):
             assert got[slot].tobytes() == want.tobytes()
+
+
+def test_region_test_chunks_stay_below_the_blas_threading_threshold(
+        bench_plant, monkeypatch):
+    # At N = 20 a region-test chunk sized by elements alone reaches 2^18
+    # multiply-adds, where OpenBLAS hands the GEMM to threads.
+    N = 20
+    plant = sp.PlantModel(A=0.5 * np.asarray(bench_plant.A), B=bench_plant.B)
+    law = sp.LassoLaw(sp.build_horizon_matrices(plant, N, np.eye(4),
+                                                np.eye(4)), 1.0)
+    rng = np.random.default_rng(21)
+    while len(law._keys) < law.REGIONS:
+        law._learn(random_signs(rng, N, rng.integers(1, 4), 1))
+    chunks = []
+    passes = law._passes
+
+    def recording(tests, bounds, scales, B, bmax):
+        chunks.append((B.shape[0], tests.shape[0]))
+        return passes(tests, bounds, scales, B, bmax)
+
+    monkeypatch.setattr(law, "_passes", recording)
+    law.solve(rng.standard_normal((200, 4)))
+    assert chunks
+    for rows, regions in chunks:
+        assert rows * regions * 3 * N * N < 1 << 18, (rows, regions)

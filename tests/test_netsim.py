@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparseppc as sp
 from sparseppc import ParameterError, ProtocolError, SimulationRunError
@@ -287,9 +289,11 @@ class TestMonteCarlo:
                              keep_traces=True)
         for k in range(4):
             x0, trace = sp.run_conditions(small_plant, 3, 10, 8, k, 2)
-            sim = res.traces["ls"][k]
-            np.testing.assert_array_equal(sim.states[0], x0)
-            np.testing.assert_array_equal(sim.dropped.d, trace.d)
+            for name in small_designers:
+                sim = res.traces[name][k]
+                np.testing.assert_array_equal(sim.states[0], x0)
+                np.testing.assert_array_equal(sim.dropped.d, trace.d)
+                assert sim.dropped.N_bound == trace.N_bound
 
     def test_seed_changes_results(self, small_plant, small_designers):
         a = sp.monte_carlo(small_plant, small_designers, 3, runs=4, T=10,
@@ -584,3 +588,102 @@ def test_a_row_or_column_vector_is_a_state(small_plant, call):
             np.testing.assert_array_equal(again.states, flat.states)
         else:
             np.testing.assert_array_equal(again, flat)
+
+
+def reference_conditions(plant, N, T, seed, k, gap=1):
+    """Run ``k``'s conditions drawn the way they were before studies drew
+    them as arrays: the run's own seed sequence spawns two children, each
+    seeds a fresh Philox generator, and the trace comes from
+    ``gen_bounded_uniform_trace``."""
+    ss_x0, ss_trace = np.random.SeedSequence(entropy=seed,
+                                             spawn_key=(k,)).spawn(2)
+    x0 = np.random.Generator(np.random.Philox(ss_x0)).standard_normal(plant.n)
+    return x0, sp.gen_bounded_uniform_trace(N, T, ss_trace, gap)
+
+
+class TestBatchedConditions:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 200), k=st.integers(0, 10 ** 6),
+           c=st.integers(0, 1))
+    def test_keys_are_the_seed_sequence_keys(self, seed, k, c):
+        key = sp.netsim._spawn_keys(seed, [k])[0, c]
+        direct = np.random.SeedSequence(entropy=seed, spawn_key=(k, c))
+        child = np.random.SeedSequence(entropy=seed, spawn_key=(k,)).spawn(2)[c]
+        np.testing.assert_array_equal(key, direct.generate_state(2, np.uint64))
+        np.testing.assert_array_equal(key, child.generate_state(2, np.uint64))
+
+    @pytest.mark.parametrize("k", [2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3,
+                                   2 ** 64 - 1])
+    def test_keys_of_run_indices_of_two_words(self, k):
+        # Rows of one and of two 32-bit words in one call.
+        keys = sp.netsim._spawn_keys(5, [3, k, 4])
+        for row, run in enumerate((3, k, 4)):
+            for c in (0, 1):
+                want = np.random.SeedSequence(entropy=5, spawn_key=(run, c))
+                np.testing.assert_array_equal(keys[row, c],
+                                              want.generate_state(2, np.uint64))
+
+    @pytest.mark.parametrize("runs", [1, 300])
+    @pytest.mark.parametrize("N", [2, 3, 10])
+    @pytest.mark.parametrize("gap", [1, 2, 3])
+    def test_each_row_is_its_run_drawn_alone(self, small_plant, runs, N, gap):
+        T = 12 * (gap + 1) + 1  # cuts the last cycle short
+        seed = 1000 * N + 10 * gap + runs
+        X0, D = sp.netsim._conditions(small_plant, N, T, seed,
+                                      np.arange(runs), gap)
+        assert X0.shape == (runs, 2) and D.shape == (runs, T)
+        for k in range(runs):
+            x0, trace = reference_conditions(small_plant, N, T, seed, k, gap)
+            assert X0[k].tobytes() == x0.tobytes(), k
+            np.testing.assert_array_equal(D[k], trace.d, k)
+            x0, trace = sp.run_conditions(small_plant, N, T, seed, k, gap)
+            assert X0[k].tobytes() == x0.tobytes(), k
+            np.testing.assert_array_equal(D[k], trace.d, k)
+
+    def test_a_batch_checks_every_row(self, small_plant, monkeypatch):
+        # Bursts of N are refused even though the draws never make them.
+        def three_lost_in_four(bursts, gap, T):
+            return np.tile(np.arange(T) % 4 > 0, (len(bursts), 1))
+
+        monkeypatch.setattr(sp.netsim, "_flags", three_lost_in_four)
+        with pytest.raises(ParameterError, match="burst longer"):
+            sp.netsim._conditions(small_plant, 3, 12, 0, np.arange(5), 1)
+
+
+class TestSeedsAndRunIndices:
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+    def test_monte_carlo_refuses_a_bad_seed(self, small_plant,
+                                            small_designers, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            sp.monte_carlo(small_plant, small_designers, 3, runs=2, T=5,
+                           seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", False])
+    def test_run_conditions_refuses_a_bad_seed(self, small_plant, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            sp.run_conditions(small_plant, 3, 5, seed, 0)
+
+    @pytest.mark.parametrize("run_idx", [-1, 1.5, "1", True, 2 ** 64])
+    def test_run_conditions_refuses_a_bad_run_index(self, small_plant,
+                                                    run_idx):
+        with pytest.raises(ParameterError, match="run_idx"):
+            sp.run_conditions(small_plant, 3, 5, 0, run_idx)
+
+    def test_integer_arguments_refuse_bools(self, small_plant,
+                                            small_designers):
+        with pytest.raises(ParameterError, match="runs"):
+            sp.monte_carlo(small_plant, small_designers, 3, runs=True, T=5)
+        with pytest.raises(ParameterError, match="T"):
+            sp.gen_bounded_uniform_trace(3, True, seed=0)
+
+    def test_numpy_integers_are_accepted(self, small_plant, small_designers):
+        a = sp.monte_carlo(small_plant, small_designers, 3, runs=3, T=5,
+                           seed=np.uint64(4))
+        b = sp.monte_carlo(small_plant, small_designers, 3, runs=3, T=5,
+                           seed=4)
+        assert a.seed == 4 and type(a.seed) is int
+        np.testing.assert_array_equal(a.avg_norm["ls"], b.avg_norm["ls"])
+        x0, trace = sp.run_conditions(small_plant, 3, 5, np.int64(4),
+                                      np.int32(2))
+        np.testing.assert_array_equal(
+            x0, sp.run_conditions(small_plant, 3, 5, 4, 2)[0])
