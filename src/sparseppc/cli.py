@@ -244,8 +244,7 @@ def load_config(path) -> ExperimentConfig:
 @dataclass
 class BuiltController:
     name: str
-    family: str
-    designer: object
+    designer: object             # a packet law, which names its family
     report: dict
     design: object = None        # L1L2Design / L0Design when applicable
 
@@ -254,7 +253,7 @@ def _listify(M: np.ndarray) -> list:
     return np.asarray(M, dtype=float).tolist()
 
 
-def _base_report(cfg: ExperimentConfig, plant: PlantModel, Q, r, P, K) -> dict:
+def _base_report(plant: PlantModel, Q, r, P, K) -> dict:
     return {
         "r": float(r),
         "P": _listify(P),
@@ -276,45 +275,34 @@ def build_controller(cfg: ExperimentConfig, spec: dict) -> BuiltController:
 
     if family == "l1l2":
         design = design_l1l2(plant, Q, spec["mu"], N, spec["epsilon"])
-        report = _base_report(cfg, plant, design.Q, design.r, design.P, design.K)
+        report = _base_report(plant, design.Q, design.r, design.P, design.K)
         report.update(mu=design.mu, epsilon=design.epsilon, a1=design.a1,
                       a2=design.a2, rho=design.rho, R=design.R,
                       Wstar=_listify(design.Wstar))
-        return BuiltController(name, family, design.law, report,
-                               design=design)
+        return BuiltController(name, design.law, report, design=design)
 
     if family == "l0":
-        design = design_l0(plant, Q, N, spec["beta"])
-        overridden = "W" in spec
-        if overridden:
-            # The law and the audits both use the override.
-            W = spec["W"]
-            design = dataclasses.replace(design, W=0.5 * (W + W.T))
-        gap = 0.5 * ((design.W - design.Wstar) + (design.W - design.Wstar).T)
-        margin = float(np.linalg.eigvalsh(gap)[0])
-        if margin <= 0.0:
-            raise DesignError(
-                f"{name}: W does not strictly dominate the least-squares "
-                f"weight W* (smallest eigenvalue of W - W* is {margin:.3e})")
-        report = _base_report(cfg, plant, design.Q, 0.0, design.P, design.K)
+        try:
+            design = design_l0(plant, Q, N, spec["beta"], W=spec.get("W"))
+        except DesignError as exc:
+            raise DesignError(f"{name}: {exc}") from exc
+        report = _base_report(plant, design.Q, 0.0, design.P, design.K)
         report.update(beta=design.beta, c1=design.c1, rho=design.rho,
                       c=design.c, Eps=_listify(design.Eps),
                       W=_listify(design.W), Wstar=_listify(design.Wstar),
-                      W_overridden=overridden)
-        report["residuals"]["wstar_identity"] = float(
-            np.linalg.norm(design.Wstar - (design.P - design.Q), "fro"))
-        report["residuals"]["loewner_margin"] = margin
-        return BuiltController(name, family, design.law, report,
-                               design=design)
+                      W_overridden="W" in spec)
+        report["residuals"]["wstar_identity"] = design.wstar_defect
+        report["residuals"]["loewner_margin"] = design.loewner_margin
+        return BuiltController(name, design.law, report, design=design)
 
     # Quadratic baselines: terminal weight from the Riccati equation at the
     # family's own input weight (zero for plain least squares).
     r = spec.get("r", 0.0) if family == "ridge" else 0.0
     dare = solve_dare(plant, Q, r)
     hm = build_horizon_matrices(plant, N, Q, dare.P)
-    report = _base_report(cfg, plant, Q, r, dare.P, dare.K)
+    report = _base_report(plant, Q, r, dare.P, dare.K)
     report["Wstar"] = _listify(compute_wstar(hm))
-    return BuiltController(name, family, LinearLaw(hm, r), report)
+    return BuiltController(name, LinearLaw(hm, r), report)
 
 
 def _build_all(cfg: ExperimentConfig) -> list:
@@ -380,15 +368,13 @@ def cmd_design(cfg: ExperimentConfig, args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     reports = []
     for ctrl in built:
-        entry = {"name": ctrl.name, "family": ctrl.family,
+        entry = {"name": ctrl.name, "family": ctrl.designer.family,
                  "horizon": cfg.horizon}
         entry.update(ctrl.report)
         reports.append(entry)
-        extras = []
-        for key in ("rho", "R", "c1", "c"):
-            if key in ctrl.report:
-                extras.append(f"{key}={ctrl.report[key]:.6g}")
-        print(f"designed {ctrl.name} ({ctrl.family})"
+        extras = [f"{key}={ctrl.report[key]:.6g}"
+                  for key in ("rho", "R", "c1", "c") if key in ctrl.report]
+        print(f"designed {ctrl.name} ({ctrl.designer.family})"
               + (": " + ", ".join(extras) if extras else ""))
     _write_json(out / "design_report.json", reports)
     return EXIT_OK
@@ -396,6 +382,8 @@ def cmd_design(cfg: ExperimentConfig, args) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     run_index = _as_int(args.run_index, "--run-index", minimum=0)
+    _require(run_index >> 64 == 0,
+             f"--run-index must be below 2**64, got {run_index}")
     built = _build_all(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -508,13 +496,10 @@ def cmd_audit(cfg: ExperimentConfig, args) -> int:
             n_fail, worst, errors = _audit_check(
                 audit, designs[name], *((X, dropouts) if uses_dropouts else (X,)))
             failures_total += n_fail
+            # An infinite worst slack (no record) is written as null.
             entry["inequalities"].append({
-                "name": check_name,
-                "draws": draws,
-                "failures": n_fail,
-                "worst_slack": None if not np.isfinite(worst) else worst,
-                "errors": errors,
-            })
+                "name": check_name, "draws": draws, "failures": n_fail,
+                "worst_slack": worst, "errors": errors})
             status = "ok" if n_fail == 0 else f"{n_fail} FAILURES"
             print(f"audit {name}/{check_name}: {status} over {draws} draws")
 

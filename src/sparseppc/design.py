@@ -22,14 +22,20 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegeneracyError, DesignError, ParameterError, SolverError
-from .plant import (HorizonMatrices, PlantModel, _frozen, _state_vector,
-                    build_horizon_matrices, require_spd, row_dot, row_matmul)
+from .plant import (HorizonMatrices, PlantModel, _frozen, _real,
+                    _state_vector, build_horizon_matrices, require_spd,
+                    row_dot, row_matmul)
 from .riccati import solve_dare
 from .solvers import LassoLaw, LinearLaw, OmpLaw
 
 # Identity check between the stacked least-squares weight and P - Q on the
 # cheap-control Riccati solution.
 WSTAR_IDENTITY_RTOL = 1e-8
+
+# Rounding headroom of the audits: relative on the upper side of each value
+# or Lyapunov bound, absolute on the residual bound, which is exact.
+AUDIT_REL_SLACK = 1e-6
+RESIDUAL_ABS_SLACK = 1e-9
 
 
 def _cholesky(M: np.ndarray, name: str) -> np.ndarray:
@@ -65,33 +71,24 @@ def omega_contains(hm: HorizonMatrices, mu: float, x) -> bool:
     :class:`LassoLaw`'s own test on the same bits: the law returns the exact
     zero packet at each state accepted here and solves at each one rejected.
     """
-    if mu <= 0.0:
-        raise ParameterError(f"mu must be positive, got {mu}")
+    if not 0.0 < mu < np.inf:
+        raise ParameterError(f"mu must be positive and finite, got {mu}")
     b = row_matmul(_state_vector(x, hm.H.shape[1])[None], hm.GtH)
     return bool(np.abs(b).max() <= 0.5 * mu)
 
 
-def value_function(hm: HorizonMatrices, mu: float, Q, x) -> float:
-    """``V(x) = ||G u - H x||^2 + mu ||u||_1 + x' Q x`` at the optimal packet.
-
-    The packet comes from the exact l1l2 law, :class:`LassoLaw`.  Raises
-    :class:`SolverError` if its KKT certificate does not show an exact
-    optimum.
-    """
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    return _values(LassoLaw(hm, mu), np.asarray(Q, dtype=float), x)[0].item()
-
-
-def _values(law: LassoLaw, Q: np.ndarray, X: np.ndarray) -> np.ndarray:
-    # value_function at each row of X on a given law, such as a design's.
-    _, _, certificate = law.solve(X)
+def _values(law: LassoLaw, Q: np.ndarray, X: np.ndarray) -> tuple:
+    # (V, U): V(x) = ||G u - H x||^2 + mu ||u||_1 + x'Qx at the law's packet
+    # u, for each row x of X and its row u of U; SolverError unless every
+    # packet is an exact optimum.
+    U, _, certificate = law.solve(X)
     inexact = ~certificate["converged"]
     if inexact.any():
         raise SolverError(
             "the l1l2 packet is not exact at the value-function state "
             f"(kkt residual {certificate['kkt_residual'][inexact.argmax()]:.3e})"
         )
-    return certificate["objective"] + _quad(X, Q)
+    return certificate["objective"] + _quad(X, Q), U
 
 
 @dataclass(frozen=True)
@@ -122,16 +119,15 @@ class L1L2Design:
     @cached_property
     def law(self) -> LassoLaw:
         """The design's one packet law, shared by the closed loop and the
-        audits; ``law(x)`` is a :class:`Packet`.
-
-        Its region cache lives as long as the design.
-        """
+        audits; its region cache lives as long as the design."""
         return LassoLaw(self.hm, self.mu)
 
 
 @dataclass(frozen=True)
 class L0Design:
-    """Constants certified by the asymptotic-stability design rule."""
+    """Constants certified by the asymptotic-stability design rule;
+    ``loewner_margin`` is ``lambda_min(W - W*) > 0`` and ``wstar_defect``
+    is ``||W* - (P - Q)||_F``."""
 
     plant: PlantModel
     Q: np.ndarray
@@ -145,16 +141,14 @@ class L0Design:
     Eps: np.ndarray
     W: np.ndarray
     Wstar: np.ndarray
+    loewner_margin: float
+    wstar_defect: float
     hm: HorizonMatrices
 
     @cached_property
     def law(self) -> OmpLaw:
         """The design's one packet law, shared by the closed loop and the
-        audits; ``law(x)`` is a :class:`Packet`.
-
-        The law does not check ``W`` against ``W*``: ``design_l0`` checks the
-        ``W`` it builds, and the CLI checks a config override of it.
-        """
+        audits; ``design_l0`` has checked its ``W`` against ``W*``."""
         return OmpLaw(self.hm, self.W)
 
     @cached_property
@@ -175,10 +169,10 @@ def design_l1l2(plant: PlantModel, Q, mu: float, N: int,
     """
     mu = float(mu)
     epsilon = float(epsilon)
-    if mu <= 0.0:
-        raise ParameterError(f"mu must be positive, got {mu}")
-    if epsilon <= 0.0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < mu < np.inf:
+        raise ParameterError(f"mu must be positive and finite, got {mu}")
+    if not 0.0 < epsilon < np.inf:
+        raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
     n = plant.n
     Q = require_spd(Q, n, "Q")
 
@@ -209,7 +203,8 @@ def design_l1l2(plant: PlantModel, Q, mu: float, N: int,
                       rho=rho, R=R, Wstar=Wstar, hm=hm)
 
 
-def design_l0(plant: PlantModel, Q, N: int, beta: float) -> L0Design:
+def design_l0(plant: PlantModel, Q, N: int, beta: float,
+              W=None) -> L0Design:
     """Asymptotic-stability design for the OMP packet controller.
 
     Solves the cheap-control (``r = 0``) Riccati equation, forms the
@@ -219,7 +214,10 @@ def design_l0(plant: PlantModel, Q, N: int, beta: float) -> L0Design:
     ``W = (P - Q) + Eps`` with ``Eps = beta (1 - rho) P / c``.
 
     ``beta`` must lie strictly in (0, 1); smaller values leave more margin in
-    the per-reception Lyapunov decrease.
+    the per-reception Lyapunov decrease.  A given ``W`` (symmetrized)
+    replaces the built one in the law and the audits; ``Eps``, ``c`` and
+    ``rho`` still come from ``beta``.  Whichever ``W`` results must
+    strictly dominate ``W*``, or :class:`DesignError` is raised.
     """
     beta = float(beta)
     if not 0.0 < beta < 1.0:
@@ -260,17 +258,22 @@ def design_l0(plant: PlantModel, Q, N: int, beta: float) -> L0Design:
             f"stacked least-squares weight disagrees with P - Q "
             f"(Frobenius defect {defect:.3e} > {limit:.3e})"
         )
-    W = Wstar_manifold + Eps
-
     if float(np.linalg.eigvalsh(0.5 * (Eps + Eps.T))[0]) <= 0.0:
         raise DesignError("Eps is not positive definite")
+
+    # A given W is checked and symmetrized as the law takes it.
+    W = Wstar_manifold + Eps if W is None else OmpLaw(hm, W).W
     gap = 0.5 * ((W - Wstar) + (W - Wstar).T)
-    if float(np.linalg.eigvalsh(gap)[0]) <= 0.0:
-        raise DesignError("W does not strictly dominate the least-squares weight")
+    margin = float(np.linalg.eigvalsh(gap)[0])
+    if not margin > 0.0:
+        raise DesignError(
+            "W does not strictly dominate the least-squares weight W* "
+            f"(smallest eigenvalue of W - W* is {margin:.3e})")
 
     return L0Design(plant=plant, Q=_frozen(Q), N=int(N), beta=beta, P=P,
                     K=dare.K, c1=c1, rho=rho, c=c, Eps=_frozen(Eps),
-                    W=_frozen(W), Wstar=Wstar, hm=hm)
+                    W=_frozen(W), Wstar=Wstar, loewner_margin=margin,
+                    wstar_defect=defect, hm=hm)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +334,7 @@ class ResidualAudit:
 
 def _states(x) -> tuple:
     # The states as rows, and whether a single state was given.
-    X = np.asarray(x, dtype=float)
+    X = _real(x, "x")
     return (X.reshape(1, -1), True) if X.ndim == 1 else (X, False)
 
 
@@ -369,29 +372,28 @@ def _open_loop(plant: PlantModel, X: np.ndarray, U: np.ndarray,
     return Z
 
 
-def audit_value_sandwich(design: L1L2Design, x,
-                         rel_slack: float = 1e-6) -> SandwichAudit:
+def audit_value_sandwich(design: L1L2Design, x) -> SandwichAudit:
     """Check ``lambda_min(Q) ||x||^2 <= V(x) <= a1 ||x|| + (a2 + lambda_max(Q)) ||x||^2``.
 
-    The upper side gets ``rel_slack`` of relative headroom for solver
+    The upper side gets ``AUDIT_REL_SLACK`` of relative headroom for solver
     inexactness; the lower side is exact because the evaluated value can only
     overestimate the true optimum.  Raises :class:`SolverError` if a packet
     is not exact.
     """
     X, single = _states(x)
-    value = _values(design.law, design.Q, X)
+    value, _ = _values(design.law, design.Q, X)
     nx = np.sqrt(row_dot(X, X))
     lower = design.lam_min_q * nx * nx
     upper = design.a1 * nx + (design.a2 + design.lam_max_q) * nx * nx
-    passed = (lower <= value) & (value <= upper * (1.0 + rel_slack))
+    passed = (lower <= value) & (value <= upper * (1.0 + AUDIT_REL_SLACK))
     return _record(SandwichAudit, single, lower=lower, value=value,
                    upper=upper,
                    slack=np.minimum(value - lower, upper - value),
                    passed=passed)
 
 
-def audit_contraction_l1l2(design: L1L2Design, x, dropouts,
-                           rel_slack: float = 1e-6) -> ContractionAuditL1L2:
+def audit_contraction_l1l2(design: L1L2Design, x,
+                           dropouts) -> ContractionAuditL1L2:
     """Evaluate ``V`` before and after ``dropouts`` buffered open-loop steps.
 
     Checks ``V(f^i(x)) <= rho V(x) + epsilon + lambda_min(Q)/4`` where the
@@ -400,20 +402,17 @@ def audit_contraction_l1l2(design: L1L2Design, x, dropouts,
     """
     X, single = _states(x)
     i = _check_dropouts(dropouts, design.N, X.shape[0])
-    U, _, certificate = design.law.solve(X)
-    if not certificate["converged"].all():
-        raise SolverError("the l1l2 packet is not exact at the audited state")
-    start = certificate["objective"] + _quad(X, design.Q)
-    end = _values(design.law, design.Q, _open_loop(design.plant, X, U, i))
+    start, U = _values(design.law, design.Q, X)
+    end, _ = _values(design.law, design.Q, _open_loop(design.plant, X, U, i))
     bound = design.rho * start + design.epsilon + design.lam_min_q / 4.0
-    passed = end <= bound * (1.0 + rel_slack)
+    passed = end <= bound * (1.0 + AUDIT_REL_SLACK)
     return _record(ContractionAuditL1L2, single, dropouts=i,
                    value_start=start, value_end=end, bound=bound,
                    slack=bound - end, passed=passed)
 
 
-def audit_contraction_l0(design: L0Design, x, dropouts,
-                         rel_slack: float = 1e-6) -> ContractionAuditL0:
+def audit_contraction_l0(design: L0Design, x,
+                         dropouts) -> ContractionAuditL0:
     """Lyapunov decay along ``dropouts`` buffered steps of the OMP packet.
 
     Checks the geometric bound ``x_i' P x_i <= rho^i x'Px + c x'Eps x`` and
@@ -431,8 +430,8 @@ def audit_contraction_l0(design: L0Design, x, dropouts,
     x_eps = _quad(X, design.Eps)
     bound_geometric = design.rho ** i * start + design.c * x_eps
     bound_onestep = design.rho * start + design.c * x_eps
-    passed = ((end <= bound_geometric * (1.0 + rel_slack))
-              & (end <= bound_onestep * (1.0 + rel_slack)))
+    passed = ((end <= bound_geometric * (1.0 + AUDIT_REL_SLACK))
+              & (end <= bound_onestep * (1.0 + AUDIT_REL_SLACK)))
     return _record(ContractionAuditL0, single, dropouts=i, value_start=start,
                    value_end=end, bound_geometric=bound_geometric,
                    bound_onestep=bound_onestep,
@@ -440,13 +439,13 @@ def audit_contraction_l0(design: L0Design, x, dropouts,
                    passed=passed)
 
 
-def audit_residual_l0(design: L0Design, x,
-                      abs_slack: float = 1e-9) -> ResidualAudit:
+def audit_residual_l0(design: L0Design, x) -> ResidualAudit:
     """Check ``||G (u - u*)||^2 <= x'(W - W*) x`` for the OMP packet.
 
     ``u*`` is the unconstrained least-squares packet; orthogonality of the
     least-squares residual makes the bound an exact consequence of the
-    feasibility constraint, so only rounding slack is allowed.
+    feasibility constraint, so only ``RESIDUAL_ABS_SLACK`` of rounding
+    slack is allowed.
     """
     X, single = _states(x)
     U, _, _ = design.law.solve(X)
@@ -456,4 +455,5 @@ def audit_residual_l0(design: L0Design, x,
     gap = design.W - design.Wstar
     rhs = _quad(X, 0.5 * (gap + gap.T))
     return _record(ResidualAudit, single, lhs=lhs, rhs=rhs,
-                   slack=rhs + abs_slack - lhs, passed=lhs <= rhs + abs_slack)
+                   slack=rhs + RESIDUAL_ABS_SLACK - lhs,
+                   passed=lhs <= rhs + RESIDUAL_ABS_SLACK)

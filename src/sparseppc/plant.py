@@ -24,8 +24,21 @@ SPD_EIGENVALUE_FLOOR = 1e-14
 REACHABILITY_RTOL = 1e-10
 
 
+def _real(M, name: str) -> np.ndarray:
+    # ``M`` as a float array, or ParameterError unless its entries are real
+    # numbers: a complex entry is refused, not cast to its real part.
+    try:
+        arr = np.asarray(M)
+        if arr.dtype.kind not in "biufO":
+            raise TypeError(f"entries of dtype {arr.dtype}")
+        return arr.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{name} must be an array of real numbers: "
+                             f"{exc}") from exc
+
+
 def _as_array(M, name: str) -> np.ndarray:
-    arr = np.asarray(M, dtype=float)
+    arr = _real(M, name)
     if arr.size == 0 or not np.all(np.isfinite(arr)):
         raise ParameterError(f"{name} must be a finite, non-empty array")
     return arr
@@ -58,10 +71,10 @@ def spd_sqrt(M: np.ndarray) -> np.ndarray:
 
 
 def _state_vector(x, n: int) -> np.ndarray:
-    # ``x`` as a float vector of length ``n``, or ParameterError.  Only the
-    # shapes that hold one vector are accepted: ``(n,)``, ``(n, 1)`` and
-    # ``(1, n)``, so a matrix with ``n`` entries is not taken for a state.
-    x = np.asarray(x, dtype=float)
+    # ``x`` as a finite float vector of length ``n``, or ParameterError.
+    # Only the shapes that hold one vector are accepted: ``(n,)``, ``(n, 1)``
+    # and ``(1, n)``, so a matrix with ``n`` entries is not taken for a state.
+    x = _as_array(x, "x")
     if x.shape not in ((n,), (n, 1), (1, n)):
         raise ParameterError(f"x must be one vector of length {n}, got shape "
                              f"{x.shape}")
@@ -151,9 +164,7 @@ def check_reachability(plant: PlantModel) -> bool:
     as zero.
     """
     s = np.linalg.svd(controllability_matrix(plant), compute_uv=False)
-    if s[0] == 0.0:
-        return False
-    return bool(int(np.sum(s > REACHABILITY_RTOL * s[0])) == plant.n)
+    return bool((s > REACHABILITY_RTOL * s[0]).all())
 
 
 @dataclass(frozen=True)

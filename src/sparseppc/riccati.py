@@ -18,6 +18,11 @@ import numpy as np
 from .errors import ParameterError, SolverError
 from .plant import PlantModel, check_reachability, require_spd, _frozen
 
+# Stop once an iterate's Frobenius defect is at most DARE_TOL (1 + ||P||_F);
+# fail after DARE_MAX_ITER steps.
+DARE_TOL = 1e-10
+DARE_MAX_ITER = 10000
+
 
 @dataclass(frozen=True)
 class DareSolution:
@@ -63,44 +68,42 @@ def gain(plant: PlantModel, P, r: float = 0.0) -> np.ndarray:
     return -(B.T @ P @ plant.A) / S
 
 
-def solve_dare(plant: PlantModel, Q, r: float = 0.0,
-               tol: float = 1e-10, max_iter: int = 10000) -> DareSolution:
+def solve_dare(plant: PlantModel, Q, r: float = 0.0) -> DareSolution:
     """Solve the Riccati fixed point by iteration from ``P = Q``.
 
     Convergence is declared when the Frobenius defect of the current iterate
-    drops below ``tol * (1 + ||P||_F)``.  The returned gain is checked to be
-    stabilizing.
+    drops below ``DARE_TOL * (1 + ||P||_F)``.  The returned gain is checked
+    to be stabilizing.
 
     Raises
     ------
     ParameterError
-        For a non-reachable plant, non-SPD ``Q``, negative ``r``, or ``B = 0``.
+        For a non-reachable plant (``B = 0`` included), non-SPD ``Q``, or an
+        ``r`` that is negative or not finite.
     SolverError
-        If the iteration does not converge within ``max_iter`` steps, or the
-        closed loop ``A + B K`` is not a strict contraction.
+        If the iteration does not converge within ``DARE_MAX_ITER`` steps, or
+        the closed loop ``A + B K`` is not a strict contraction.
     """
     n = plant.n
     Q = require_spd(Q, n, "Q")
     r = float(r)
-    if r < 0.0:
-        raise ParameterError(f"r must be nonnegative, got {r}")
-    if np.all(plant.B == 0.0):
-        raise ParameterError("B is identically zero")
+    if not 0.0 <= r < np.inf:
+        raise ParameterError(f"r must be nonnegative and finite, got {r}")
     if not check_reachability(plant):
         raise ParameterError("plant (A, B) is not reachable")
 
     A, B = plant.A, plant.B
     P = Q.copy()
     residual = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, DARE_MAX_ITER + 1):
         P_next = _riccati_map(A, B, Q, r, P)
         residual = float(np.linalg.norm(P_next - P, "fro"))
-        if residual <= tol * (1.0 + float(np.linalg.norm(P, "fro"))):
+        if residual <= DARE_TOL * (1.0 + float(np.linalg.norm(P, "fro"))):
             break
         P = P_next
     else:
         raise SolverError(
-            f"Riccati iteration did not converge in {max_iter} steps "
+            f"Riccati iteration did not converge in {DARE_MAX_ITER} steps "
             f"(residual {residual:.3e})"
         )
 

@@ -6,7 +6,9 @@ quadratic families fold both into a constant gain), so no per-packet work
 rebuilds them or repeats a factorization.  ``law.solve(X)`` maps a batch
 of states, one per row, to their packets, iteration counts and solver
 certificates; ``law.packets(X)`` keeps the packets and their sparsity, and
-``law(x)`` returns the :class:`Packet` of one state.  The module-level
+``law(x)`` returns the :class:`Packet` of one state.  Each law and each
+packet names its ``family`` as the config does: ``l1l2``, ``l0``, ``ridge``
+or ``ls``.  The module-level
 functions ``least_squares_packet``, ``ridge_packet``, ``fista_l1l2`` and
 ``omp_l0`` are one-row views of the same laws.
 
@@ -22,21 +24,12 @@ rounding, and its packet then comes from the region's map on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import DegeneracyError, DesignError, ParameterError
-from .plant import (HorizonMatrices, _frozen, _state_vector, row_dot,
-                    row_matmul)
-
-
-class SolverTag(Enum):
-    L1L2 = "l1l2"
-    L0_OMP = "l0_omp"
-    LS = "ls"
-    RIDGE = "ridge"
-
+from .plant import (HorizonMatrices, _as_array, _frozen, _real,
+                    _state_vector, row_dot, row_matmul)
 
 # An entry of a packet counts as nonzero when its magnitude exceeds this
 # fraction of the packet's largest entry.
@@ -48,16 +41,16 @@ class Packet:
     """A planned input sequence with solver diagnostics.
 
     ``u`` has length ``N`` of the horizon matrices that produced it;
-    ``sparsity`` is ``||u||_0`` as judged by :func:`count_nonzero`, relative
-    to the packet's own largest entry; ``certificate``
-    holds solver-specific diagnostics (KKT residual for the l1 solver,
+    ``family`` is its law's; ``sparsity`` is ``||u||_0`` as judged by
+    :func:`count_nonzero`, relative to the packet's own largest entry;
+    ``certificate`` holds solver-specific diagnostics (KKT residual for the l1 solver,
     constraint slack and the support in pick order for OMP, normal-equation
     residual for the quadratic solvers).
     """
 
     u: np.ndarray
     sparsity: int
-    solver_tag: SolverTag
+    family: str
     iterations: int
     certificate: dict
 
@@ -87,7 +80,7 @@ class PacketLaw:
     """
 
     hm: HorizonMatrices
-    tag: SolverTag
+    family: str
 
     def _solve(self, X: np.ndarray):
         raise NotImplementedError
@@ -97,12 +90,16 @@ class PacketLaw:
 
         Row ``r`` of ``U`` is the packet of ``X[r]``.  Each certificate entry
         holds one value per row, or, when it is 2-D, one sequence per row
-        whose first ``iterations`` entries count.
+        whose first ``iterations`` entries count.  ``X`` must hold real,
+        finite numbers, or :class:`ParameterError` is raised.
         """
         n = self.hm.H.shape[1]
-        X = np.ascontiguousarray(X, dtype=float)
+        X = np.ascontiguousarray(_real(X, "X"))
         if X.ndim != 2 or X.shape[1] != n:
             raise ParameterError(f"X must have shape (rows, {n}), got {X.shape}")
+        if not np.isfinite(X).all():
+            row = (~np.isfinite(X)).any(axis=1).argmax()
+            raise ParameterError(f"X must be finite; row {row} is not")
         return self._solve(X)
 
     def packets(self, X) -> tuple:
@@ -115,7 +112,7 @@ class PacketLaw:
         U, iterations, certificate = self.solve(x[None])
         steps = int(iterations[0])
         return Packet(u=_frozen(U[0]), sparsity=int(_row_nonzeros(U)[0]),
-                      solver_tag=self.tag, iterations=steps,
+                      family=self.family, iterations=steps,
                       certificate={k: v[0].item() if v.ndim == 1
                                    else tuple(v[0, :steps].tolist())
                                    for k, v in certificate.items()})
@@ -132,10 +129,10 @@ class LinearLaw(PacketLaw):
 
     def __init__(self, hm: HorizonMatrices, r: float = 0.0):
         r = float(r)
-        if r < 0.0:
-            raise ParameterError(f"input weight r must be nonnegative, got {r}")
+        if not 0.0 <= r < np.inf:
+            raise ParameterError(f"r must be nonnegative and finite, got {r}")
         self.hm, self.r = hm, r
-        self.tag = SolverTag.RIDGE if r > 0.0 else SolverTag.LS
+        self.family = "ridge" if r > 0.0 else "ls"
         self.M = hm.GtG + r * np.eye(hm.N)
         try:
             K = np.linalg.solve(self.M, hm.GtH)
@@ -150,7 +147,7 @@ class LinearLaw(PacketLaw):
         U = row_matmul(X, self.K)
         residual = np.abs(row_matmul(U, self.M) - rhs).max(axis=1, initial=0.0)
         limit = 1e-8 * (1.0 + np.abs(rhs).max(axis=1, initial=0.0))
-        bad = residual > limit
+        bad = ~(residual <= limit)
         if bad.any():
             i = bad.argmax()
             raise DegeneracyError(
@@ -296,7 +293,7 @@ class LassoLaw(PacketLaw):
     by that certificate alone.
     """
 
-    tag = SolverTag.L1L2
+    family = "l1l2"
     # Regions kept per law; a region found when the cache is full serves
     # the call that found it and is not kept.
     REGIONS = 64
@@ -311,8 +308,8 @@ class LassoLaw(PacketLaw):
 
     def __init__(self, hm: HorizonMatrices, mu: float):
         mu = float(mu)
-        if mu <= 0.0:
-            raise ParameterError(f"mu must be positive, got {mu}")
+        if not 0.0 < mu < np.inf:
+            raise ParameterError(f"mu must be positive and finite, got {mu}")
         self.hm, self.mu = hm, mu
         # Region key (its signs as int8 bytes) -> slot in the arrays of
         # ``_cache``, which are made when the first region is stored.
@@ -464,15 +461,15 @@ class OmpLaw(PacketLaw):
     :class:`DegeneracyError`.  A row whose constraint fails even at full
     support raises :class:`DesignError`.  ``W`` is taken as given: the
     check that it strictly dominates ``W*`` belongs where a ``W`` is made,
-    in ``design_l0`` and at a config override.  The certificate holds the
-    constraint slack and the support in the order it was picked.
+    in ``design_l0``.  The certificate holds the constraint slack and the
+    support in the order it was picked.
     """
 
-    tag = SolverTag.L0_OMP
+    family = "l0"
 
     def __init__(self, hm: HorizonMatrices, W):
         n = hm.H.shape[1]
-        W = np.asarray(W, dtype=float)
+        W = _as_array(W, "W")
         if W.shape != (n, n):
             raise ParameterError(f"W must have shape ({n}, {n}), got {W.shape}")
         self.hm = hm

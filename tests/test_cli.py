@@ -388,10 +388,12 @@ class TestAuditCommand:
         assert entry["errors"]  # carries the solver's explanation
         assert "FAILURES" in capsys.readouterr().out
         # The batch fails as a whole; every draw is still counted once, and
-        # the messages are capped.
+        # the messages are capped.  No draw leaves a slack, so the worst is
+        # null.
         for entry in payload["controllers"][0]["inequalities"]:
             assert entry["failures"] == entry["draws"] == 4
             assert 1 <= len(entry["errors"]) <= 3
+            assert entry["worst_slack"] is None
 
     def test_an_inexact_l1l2_packet_fails_its_own_draw(self, tmp_path,
                                                       monkeypatch):
@@ -524,6 +526,7 @@ def test_module_runs_as_script(tmp_path):
     ("montecarlo", "--seed", "-1"),
     ("simulate", "--seed", "-1"),
     ("simulate", "--run-index", "-1"),
+    ("simulate", "--run-index", str(2 ** 64)),
     ("audit", "--seed", "-1"),
 ])
 def test_bad_override_is_a_config_error(tmp_path, command, flag, value):

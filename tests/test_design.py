@@ -13,6 +13,7 @@ import scipy.linalg
 
 import sparseppc as sp
 from sparseppc import DegeneracyError, DesignError, ParameterError
+from sparseppc.design import _values
 
 from conftest import (BENCH_BETA, BENCH_EPS, BENCH_MU, BENCH_N,
                       random_reachable_plant, random_spd)
@@ -89,7 +90,7 @@ class TestOmegaAndValue:
         d = rng.standard_normal(2)
         mu = 1.5
         x = d * 0.9 * mu / (2.0 * np.max(np.abs(hm.G.T @ hm.H @ d)))
-        v = sp.value_function(hm, mu, Q, x)
+        v = _values(sp.LassoLaw(hm, mu), Q, x[None])[0][0]
         expected = float((hm.H @ x) @ (hm.H @ x)) + float(x @ Q @ x)
         np.testing.assert_allclose(v, expected, rtol=1e-12)
 
@@ -100,7 +101,7 @@ class TestOmegaAndValue:
         hm = sp.build_horizon_matrices(plant, 4, Q, np.eye(2))
         x = rng.standard_normal(2)
         mu = 0.7
-        v = sp.value_function(hm, mu, Q, x)
+        v = _values(sp.LassoLaw(hm, mu), Q, x[None])[0][0]
         # Any feasible u upper-bounds the optimum; 0 and LS are handy picks.
         for u in (np.zeros(4), sp.least_squares_packet(hm, x).u):
             resid = hm.G @ u - hm.H @ x
@@ -171,7 +172,7 @@ class TestL1L2Design:
         pkt = bench_l1l2.law(x)
         ref = sp.fista_l1l2(bench_l1l2.hm, BENCH_MU, x)
         np.testing.assert_allclose(pkt.u, ref.u, atol=1e-12)
-        assert pkt.solver_tag is sp.SolverTag.L1L2
+        assert pkt.family == "l1l2"
 
 
 class TestL0Design:
@@ -206,9 +207,38 @@ class TestL0Design:
             # Strict Loewner margins that OMP feasibility relies on.
             assert np.linalg.eigvalsh(des.Eps)[0] > 0.0
             assert np.linalg.eigvalsh(des.W - des.Wstar)[0] > 0.0
+            assert des.loewner_margin == pytest.approx(
+                np.linalg.eigvalsh(des.W - des.Wstar)[0], rel=1e-9)
             scale = 1.0 + np.linalg.norm(des.P, "fro")
             gap = des.Wstar - (des.P - Q)
-            assert np.linalg.norm(gap, "fro") <= 1e-8 * scale
+            assert des.wstar_defect == np.linalg.norm(gap, "fro")
+            assert des.wstar_defect <= 1e-8 * scale
+
+    def test_w_override_replaces_w_and_keeps_the_beta_constants(
+            self, bench_plant, bench_l0):
+        W = bench_l0.Wstar + 0.1 * np.eye(4)
+        W[0, 1] += 0.02                  # asymmetric: the law gets its mean
+        des = sp.design_l0(bench_plant, np.eye(4), BENCH_N, BENCH_BETA, W=W)
+        np.testing.assert_array_equal(des.W, 0.5 * (W + W.T))
+        np.testing.assert_array_equal(des.law.W, des.W)
+        assert des.loewner_margin == pytest.approx(
+            np.linalg.eigvalsh(des.W - des.Wstar)[0], rel=1e-12)
+        for field in ("Eps", "c", "rho", "c1", "Wstar", "wstar_defect"):
+            np.testing.assert_array_equal(getattr(des, field),
+                                          getattr(bench_l0, field))
+
+    @pytest.mark.parametrize("scale", [0.0, -1e-9, -0.5])
+    def test_w_override_must_strictly_dominate_wstar(self, bench_plant,
+                                                     bench_l0, scale):
+        # W* itself fails: the dominance must be strict.
+        W = bench_l0.Wstar + scale * np.eye(4)
+        with pytest.raises(DesignError, match="W does not strictly dominate"):
+            sp.design_l0(bench_plant, np.eye(4), BENCH_N, BENCH_BETA, W=W)
+
+    def test_w_override_of_the_wrong_shape_is_rejected(self, bench_plant):
+        with pytest.raises(ParameterError, match="shape"):
+            sp.design_l0(bench_plant, np.eye(4), BENCH_N, BENCH_BETA,
+                         W=np.eye(3))
 
     def test_rho_is_pencil_eigenvalue(self):
         rng = np.random.default_rng(81)
@@ -256,7 +286,7 @@ class TestL0Design:
         rng = np.random.default_rng(82)
         x = rng.standard_normal(4)
         pkt = bench_l0.law(x)
-        assert pkt.solver_tag is sp.SolverTag.L0_OMP
+        assert pkt.family == "l0"
         resid = bench_l0.hm.G @ pkt.u - bench_l0.hm.H @ x
         assert float(resid @ resid) <= float(x @ bench_l0.W @ x) + 1e-12
 

@@ -14,7 +14,8 @@ import pytest
 import scipy.linalg
 
 import sparseppc as sp
-from sparseppc import DegeneracyError, DesignError, SimulationRunError
+from sparseppc import (DegeneracyError, DesignError, ParameterError,
+                       SimulationRunError)
 from sparseppc.cli import build_controller, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -168,6 +169,66 @@ def test_one_row_view_is_a_row_of_the_batch(bench_laws, bench_states, name):
         pkt = law(x)
         np.testing.assert_array_equal(pkt.u, u)
         assert pkt.sparsity == s
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: sp.LinearLaw(d.hm, NAN),
+    lambda d: sp.LinearLaw(d.hm, INF),
+    lambda d: sp.ridge_packet(d.hm, NAN, np.ones(4)),
+    lambda d: sp.ridge_packet(d.hm, INF, np.ones(4)),
+    lambda d: sp.LassoLaw(d.hm, NAN),
+    lambda d: sp.LassoLaw(d.hm, INF),
+    lambda d: sp.omega_contains(d.hm, NAN, np.ones(4)),
+    lambda d: sp.solve_dare(d.plant, np.eye(4), NAN),
+    lambda d: sp.solve_dare(d.plant, np.eye(4), INF),
+    lambda d: sp.design_l1l2(d.plant, np.eye(4), NAN, 10, 1.0),
+    lambda d: sp.design_l1l2(d.plant, np.eye(4), 1.0, 10, NAN),
+    lambda d: sp.OmpLaw(d.hm, np.full((4, 4), NAN)),
+    lambda d: sp.design_l0(d.plant, np.eye(4), 10, 0.5,
+                           W=np.full((4, 4), INF)),
+], ids=["LinearLaw-r-nan", "LinearLaw-r-inf", "ridge_packet-r-nan",
+        "ridge_packet-r-inf", "LassoLaw-mu-nan", "LassoLaw-mu-inf",
+        "omega_contains-mu-nan", "solve_dare-r-nan", "solve_dare-r-inf",
+        "design_l1l2-mu-nan", "design_l1l2-epsilon-nan", "OmpLaw-W-nan",
+        "design_l0-W-inf"])
+def test_non_finite_parameter_is_a_parameter_error(bench_l1l2, call):
+    # Each used to return NaN or zero packets, False, or a SolverError
+    # after the full Riccati iteration budget.
+    with pytest.raises(ParameterError):
+        call(bench_l1l2)
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+@pytest.mark.parametrize("name", ["L1L2(i)", "OMP", "RIDGE", "LS"])
+def test_non_finite_state_is_a_parameter_error(bench_laws, bench_states,
+                                               name, bad):
+    # Before, OMP certified the zero packet feasible with a NaN slack, the
+    # l1l2 law returned the zero packet and the linear laws a NaN packet.
+    _, law = bench_laws[name]
+    X = bench_states[:3].copy()
+    X[1, 2] = bad
+    with pytest.raises(ParameterError, match="row 1"):
+        law.solve(X)
+    with pytest.raises(ParameterError):
+        law(X[1])
+
+
+@pytest.mark.parametrize("name", ["L1L2(i)", "OMP", "RIDGE", "LS"])
+def test_complex_state_is_a_parameter_error(bench_laws, name):
+    _, law = bench_laws[name]
+    with pytest.raises(ParameterError, match="real numbers"):
+        law.solve(np.ones((2, 4), dtype=complex))
+
+
+@pytest.mark.parametrize("name, family", [
+    ("L1L2(i)", "l1l2"), ("OMP", "l0"), ("RIDGE", "ridge"), ("LS", "ls")])
+def test_laws_and_packets_name_their_config_family(bench_laws, name, family):
+    spec_family, law = bench_laws[name]
+    assert law.family == spec_family == family
+    assert law(np.ones(4)).family == family
 
 
 def test_omp_singular_support_is_a_degeneracy_error():

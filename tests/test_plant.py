@@ -49,6 +49,16 @@ class TestPlantModel:
         with pytest.raises(ParameterError):
             sp.PlantModel(A=[[np.nan]], B=[1.0])
 
+    @pytest.mark.parametrize("A", [
+        [[1.0 + 1.0j]], np.array([[2.0 + 0.0j]]), [["2.0"]], [[1.0], [1.0, 2.0]],
+        [[{}]],
+    ], ids=["complex", "complex-real-valued", "string", "ragged", "object"])
+    def test_rejects_non_real_entries(self, A):
+        # Neither a raw TypeError or ValueError nor a ComplexWarning that
+        # drops the imaginary part.
+        with pytest.raises(ParameterError, match="real numbers"):
+            sp.PlantModel(A=A, B=[1.0])
+
     def test_arrays_are_frozen(self):
         plant = sp.PlantModel(A=np.eye(2), B=[1.0, 0.0])
         with pytest.raises(ValueError):

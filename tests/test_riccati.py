@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 import sparseppc as sp
-from sparseppc import ParameterError, SolverError
+from sparseppc import ParameterError, SolverError, riccati
 
 from conftest import random_reachable_plant, random_spd
 
@@ -133,7 +133,8 @@ def test_rejections():
         sp.solve_dare(sp.PlantModel(A=[[0.5]], B=[0.0]), [[1.0]])
 
 
-def test_iteration_budget_respected():
+def test_iteration_budget_respected(monkeypatch):
+    monkeypatch.setattr(riccati, "DARE_MAX_ITER", 3)
     plant = sp.PlantModel(A=[[1.0]], B=[1.0])
-    with pytest.raises(SolverError):
-        sp.solve_dare(plant, [[1.0]], r=1.0, max_iter=3)
+    with pytest.raises(SolverError, match="did not converge in 3 steps"):
+        sp.solve_dare(plant, [[1.0]], r=1.0)

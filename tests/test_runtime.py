@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import sparseppc
 from test_cli import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -97,3 +98,36 @@ def test_no_module_calls_a_one_row_view():
                 if name in ONE_ROW_VIEWS:
                     calls.append(f"{path.name}:{node.lineno} {name}")
     assert not calls, f"one-row views called in the package: {calls}"
+
+
+def test_cli_leaves_the_w_dominance_check_to_design_l0():
+    # W > W* is checked in one place, design_l0, config overrides included.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "eigvalsh"]
+    assert not calls, f"cli.py calls eigvalsh at lines {calls}"
+
+
+def test_public_surface_is_pinned():
+    # A name added to or removed from the package surface shows up here.
+    assert sparseppc.__all__ == [
+        "__version__",
+        "SparsePpcError", "ParameterError", "DegeneracyError", "SolverError",
+        "DesignError", "ProtocolError", "ConfigError", "SimulationRunError",
+        "PlantModel", "HorizonMatrices", "build_horizon_matrices", "propagate",
+        "check_reachability", "controllability_matrix", "require_spd",
+        "spd_sqrt",
+        "DareSolution", "solve_dare", "gain", "fixed_point_residual",
+        "Packet", "count_nonzero", "PacketLaw", "LinearLaw", "OmpLaw",
+        "LassoLaw", "least_squares_packet", "ridge_packet", "fista_l1l2",
+        "omp_l0",
+        "L1L2Design", "L0Design", "design_l1l2", "design_l0", "compute_wstar",
+        "omega_contains", "audit_value_sandwich", "audit_contraction_l1l2",
+        "audit_contraction_l0", "audit_residual_l0", "SandwichAudit",
+        "ContractionAuditL1L2", "ContractionAuditL0", "ResidualAudit",
+        "DropoutTrace", "SimTrace", "MonteCarloResult",
+        "gen_bounded_uniform_trace", "run_closed_loop", "run_conditions",
+        "monte_carlo",
+    ]
+    assert all(hasattr(sparseppc, name) for name in sparseppc.__all__)

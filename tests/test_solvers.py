@@ -102,7 +102,7 @@ class TestQuadraticPackets:
         pkt = sp.least_squares_packet(hm, [3.0])
         np.testing.assert_allclose(pkt.u, [-6.0, 0.0], atol=1e-12)
         assert pkt.sparsity == 1
-        assert pkt.solver_tag is sp.SolverTag.LS
+        assert pkt.family == "ls"
         assert pkt.certificate["normal_eq_residual"] <= 1e-8
 
     def test_least_squares_against_lstsq(self):
