@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegeneracyError, DesignError, ParameterError, SolverError
-from .plant import (HorizonMatrices, PlantModel, _frozen, _real,
+from .plant import (HorizonMatrices, PlantModel, _finite, _frozen, _real,
                     _state_vector, build_horizon_matrices, require_spd,
                     row_dot, row_matmul)
 from .riccati import solve_dare
@@ -71,7 +71,8 @@ def omega_contains(hm: HorizonMatrices, mu: float, x) -> bool:
     :class:`LassoLaw`'s own test on the same bits: the law returns the exact
     zero packet at each state accepted here and solves at each one rejected.
     """
-    if not 0.0 < mu < np.inf:
+    mu = _finite(mu, "mu")
+    if not 0.0 < mu:
         raise ParameterError(f"mu must be positive and finite, got {mu}")
     b = row_matmul(_state_vector(x, hm.H.shape[1])[None], hm.GtH)
     return bool(np.abs(b).max() <= 0.5 * mu)
@@ -167,11 +168,11 @@ def design_l1l2(plant: PlantModel, Q, mu: float, N: int,
 
         a1 = mu sqrt(n) sigma_max(Gdag H),   a2 = lambda_max(W*).
     """
-    mu = float(mu)
-    epsilon = float(epsilon)
-    if not 0.0 < mu < np.inf:
+    mu = _finite(mu, "mu")
+    epsilon = _finite(epsilon, "epsilon")
+    if not 0.0 < mu:
         raise ParameterError(f"mu must be positive and finite, got {mu}")
-    if not 0.0 < epsilon < np.inf:
+    if not 0.0 < epsilon:
         raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
     n = plant.n
     Q = require_spd(Q, n, "Q")
@@ -219,7 +220,7 @@ def design_l0(plant: PlantModel, Q, N: int, beta: float,
     ``rho`` still come from ``beta``.  Whichever ``W`` results must
     strictly dominate ``W*``, or :class:`DesignError` is raised.
     """
-    beta = float(beta)
+    beta = _finite(beta, "beta")
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must lie strictly in (0, 1), got {beta}")
     n = plant.n

@@ -102,7 +102,7 @@ def _integer(value, name: str, minimum: int) -> int:
 def _seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    return np.random.SeedSequence(int(seed))
+    return np.random.SeedSequence(_integer(seed, "seed", 0))
 
 
 def _generator(seed) -> np.random.Generator:

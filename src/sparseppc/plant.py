@@ -9,6 +9,7 @@ quadratic cost collapses to a static least-squares term ``||G u - H x||^2``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,10 +38,29 @@ def _real(M, name: str) -> np.ndarray:
                              f"{exc}") from exc
 
 
+def _finite(value, name: str) -> float:
+    # ``value`` as a finite real float, or ParameterError: a string, a
+    # complex number, None, an array, NaN, an infinity and an integer past
+    # the float range are refused.
+    if not (isinstance(value, (int, float, np.integer, np.floating))
+            and abs(value) <= sys.float_info.max):
+        raise ParameterError(f"{name} must be a finite real number, got "
+                             f"{value!r}")
+    return float(value)
+
+
 def _as_array(M, name: str) -> np.ndarray:
     arr = _real(M, name)
     if arr.size == 0 or not np.all(np.isfinite(arr)):
         raise ParameterError(f"{name} must be a finite, non-empty array")
+    return arr
+
+
+def _square(M, n: int, name: str) -> np.ndarray:
+    # ``M`` as a finite real ``n x n`` array, or ParameterError.
+    arr = _as_array(M, name)
+    if arr.shape != (n, n):
+        raise ParameterError(f"{name} must have shape ({n}, {n}), got {arr.shape}")
     return arr
 
 
@@ -49,9 +69,7 @@ def require_spd(M, n: int, name: str) -> np.ndarray:
 
     Returns the symmetrized copy.  Raises :class:`ParameterError` otherwise.
     """
-    arr = _as_array(M, name)
-    if arr.shape != (n, n):
-        raise ParameterError(f"{name} must have shape ({n}, {n}), got {arr.shape}")
+    arr = _square(M, n, name)
     if not np.allclose(arr, arr.T, rtol=0.0, atol=1e-10 * (1.0 + np.abs(arr).max())):
         raise ParameterError(f"{name} must be symmetric")
     sym = 0.5 * (arr + arr.T)
@@ -143,7 +161,7 @@ def propagate(plant: PlantModel, x: np.ndarray, u: float) -> np.ndarray:
     state advanced inside a batch of runs.
     """
     x = _state_vector(x, plant.n)[None]
-    return row_matmul(x, plant.A)[0] + plant.B[:, 0] * float(u)
+    return row_matmul(x, plant.A)[0] + plant.B[:, 0] * _finite(u, "u")
 
 
 def controllability_matrix(plant: PlantModel) -> np.ndarray:

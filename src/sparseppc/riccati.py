@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SolverError
-from .plant import PlantModel, check_reachability, require_spd, _frozen
+from .plant import (PlantModel, _finite, _frozen, _square,
+                    check_reachability, require_spd)
 
 # Stop once an iterate's Frobenius defect is at most DARE_TOL (1 + ||P||_F);
 # fail after DARE_MAX_ITER steps.
@@ -49,17 +50,25 @@ def _riccati_map(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
 
 
 def fixed_point_residual(plant: PlantModel, Q, r: float, P) -> float:
-    """Frobenius defect of ``P`` under the Riccati map."""
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    return float(np.linalg.norm(_riccati_map(plant.A, plant.B, Q, float(r), P) - P, "fro"))
+    """Frobenius defect of ``P`` under the Riccati map.
+
+    ``Q`` and ``P`` must be finite real ``n x n`` arrays and ``r`` a finite
+    real number, or :class:`ParameterError` is raised.
+    """
+    P, Q = _square(P, plant.n, "P"), _square(Q, plant.n, "Q")
+    return float(np.linalg.norm(
+        _riccati_map(plant.A, plant.B, Q, _finite(r, "r"), P) - P, "fro"))
 
 
 def gain(plant: PlantModel, P, r: float = 0.0) -> np.ndarray:
-    """Feedback row ``K = -(B' P B + r)^(-1) B' P A`` for a given ``P``."""
-    P = np.asarray(P, dtype=float)
+    """Feedback row ``K = -(B' P B + r)^(-1) B' P A`` for a given ``P``.
+
+    ``P`` must be a finite real ``n x n`` array and ``r`` a finite real
+    number, or :class:`ParameterError` is raised.
+    """
+    P = _square(P, plant.n, "P")
     B = plant.B
-    S = (B.T @ P @ B).item() + float(r)
+    S = (B.T @ P @ B).item() + _finite(r, "r")
     if S <= 0.0:
         raise ParameterError(
             f"B' P B + r must be positive, got {S:.3e}; P is not a valid "
@@ -86,8 +95,8 @@ def solve_dare(plant: PlantModel, Q, r: float = 0.0) -> DareSolution:
     """
     n = plant.n
     Q = require_spd(Q, n, "Q")
-    r = float(r)
-    if not 0.0 <= r < np.inf:
+    r = _finite(r, "r")
+    if not 0.0 <= r:
         raise ParameterError(f"r must be nonnegative and finite, got {r}")
     if not check_reachability(plant):
         raise ParameterError("plant (A, B) is not reachable")

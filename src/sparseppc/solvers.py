@@ -14,8 +14,8 @@ functions ``least_squares_packet``, ``ridge_packet``, ``fista_l1l2`` and
 
 Every product with a state goes through :func:`plant.row_matmul`, so a
 state's packet has the same bits alone or inside a batch of runs.  The one
-exception is the slack product of :class:`LassoLaw`'s cached-region test, a
-BLAS GEMM whose rounding may depend on the other rows.  That is safe: a row
+exception is :class:`LassoLaw`'s cached-region test, two BLAS GEMMs whose
+rounding may depend on the other rows.  That is safe: a row
 takes a region only with a relative margin of ``1e-9``, far above
 rounding, and its packet then comes from the region's map on
 ``row_matmul``, the same region the homotopy would reach.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, DesignError, ParameterError
-from .plant import (HorizonMatrices, _as_array, _frozen, _real,
+from .plant import (HorizonMatrices, _finite, _frozen, _real, _square,
                     _state_vector, row_dot, row_matmul)
 
 # An entry of a packet counts as nonzero when its magnitude exceeds this
@@ -67,7 +67,7 @@ def count_nonzero(u: np.ndarray) -> int:
 
     The count is invariant to rescaling ``u``; the zero vector counts 0.
     """
-    return int(_row_nonzeros(np.asarray(u, dtype=float).reshape(1, -1))[0])
+    return int(_row_nonzeros(_real(u, "u").reshape(1, -1))[0])
 
 
 class PacketLaw:
@@ -128,8 +128,8 @@ class LinearLaw(PacketLaw):
     """
 
     def __init__(self, hm: HorizonMatrices, r: float = 0.0):
-        r = float(r)
-        if not 0.0 <= r < np.inf:
+        r = _finite(r, "r")
+        if not 0.0 <= r:
             raise ParameterError(f"r must be nonnegative and finite, got {r}")
         self.hm, self.r = hm, r
         self.family = "ridge" if r > 0.0 else "ls"
@@ -259,26 +259,28 @@ class LassoLaw(PacketLaw):
     ``c_S = lam s_S`` on the support ``S`` with signs ``s`` and
     ``|c_j| <= lam`` off it, for ``lam = mu / 2``.  ``G'G`` is positive
     definite, so the minimizer is unique and piecewise affine in ``x``: one
-    region per ``(S, s)``, on which ``u = K b - c_r`` with
-    ``K = (G'G)_SS^(-1)`` zero-padded to ``N x N`` and ``c_r = lam K s``
+    region per ``(S, s)``, on which ``u = K b + off`` with
+    ``K = (G'G)_SS^(-1)`` zero-padded to ``N x N`` and ``off = -lam K s``
     (explicit MPC, Bemporad, Morari, Dua & Pistikopoulos 2002).
 
     The law caches the regions its states have reached, up to ``REGIONS``
-    of them.  The rows of one call outside the dead zone are tested against
-    every cached region at once (Tøndel, Johansen & Bemporad 2003): a row
-    takes a region when the region's ``u`` and ``c`` meet the conditions
-    with a relative margin of ``MARGIN``, ``s_i u_i > MARGIN ||K||_inf
-    ||b||_inf`` on ``S`` and ``|c_j| < lam - MARGIN ||b||_inf`` off it, and
-    no other cached region does.  The call's other rows walk the active-set
-    homotopy of Osborne, Presnell & Turlach (2000) from ``||b||_inf``, where
-    ``u = 0`` is optimal, down to ``lam``, all in lockstep as Batch-OMP
-    grows its supports (Rubinstein, Zibulevsky & Elad 2008).  The new
-    regions they reach are built in one stacked pass and join the cache in
-    the order the rows first reached them.  Either way the packet is the
-    region's map followed by one refinement pass on the normal equations
-    ``(G'G)_SS u_S = b_S - lam s``, so a packet has the same bits whatever
-    the cache held.  An entry left with the wrong sign is rounding at the
-    region's boundary and is set to zero.
+    of them, each as its signs, ``K``, ``off`` and ``||K||_inf``.  The rows
+    of one call outside the dead zone are tested against every cached
+    region at once (Tøndel, Johansen & Bemporad 2003): each region's packet
+    ``u`` and correlations ``c`` at the row are checked against the
+    region's own conditions with a relative margin of ``MARGIN``,
+    ``s_j u_j > MARGIN ||K||_inf ||b||_inf`` on ``S`` and
+    ``|c_j| < lam - MARGIN ||b||_inf`` off it, and a row takes the region
+    that passes if no other cached region does.  The call's other rows walk
+    the active-set homotopy of Osborne, Presnell & Turlach (2000) from
+    ``||b||_inf``, where ``u = 0`` is optimal, down to ``lam``, all in
+    lockstep as Batch-OMP grows its supports (Rubinstein, Zibulevsky & Elad
+    2008).  The new regions they reach are built in one stacked pass and
+    join the cache in the order the rows first reached them.  Either way
+    the packet is the region's map followed by one refinement pass on the
+    normal equations ``(G'G)_SS u_S = b_S - lam s``, so a packet has the
+    same bits whatever the cache held.  An entry left with the wrong sign
+    is rounding at the region's boundary and is set to zero.
 
     States in the dead zone ``||b||_inf <= mu / 2``, tested on the bits
     ``design.omega_contains`` tests, get the exact zero packet.  ``u``,
@@ -299,35 +301,35 @@ class LassoLaw(PacketLaw):
     REGIONS = 64
     # Relative margin of the cached-region test (see the class docstring).
     MARGIN = 1e-9
-    # Bound on the multiply-adds of one slack product, rows x regions x 3N
-    # x N.  It keeps each product under the 2^18 at which OpenBLAS splits a
-    # GEMM across threads: on a loaded 2-core host those hand-offs stalled
-    # a 500-run study up to tenfold.  A chunk holds at least one row, so
-    # past N = 36 a full cache's one-row chunk exceeds the bound.
+    # Bound on the multiply-adds of each of a region-test chunk's two
+    # GEMMs, rows x regions x N x N.  It keeps each GEMM under the 2^18 at
+    # which OpenBLAS splits it across threads: on a loaded 2-core host
+    # those hand-offs stalled a 500-run study up to tenfold.  A chunk holds
+    # at least one row, so from N = 64 a full cache's one-row chunk reaches
+    # the threshold.
     _TEST_MULADDS = 10 << 14
 
     def __init__(self, hm: HorizonMatrices, mu: float):
-        mu = float(mu)
-        if not 0.0 < mu < np.inf:
+        mu = _finite(mu, "mu")
+        if not 0.0 < mu:
             raise ParameterError(f"mu must be positive and finite, got {mu}")
         self.hm, self.mu = hm, mu
         # Region key (its signs as int8 bytes) -> slot in the arrays of
-        # ``_cache``, which are made when the first region is stored.
+        # ``_cache``: the signs, K, off and ||K||_inf of each cached region.
         self._keys: dict = {}
-        self._cache: tuple = ()
+        self._cache = (np.zeros((0, hm.N)), np.zeros((0, hm.N, hm.N)),
+                       np.zeros((0, hm.N)), np.zeros(0))
 
     def _regions(self, signs: np.ndarray) -> tuple:
-        """The stacked arrays of the regions whose signs are the rows of
-        ``signs`` (0 off the support).
+        """The signs, ``K``, ``off`` and ``||K||_inf`` of the regions whose
+        signs are the rows of ``signs`` (0 off the support), stacked.
 
-        The tests, bounds and scales of :meth:`_passes` come first, then
-        ``K``, ``off`` and the signs of :meth:`_refit`.  The ``(G'G)_SS``
-        inverses are one stacked solve per support size, over the sorted
-        support; every operation acts on each region as it would on that
-        region alone, so a region's arrays have the same bits whichever
-        regions it was built with and however it was reached.
+        The ``(G'G)_SS`` inverses are one stacked solve per support size,
+        over the sorted support; every operation acts on each region as it
+        would on that region alone, so a region's arrays have the same bits
+        whichever regions it was built with and however it was reached.
         """
-        GtG, N, lam = self.hm.GtG, self.hm.N, 0.5 * self.mu
+        GtG, N = self.hm.GtG, self.hm.N
         on = signs != 0.0
         size = on.sum(axis=1)
         K = np.zeros((len(signs), N, N))
@@ -337,80 +339,58 @@ class LassoLaw(PacketLaw):
             sub = S[:, :, None], S[:, None, :]
             K[(rows[:, None, None],) + sub] = np.linalg.solve(
                 GtG[sub], np.eye(k)[None])
-        c = lam * (K @ signs[:, :, None])[:, :, 0]
-        M = np.eye(N) - GtG @ K                  # c = M b + d
-        d = (GtG @ c[:, :, None])[:, :, 0]
-        # The tests map b to the slacks s_i u_i on S and lam -+ c_j off it,
-        # offset by the bounds; a slack must exceed MARGIN ||b||_inf times
-        # its scale, ||K||_inf on S and 1 off it.  No condition applies to
-        # u off S, nor to c on S.
-        free = np.concatenate((~on, on, on), axis=1)
-        tests = np.concatenate((signs[:, :, None] * K, -M, M), axis=1)
-        tests[free] = 0.0
-        bounds = np.concatenate((-signs * c, lam - d, lam + d), axis=1)
-        bounds[free] = np.inf
-        scales = np.ones((len(signs), 3 * N))
-        scales[:, :N] = np.abs(K).sum(axis=2).max(axis=1)[:, None]
-        return tests, bounds, scales, K, -c, signs
+        off = -0.5 * self.mu * (K @ signs[:, :, None])[:, :, 0]
+        return signs, K, off, np.abs(K).sum(axis=2).max(axis=1)
 
     def _learn(self, signs: np.ndarray) -> tuple:
-        """Slot of each walked row's region, and the ``K``, ``off`` and signs
-        of every slot.
+        """Slot of each walked row's region, and the table of every slot.
 
-        The regions not yet cached are built by one :meth:`_regions` call
-        and take the free slots in the order the rows first reached them.
-        Those left over when the cache is full take slots from ``REGIONS``
-        on, which only the returned arrays hold.
+        The table is the cache followed by the regions not yet in it, built
+        by one :meth:`_regions` call in the order the rows first reached
+        them.  The first ``REGIONS`` regions of the table stay cached.
         """
-        count = len(self._keys)
-        slots = np.empty(len(signs), dtype=int)
-        new, first = {}, []
-        for r, row in enumerate(signs.astype(np.int8)):
-            key = row.tobytes()
-            slot = self._keys.get(key, new.get(key))
-            if slot is None:
-                slot = new[key] = count + len(first)
+        keys = [row.tobytes() for row in signs.astype(np.int8)]
+        slots, first = dict(self._keys), []
+        for r, key in enumerate(keys):
+            if key not in slots:
+                slots[key] = len(slots)
                 first.append(r)
-            slots[r] = slot
-        if not first:
-            return slots, self._cache[3:]
-        fresh = self._regions(signs[first])
-        if not self._cache:
-            self._cache = tuple(np.empty((self.REGIONS,) + a.shape[1:])
-                                for a in fresh)
-        room = min(len(first), self.REGIONS - count)
-        for store, a in zip(self._cache, fresh):
-            store[count:count + room] = a[:room]
-        self._keys.update(list(new.items())[:room])
-        if room == len(first):
-            return slots, self._cache[3:]
-        return slots, [np.concatenate((a, f[room:]))
-                       for a, f in zip(self._cache[3:], fresh[3:])]
-
-    def _passes(self, tests, bounds, scales, B, bmax) -> np.ndarray:
-        """``(rows, regions)``: which regions meet the conditions at each row.
-
-        The slacks are one BLAS product, whose rounding may depend on the
-        other rows; that is safe because a row takes a region only with a
-        relative margin of ``MARGIN``, far above rounding.
-        """
-        rows, N = B.shape
-        slack = (B @ tests.reshape(-1, N).T).reshape(rows, -1, 3 * N) + bounds
-        return (slack > (self.MARGIN * bmax)[:, None, None] * scales).all(axis=2)
+        table = tuple(np.concatenate(pair) for pair in
+                      zip(self._cache, self._regions(signs[first])))
+        self._cache = tuple(a[:self.REGIONS] for a in table)
+        self._keys = {k: v for k, v in slots.items() if v < self.REGIONS}
+        return np.array([slots[key] for key in keys]), table
 
     def _match(self, B, bmax) -> np.ndarray:
-        """Cached region of each row; -1 if none or several pass."""
-        count = len(self._keys)
-        if not (count and B.shape[0]):
-            return np.full(B.shape[0], -1)
-        cached = [a[:count] for a in self._cache[:3]]
-        step = max(1, self._TEST_MULADDS // (count * 3 * self.hm.N ** 2))
-        ok = np.concatenate([self._passes(*cached, B[lo:lo + step],
-                                          bmax[lo:lo + step])
-                             for lo in range(0, B.shape[0], step)])
-        return np.where(ok.sum(axis=1) == 1, ok.argmax(axis=1), -1)
+        """Cached region of each row; -1 if none or several pass.
 
-    def _refit(self, K, off, signs, B) -> np.ndarray:
+        Each chunk of rows evaluates every cached region's packet with one
+        GEMM on ``b`` and its correlations with one GEMM by ``G'G``.  Their
+        rounding may depend on the other rows; that is safe because a row
+        takes a region only with a relative margin of ``MARGIN``, far above
+        rounding.  Both are laid out ``(N, regions, rows)``, so each test
+        reduces over the leading axis, one elementwise pass per entry.
+        """
+        signs, K, off, scale = self._cache
+        (rows, N), count = B.shape, len(signs)
+        if not (count and rows):
+            return np.full(rows, -1)
+        maps = K.transpose(1, 0, 2).reshape(-1, N)
+        on, signs, off = (a.T[:, :, None] for a in (signs != 0.0, signs, off))
+        lam = 0.5 * self.mu
+        step = max(1, self._TEST_MULADDS // (count * N * N))
+        ok = []
+        for lo in range(0, rows, step):
+            b = B[lo:lo + step].T
+            tol = self.MARGIN * bmax[lo:lo + step]
+            U = (maps @ b).reshape(N, count, -1) + off
+            C = b[:, None] - (self.hm.GtG @ U.reshape(N, -1)).reshape(U.shape)
+            ok.append(np.where(on, signs * U > tol * scale[:, None],
+                               np.abs(C) < lam - tol).all(axis=0))
+        ok = np.concatenate(ok, axis=1)
+        return np.where(ok.sum(axis=0) == 1, ok.argmax(axis=0), -1)
+
+    def _refit(self, signs, K, off, B) -> np.ndarray:
         # The region map of each row, one refinement pass on the normal
         # equations, and the boundary's wrong-signed rounding set to zero.
         U = _row_maps(K, B) + off
@@ -428,14 +408,14 @@ class LassoLaw(PacketLaw):
         B = b[active]
         slot = self._match(B, corr[active])
         miss = np.flatnonzero(slot < 0)
-        table = self._cache[3:]
+        table = self._cache
         if miss.size:
             signs, steps[active[miss]] = _lasso_path(GtG, B[miss], 0.5 * mu,
                                                      10 * hm.N)
             walked[active[miss]] = True
             slot[miss], table = self._learn(signs)
         if active.size:
-            U[active] = self._refit(*(a[slot] for a in table), B)
+            U[active] = self._refit(*(a[slot] for a in table[:3]), B)
 
         kkt = _kkt_residual(U, 2.0 * (row_matmul(U, GtG) - b), mu)
         resid = row_matmul(U, hm.G) - row_matmul(X, hm.H)
@@ -468,10 +448,7 @@ class OmpLaw(PacketLaw):
     family = "l0"
 
     def __init__(self, hm: HorizonMatrices, W):
-        n = hm.H.shape[1]
-        W = _as_array(W, "W")
-        if W.shape != (n, n):
-            raise ParameterError(f"W must have shape ({n}, {n}), got {W.shape}")
+        W = _square(W, hm.H.shape[1], "W")
         self.hm = hm
         self.W = 0.5 * (W + W.T)
 
@@ -538,7 +515,7 @@ def least_squares_packet(hm: HorizonMatrices, x) -> Packet:
 
 def ridge_packet(hm: HorizonMatrices, r: float, x) -> Packet:
     """Minimizer ``(G'G + r I)^(-1) G'Hx`` of ``||G u - H x||^2 + r ||u||^2``."""
-    r = float(r)
+    r = _finite(r, "r")
     if r <= 0.0:
         raise ParameterError(f"ridge weight r must be positive, got {r}")
     return LinearLaw(hm, r)(x)

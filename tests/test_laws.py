@@ -465,8 +465,7 @@ def test_a_state_in_two_cached_regions_walks_the_path(bench_laws):
     # Cache a second copy of the state's region: the state now passes two
     # regions, which is no unique answer, so it walks again.
     (r,) = law._keys.values()
-    for store in law._cache:
-        store[1] = store[r]
+    law._cache = tuple(np.concatenate((a, a[r:r + 1])) for a in law._cache)
     law._keys["copy"] = 1
     again = law(x)
     assert again.certificate["path_walked"]
@@ -486,6 +485,30 @@ def test_a_full_region_cache_gives_the_same_packets(bench_laws):
     solved = law.solve(X)
     assert law._keys == keys
     assert_same_packets(solved, fresh_lasso(bench_laws, "L1L2(i)").solve(X))
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("name", ["L1L2(i)", "L1L2(ii)"])
+def test_a_matched_row_is_in_the_region_the_path_reaches(bench_laws, name,
+                                                          full):
+    # The region test checks each cached region's own KKT conditions; the
+    # oracle is the homotopy, which knows nothing of the cache.
+    law = fresh_lasso(bench_laws, name)
+    law.packets(lasso_states(law, 2000, 7))
+    rng = np.random.default_rng(16)
+    while full and len(law._keys) < law.REGIONS:
+        law._learn(random_signs(rng, law.hm.N, rng.integers(1, law.hm.N + 1),
+                                1))
+    X = np.vstack((lasso_states(law, 2000, 8), boundary_states(law, 100, 17)))
+    B = sp.plant.row_matmul(X, law.hm.GtH)
+    bmax = np.abs(B).max(axis=1)
+    B, bmax = B[bmax > 0.5 * law.mu], bmax[bmax > 0.5 * law.mu]
+    slot = law._match(B, bmax)
+    hit = slot >= 0
+    assert hit.sum() > 0.7 * len(B)
+    signs, _ = sp.solvers._lasso_path(law.hm.GtG, B[hit], 0.5 * law.mu,
+                                      10 * law.hm.N)
+    np.testing.assert_array_equal(law._cache[0][slot[hit]], signs)
 
 
 @pytest.mark.parametrize("name, walks", [("L1L2(i)", 12), ("L1L2(ii)", 21)])
@@ -525,8 +548,9 @@ def random_signs(rng, N, size, count):
 
 
 def one_region(law, signs):
-    """The arrays of the region with these signs, built on its own the way
-    the law built one region at a time before it built them stacked."""
+    """The signs, ``K``, ``off`` and ``||K||_inf`` of the region with these
+    signs, built on its own the way the law built one region at a time
+    before it built them stacked."""
     GtG, N, lam = law.hm.GtG, law.hm.N, 0.5 * law.mu
     S = np.flatnonzero(signs)
     sub = np.ix_(S, S)
@@ -534,16 +558,7 @@ def one_region(law, signs):
     K[sub] = np.linalg.solve(GtG[sub], np.eye(len(S)))
     sign = np.zeros(N)
     sign[S] = signs[S]
-    c = lam * (K @ sign)
-    M, d = np.eye(N) - GtG @ K, GtG @ c
-    free = np.concatenate((sign == 0.0, sign != 0.0, sign != 0.0))
-    tests = np.vstack((sign[:, None] * K, -M, M))
-    tests[free] = 0.0
-    bounds = np.concatenate((-sign * c, lam - d, lam + d))
-    bounds[free] = np.inf
-    scales = np.ones(3 * N)
-    scales[:N] = np.abs(K).sum(axis=1).max()
-    return tests, bounds, scales, K, -c, sign
+    return sign, K, -(lam * (K @ sign)), np.abs(K).sum(axis=1).max()
 
 
 @pytest.mark.parametrize("name", ["L1L2(i)", "L1L2(ii)"])
@@ -608,15 +623,15 @@ def test_new_regions_are_cached_in_order_of_first_appearance(bench_laws):
                                if i >= 10]
     assert len(first) > room
     np.testing.assert_array_equal(slots, [first.index(i) for i in order])
-    np.testing.assert_array_equal(law._cache[5], pool[first[:room]])
-    np.testing.assert_array_equal(table[2], pool[first])
+    np.testing.assert_array_equal(law._cache[0], pool[first[:room]])
+    np.testing.assert_array_equal(table[0], pool[first])
     # Each region, kept or not, has the bits of its own build.
     for slot, i in enumerate(first):
         ref = one_region(law, pool[i])
         kept = law._cache if slot < room else ()
         for got, want in zip(kept, ref):
             assert got[slot].tobytes() == want.tobytes()
-        for got, want in zip(table, ref[3:]):
+        for got, want in zip(table, ref):
             assert got[slot].tobytes() == want.tobytes()
 
 
@@ -631,15 +646,23 @@ def test_region_test_chunks_stay_below_the_blas_threading_threshold(
     rng = np.random.default_rng(21)
     while len(law._keys) < law.REGIONS:
         law._learn(random_signs(rng, N, rng.integers(1, 4), 1))
-    chunks = []
-    passes = law._passes
+    gemms = []
 
-    def recording(tests, bounds, scales, B, bmax):
-        chunks.append((B.shape[0], tests.shape[0]))
-        return passes(tests, bounds, scales, B, bmax)
+    class Recording(np.ndarray):
+        # Records the (rows, inner, columns) of each 2-D matmul it enters.
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            inputs = [np.asarray(a) for a in inputs]
+            if ufunc is np.matmul and all(a.ndim == 2 for a in inputs):
+                gemms.append(inputs[0].shape + inputs[1].shape[1:])
+            return getattr(ufunc, method)(*inputs, **kwargs)
 
-    monkeypatch.setattr(law, "_passes", recording)
+    # The two GEMMs of the region test: the packets, by the cached K, and
+    # the correlations, by G'G.
+    signs, K, off, scale = law._cache
+    law._cache = signs, K.view(Recording), off, scale
+    monkeypatch.setitem(law.hm.__dict__, "GtG", law.hm.GtG.view(Recording))
     law.solve(rng.standard_normal((200, 4)))
-    assert chunks
-    for rows, regions in chunks:
-        assert rows * regions * 3 * N * N < 1 << 18, (rows, regions)
+    # Two GEMMs per chunk, over more than one chunk.
+    assert len(gemms) % 2 == 0 and len(gemms) > 2
+    for shape in gemms:
+        assert np.prod(shape) < 1 << 18, shape

@@ -669,6 +669,12 @@ class TestSeedsAndRunIndices:
         with pytest.raises(ParameterError, match="run_idx"):
             sp.run_conditions(small_plant, 3, 5, 0, run_idx)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, "x"])
+    def test_trace_refuses_a_bad_seed(self, seed):
+        # 1.5 used to run silently with seed 1.
+        with pytest.raises(ParameterError, match="seed"):
+            sp.gen_bounded_uniform_trace(10, 5, seed)
+
     def test_integer_arguments_refuse_bools(self, small_plant,
                                             small_designers):
         with pytest.raises(ParameterError, match="runs"):

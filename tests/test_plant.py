@@ -198,3 +198,25 @@ class TestHorizonMatrices:
         hm = sp.build_horizon_matrices(plant, 2, [[1.0]], [[1.0]])
         with pytest.raises(ValueError):
             hm.G[0, 0] = 9.0
+
+
+SCALAR = sp.PlantModel(A=[[2.0]], B=[1.0])
+SCALAR_HM = sp.build_horizon_matrices(SCALAR, 3, [[1.0]], [[1.0]])
+
+
+@pytest.mark.parametrize("value", ["x", 1.0 + 1.0j, None, np.nan, 10 ** 400],
+                         ids=["string", "complex", "none", "nan", "huge"])
+@pytest.mark.parametrize("name, call", [
+    ("mu", lambda v: sp.LassoLaw(SCALAR_HM, v)),
+    ("mu", lambda v: sp.design_l1l2(SCALAR, [[1.0]], v, 3, 1.0)),
+    ("mu", lambda v: sp.omega_contains(SCALAR_HM, v, [1.0])),
+    ("r", lambda v: sp.LinearLaw(SCALAR_HM, v)),
+    ("r", lambda v: sp.solve_dare(SCALAR, [[1.0]], v)),
+    ("beta", lambda v: sp.design_l0(SCALAR, [[1.0]], 3, v)),
+    ("u", lambda v: sp.propagate(SCALAR, [1.0], v)),
+], ids=["LassoLaw", "design_l1l2", "omega_contains", "LinearLaw",
+        "solve_dare", "design_l0", "propagate"])
+def test_scalar_arguments_must_be_finite_real_numbers(name, call, value):
+    # Not a raw ValueError or TypeError from float(), and no NaN input.
+    with pytest.raises(ParameterError, match=name):
+        call(value)

@@ -133,6 +133,33 @@ def test_rejections():
         sp.solve_dare(sp.PlantModel(A=[[0.5]], B=[0.0]), [[1.0]])
 
 
+@pytest.mark.parametrize("P", [[[np.nan]], [[1.0 + 1.0j]], [[1.0, 0.0]]],
+                         ids=["nan", "complex", "wrong-shape"])
+def test_gain_refuses_a_bad_p(P):
+    # Unchecked, these gave [[nan]], a raw TypeError and a raw matmul
+    # ValueError.
+    plant = sp.PlantModel(A=[[2.0]], B=[1.0])
+    with pytest.raises(ParameterError, match="P"):
+        sp.gain(plant, P)
+
+
+def test_gain_refuses_a_nan_r():
+    plant = sp.PlantModel(A=[[2.0]], B=[1.0])
+    with pytest.raises(ParameterError, match="r"):
+        sp.gain(plant, [[1.0]], np.nan)
+
+
+@pytest.mark.parametrize("r, P", [
+    (np.nan, [[1.0]]), (1.0, [[np.nan]]), (1.0, [[1.0 + 1.0j]]),
+    (1.0, np.eye(2)),
+], ids=["nan-r", "nan-P", "complex-P", "wrong-shape-P"])
+def test_fixed_point_residual_refuses_bad_input(r, P):
+    # Unchecked, a NaN r or P gave a NaN residual.
+    plant = sp.PlantModel(A=[[2.0]], B=[1.0])
+    with pytest.raises(ParameterError):
+        sp.fixed_point_residual(plant, [[1.0]], r, P)
+
+
 def test_iteration_budget_respected(monkeypatch):
     monkeypatch.setattr(riccati, "DARE_MAX_ITER", 3)
     plant = sp.PlantModel(A=[[1.0]], B=[1.0])

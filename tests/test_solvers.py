@@ -131,6 +131,10 @@ class TestQuadraticPackets:
         np.testing.assert_allclose(M @ pkt.u, hm.G.T @ hm.H @ x,
                                    atol=1e-9, rtol=1e-9)
 
+    def test_count_nonzero_refuses_complex_entries(self):
+        with pytest.raises(ParameterError):
+            sp.count_nonzero([1.0 + 1.0j, 0.0])
+
     def test_ridge_rejects_nonpositive_r(self):
         rng = np.random.default_rng(1)
         hm = toy_hm(rng)
