@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +26,8 @@ from .design import (audit_contraction_l0, audit_contraction_l1l2,
 from .errors import (ConfigError, DesignError, ParameterError, ProtocolError,
                      SimulationRunError, SolverError, SparsePpcError, each_row)
 from .netsim import _generator, monte_carlo, run_closed_loop, run_conditions
-from .plant import PlantModel, build_horizon_matrices
+from .plant import (PlantModel, _finite, _integer, _positive, _square,
+                    build_horizon_matrices)
 from .riccati import fixed_point_residual, solve_dare
 from .solvers import LinearLaw
 
@@ -48,48 +49,23 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
-def _finite(values: np.ndarray, name: str) -> np.ndarray:
-    # Python's json reads NaN and Infinity as numbers.
-    _require(bool(np.isfinite(values).all()), f"{name} must be finite")
-    return values
+@contextmanager
+def _config_checks(section: str = ""):
+    """Raise the ParameterError of a library check as a ConfigError; a
+    ``section`` such as ``"plant."`` prefixes the argument it names."""
+    try:
+        yield
+    except ParameterError as exc:
+        raise ConfigError(section + str(exc)) from exc
 
 
-def _as_number(value, name: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"{name} must be a number, got {value!r}")
-    _require(math.isfinite(value), f"{name} must be finite")
-    return float(value)
-
-
-def _as_int(value, name: str, minimum: int = 0) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"{name} must be an integer, got {value!r}")
-    _require(value >= minimum, f"{name} must be >= {minimum}, got {value}")
-    return int(value)
-
-
-def _as_matrix(value, name: str) -> np.ndarray:
-    _require(isinstance(value, list) and value,
-             f"{name} must be a non-empty nested list of rows")
-    for row in value:
-        _require(isinstance(row, list) and len(row) == len(value[0]),
-                 f"{name} rows must be lists of equal length")
-        for entry in row:
-            _require(isinstance(entry, (int, float)) and not isinstance(entry, bool),
-                     f"{name} entries must be numbers")
-    return _finite(np.asarray(value, dtype=float), name)
-
-
-def _as_vector(value, name: str) -> np.ndarray:
-    _require(isinstance(value, list) and value, f"{name} must be a non-empty list")
-    if all(isinstance(v, list) for v in value):
-        mat = _as_matrix(value, name)
-        _require(mat.shape[1] == 1, f"{name} must be a column (n x 1)")
-        return mat[:, 0]
-    for entry in value:
-        _require(isinstance(entry, (int, float)) and not isinstance(entry, bool),
-                 f"{name} entries must be numbers")
-    return _finite(np.asarray(value, dtype=float), name)
+def _no_bools(value, name: str):
+    # JSON true and false would reach the numpy checks as 1 and 0.
+    _require(not isinstance(value, bool),
+             f"{name} entries must be numbers, got {value!r}")
+    for entry in value if isinstance(value, list) else ():
+        _no_bools(entry, name)
+    return value
 
 
 @dataclass(frozen=True)
@@ -106,6 +82,7 @@ class ExperimentConfig:
     seed: int
 
 
+@_config_checks()
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a JSON experiment config.  Raises ConfigError."""
     path = Path(path)
@@ -113,7 +90,9 @@ def load_config(path) -> ExperimentConfig:
         raw = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # Bad JSON, a file that is not UTF-8, or an integer past Python's
+        # digit limit for int-to-string conversion.
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "top level of the config must be an object")
 
@@ -125,21 +104,17 @@ def load_config(path) -> ExperimentConfig:
     plant_raw = raw["plant"]
     _require(isinstance(plant_raw, dict) and {"A", "B"} <= set(plant_raw),
              "plant must be an object with keys 'A' and 'B'")
-    A = _as_matrix(plant_raw["A"], "plant.A")
-    B = _as_vector(plant_raw["B"], "plant.B")
-    try:
+    A, B = (_no_bools(plant_raw[key], f"plant.{key}") for key in "AB")
+    with _config_checks("plant."):
         plant = PlantModel(A=A, B=B)
-    except ParameterError as exc:
-        raise ConfigError(f"invalid plant: {exc}") from exc
     n = plant.n
 
-    horizon = _as_int(raw["horizon"], "horizon", minimum=1)
+    horizon = _integer(raw["horizon"], "horizon", 1)
 
-    if "Q" in raw:
-        Q = _as_matrix(raw["Q"], "Q")
-        _require(Q.shape == (n, n), f"Q must be {n}x{n}")
-    else:
-        Q = np.eye(n)
+    def weight(value, name):
+        return _square(_no_bools(value, name), n, name)
+
+    Q = weight(raw["Q"], "Q") if "Q" in raw else np.eye(n)
 
     ctrl_raw = raw["controllers"]
     _require(isinstance(ctrl_raw, list) and ctrl_raw,
@@ -164,39 +139,32 @@ def load_config(path) -> ExperimentConfig:
         allowed = {"name", "family", "Q"}
         spec: dict = {"name": name, "family": family}
         if "Q" in item:
-            Qc = _as_matrix(item["Q"], f"{where}.Q")
-            _require(Qc.shape == (n, n), f"{where}.Q must be {n}x{n}")
-            spec["Q"] = Qc
+            spec["Q"] = weight(item["Q"], f"{where}.Q")
         if family == "l1l2":
             allowed |= {"mu", "epsilon", "r"}
             _require("mu" in item, f"{where} (l1l2) needs 'mu'")
-            spec["mu"] = _as_number(item["mu"], f"{where}.mu")
-            _require(spec["mu"] > 0, f"{where}.mu must be positive")
+            mu = spec["mu"] = _positive(item["mu"], f"{where}.mu")
             has_eps, has_r = "epsilon" in item, "r" in item
             _require(has_eps != has_r,
                      f"{where} (l1l2) needs exactly one of 'epsilon' or 'r'")
             if has_eps:
-                spec["epsilon"] = _as_number(item["epsilon"], f"{where}.epsilon")
-                _require(spec["epsilon"] > 0, f"{where}.epsilon must be positive")
+                spec["epsilon"] = _positive(item["epsilon"], f"{where}.epsilon")
             else:
-                r = _as_number(item["r"], f"{where}.r")
-                _require(r > 0, f"{where}.r must be positive")
-                spec["epsilon"] = spec["mu"] ** 2 * horizon / (4.0 * r)
+                r = _positive(item["r"], f"{where}.r")
+                spec["epsilon"] = _finite(mu * mu * horizon / (4.0 * r),
+                                          f"{where}.epsilon = mu^2 N / (4 r)")
         elif family == "l0":
             allowed |= {"beta", "W"}
             _require("beta" in item, f"{where} (l0) needs 'beta'")
-            spec["beta"] = _as_number(item["beta"], f"{where}.beta")
+            spec["beta"] = _finite(item["beta"], f"{where}.beta")
             _require(0.0 < spec["beta"] < 1.0,
                      f"{where}.beta must lie strictly in (0, 1)")
             if "W" in item:
-                Wov = _as_matrix(item["W"], f"{where}.W")
-                _require(Wov.shape == (n, n), f"{where}.W must be {n}x{n}")
-                spec["W"] = Wov
+                spec["W"] = weight(item["W"], f"{where}.W")
         elif family == "ridge":
             allowed |= {"r"}
             _require("r" in item, f"{where} (ridge) needs 'r'")
-            spec["r"] = _as_number(item["r"], f"{where}.r")
-            _require(spec["r"] > 0, f"{where}.r must be positive")
+            spec["r"] = _positive(item["r"], f"{where}.r")
         extra = set(item) - allowed
         _require(not extra, f"{where} has unknown keys {sorted(extra)}")
         controllers.append(spec)
@@ -211,8 +179,8 @@ def load_config(path) -> ExperimentConfig:
         _require(model == "bounded_uniform",
                  f"unknown channel model {model!r}; only 'bounded_uniform' is supported")
         if "receptions_between_bursts" in chan:
-            channel_gap = _as_int(chan["receptions_between_bursts"],
-                                  "channel.receptions_between_bursts", minimum=1)
+            channel_gap = _integer(chan["receptions_between_bursts"],
+                                   "channel.receptions_between_bursts", 1)
 
     runs, T, seed = 500, 100, 0
     if "run" in raw:
@@ -221,11 +189,11 @@ def load_config(path) -> ExperimentConfig:
         _require(set(run) <= {"runs", "T", "seed", "threads"},
                  "run accepts only 'runs', 'T', 'seed', 'threads'")
         if "runs" in run:
-            runs = _as_int(run["runs"], "run.runs", minimum=1)
+            runs = _integer(run["runs"], "run.runs", 1)
         if "T" in run:
-            T = _as_int(run["T"], "run.T", minimum=1)
+            T = _integer(run["T"], "run.T", 1)
         if "seed" in run:
-            seed = _as_int(run["seed"], "run.seed", minimum=0)
+            seed = _integer(run["seed"], "run.seed", 0)
         # Older configs may still carry the removed thread-pool size.
         threads = run.get("threads", 1)
         _require(type(threads) is int and threads == 1,
@@ -381,17 +349,14 @@ def cmd_design(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
-    run_index = _as_int(args.run_index, "--run-index", minimum=0)
-    _require(run_index >> 64 == 0,
-             f"--run-index must be below 2**64, got {run_index}")
     built = _build_all(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     # A replay of one Monte Carlo run of a study with the same seed.
     x0, trace = run_conditions(cfg.plant, cfg.horizon, cfg.T, cfg.seed,
-                               run_index, cfg.channel_gap)
-    payload = {"seed": cfg.seed, "run_index": run_index, "T": cfg.T,
+                               args.run_index, cfg.channel_gap)
+    payload = {"seed": cfg.seed, "run_index": args.run_index, "T": cfg.T,
                "dropped": [bool(v) for v in trace.d], "controllers": {}}
     for ctrl in built:
         sim = run_closed_loop(cfg.plant, ctrl.designer, trace, x0, cfg.T)
@@ -403,7 +368,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
         }
     _write_json(out / "simulate.json", payload)
     print(f"simulated {cfg.T} steps for {len(built)} controller(s) "
-          f"(seed {cfg.seed}, run {run_index})")
+          f"(seed {cfg.seed}, run {args.run_index})")
     return EXIT_OK
 
 
@@ -538,17 +503,25 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_config_checks()
 def _with_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    """Apply ``--seed``/``--runs``, held to the config's minima.
+    """Apply ``--seed``/``--runs``, held to the config's minima, and check
+    ``--run-index`` and the horizon where the command uses them.
 
-    ``audit --runs 0`` is allowed and audits nothing.
+    ``audit --runs 0`` is allowed and audits nothing.  The dropout traces
+    of ``simulate`` and ``montecarlo`` need ``horizon >= 2``.
     """
     changes = {}
     for key, minimum in (("seed", 0),
                          ("runs", 0 if args.command == "audit" else 1)):
         value = getattr(args, key, None)
         if value is not None:
-            changes[key] = _as_int(value, f"--{key}", minimum)
+            changes[key] = _integer(value, f"--{key}", minimum)
+    if args.command in ("simulate", "montecarlo"):
+        _integer(cfg.horizon, "horizon", 2)
+    if args.command == "simulate":
+        _require(_integer(args.run_index, "--run-index", 0) >> 64 == 0,
+                 f"--run-index must be below 2**64, got {args.run_index}")
     return dataclasses.replace(cfg, **changes)
 
 

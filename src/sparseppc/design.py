@@ -22,9 +22,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegeneracyError, DesignError, ParameterError, SolverError
-from .plant import (HorizonMatrices, PlantModel, _finite, _frozen, _real,
-                    _state_vector, build_horizon_matrices, require_spd,
-                    row_dot, row_matmul)
+from .plant import (HorizonMatrices, PlantModel, _finite, _frozen, _integer,
+                    _positive, _real, _state_vector, build_horizon_matrices,
+                    require_spd, row_dot, row_matmul)
 from .riccati import solve_dare
 from .solvers import LassoLaw, LinearLaw, OmpLaw
 
@@ -71,9 +71,7 @@ def omega_contains(hm: HorizonMatrices, mu: float, x) -> bool:
     :class:`LassoLaw`'s own test on the same bits: the law returns the exact
     zero packet at each state accepted here and solves at each one rejected.
     """
-    mu = _finite(mu, "mu")
-    if not 0.0 < mu:
-        raise ParameterError(f"mu must be positive and finite, got {mu}")
+    mu = _positive(mu, "mu")
     b = row_matmul(_state_vector(x, hm.H.shape[1])[None], hm.GtH)
     return bool(np.abs(b).max() <= 0.5 * mu)
 
@@ -168,12 +166,8 @@ def design_l1l2(plant: PlantModel, Q, mu: float, N: int,
 
         a1 = mu sqrt(n) sigma_max(Gdag H),   a2 = lambda_max(W*).
     """
-    mu = _finite(mu, "mu")
-    epsilon = _finite(epsilon, "epsilon")
-    if not 0.0 < mu:
-        raise ParameterError(f"mu must be positive and finite, got {mu}")
-    if not 0.0 < epsilon:
-        raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
+    mu, epsilon = _positive(mu, "mu"), _positive(epsilon, "epsilon")
+    N = _integer(N, "N", 1)
     n = plant.n
     Q = require_spd(Q, n, "Q")
 
@@ -198,7 +192,7 @@ def design_l1l2(plant: PlantModel, Q, mu: float, N: int,
             "sandwich constants do not certify this plant"
         )
     R = float(np.sqrt((epsilon / lam_min_q + 0.25) / (1.0 - rho)))
-    return L1L2Design(plant=plant, Q=_frozen(Q), mu=mu, N=int(N),
+    return L1L2Design(plant=plant, Q=_frozen(Q), mu=mu, N=N,
                       epsilon=epsilon, r=r, P=dare.P, K=dare.K,
                       a1=a1, a2=a2, lam_min_q=lam_min_q, lam_max_q=lam_max_q,
                       rho=rho, R=R, Wstar=Wstar, hm=hm)

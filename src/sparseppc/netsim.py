@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (ParameterError, ProtocolError, SimulationRunError,
                      each_row)
-from .plant import PlantModel, _state_vector, row_matmul
+from .plant import PlantModel, _integer, _state_vector, row_matmul
 
 
 @dataclass(frozen=True)
@@ -87,16 +87,6 @@ def _check_flags(D: np.ndarray, N_bound: int) -> None:
         raise ParameterError(
             f"dropout burst longer than N_bound - 1 = {N_bound - 1}"
         )
-
-
-def _integer(value, name: str, minimum: int) -> int:
-    """``value`` as an ``int``, or ParameterError unless it is an integer
-    (not a ``bool``) of at least ``minimum``."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < minimum):
-        raise ParameterError(f"{name} must be an integer >= {minimum}, "
-                             f"got {value!r}")
-    return int(value)
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:

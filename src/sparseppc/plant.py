@@ -33,26 +33,46 @@ def _real(M, name: str) -> np.ndarray:
         if arr.dtype.kind not in "biufO":
             raise TypeError(f"entries of dtype {arr.dtype}")
         return arr.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
+        # An integer past the float range overflows in the cast.
         raise ParameterError(f"{name} must be an array of real numbers: "
                              f"{exc}") from exc
 
 
 def _finite(value, name: str) -> float:
-    # ``value`` as a finite real float, or ParameterError: a string, a
-    # complex number, None, an array, NaN, an infinity and an integer past
+    # ``value`` as a finite real float, or ParameterError: a bool, a string,
+    # a complex number, None, an array, NaN, an infinity and an integer past
     # the float range are refused.
-    if not (isinstance(value, (int, float, np.integer, np.floating))
-            and abs(value) <= sys.float_info.max):
-        raise ParameterError(f"{name} must be a finite real number, got "
-                             f"{value!r}")
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ParameterError(f"{name} must be finite")
     return float(value)
+
+
+def _positive(value, name: str) -> float:
+    # ``value`` as a finite float above zero, or ParameterError.
+    value = _finite(value, name)
+    if not value > 0.0:
+        raise ParameterError(f"{name} must be positive, got {value}")
+    return value
+
+
+def _integer(value, name: str, minimum: int) -> int:
+    # ``value`` as an ``int``, or ParameterError unless it is an integer
+    # (not a bool) of at least ``minimum`` and inside the float range.
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or _finite(value, name) < minimum):
+        raise ParameterError(f"{name} must be an integer >= {minimum}, "
+                             f"got {value!r}")
+    return int(value)
 
 
 def _as_array(M, name: str) -> np.ndarray:
     arr = _real(M, name)
-    if arr.size == 0 or not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{name} must be a finite, non-empty array")
+    if not np.isfinite(arr).all():
+        raise ParameterError(f"{name} must be finite")
     return arr
 
 
@@ -119,8 +139,9 @@ class PlantModel:
 
     def __post_init__(self):
         A = _as_array(self.A, "A")
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ParameterError(f"A must be square, got shape {A.shape}")
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+            raise ParameterError(f"A must be square and non-empty, got shape "
+                                 f"{A.shape}")
         n = A.shape[0]
         B = _as_array(self.B, "B")
         if B.ndim == 1:
@@ -241,9 +262,7 @@ def build_horizon_matrices(plant: PlantModel, N: int, Q, P) -> HorizonMatrices:
         If the weighted input map has numerically dependent columns, which
         would make ``G^T G`` singular.
     """
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 1:
-        raise ParameterError(f"N must be a positive integer, got {N!r}")
-    N = int(N)
+    N = _integer(N, "N", 1)
     n = plant.n
     Q = require_spd(Q, n, "Q")
     P = require_spd(P, n, "P")

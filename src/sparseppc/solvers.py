@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, DesignError, ParameterError
-from .plant import (HorizonMatrices, _finite, _frozen, _real, _square,
-                    _state_vector, row_dot, row_matmul)
+from .plant import (HorizonMatrices, _as_array, _finite, _frozen, _positive,
+                    _real, _square, _state_vector, row_dot, row_matmul)
 
 # An entry of a packet counts as nonzero when its magnitude exceeds this
 # fraction of the packet's largest entry.
@@ -67,7 +67,7 @@ def count_nonzero(u: np.ndarray) -> int:
 
     The count is invariant to rescaling ``u``; the zero vector counts 0.
     """
-    return int(_row_nonzeros(_real(u, "u").reshape(1, -1))[0])
+    return int(_row_nonzeros(_as_array(u, "u").reshape(1, -1))[0])
 
 
 class PacketLaw:
@@ -310,10 +310,7 @@ class LassoLaw(PacketLaw):
     _TEST_MULADDS = 10 << 14
 
     def __init__(self, hm: HorizonMatrices, mu: float):
-        mu = _finite(mu, "mu")
-        if not 0.0 < mu:
-            raise ParameterError(f"mu must be positive and finite, got {mu}")
-        self.hm, self.mu = hm, mu
+        self.hm, self.mu = hm, _positive(mu, "mu")
         # Region key (its signs as int8 bytes) -> slot in the arrays of
         # ``_cache``: the signs, K, off and ||K||_inf of each cached region.
         self._keys: dict = {}
@@ -515,10 +512,7 @@ def least_squares_packet(hm: HorizonMatrices, x) -> Packet:
 
 def ridge_packet(hm: HorizonMatrices, r: float, x) -> Packet:
     """Minimizer ``(G'G + r I)^(-1) G'Hx`` of ``||G u - H x||^2 + r ||u||^2``."""
-    r = _finite(r, "r")
-    if r <= 0.0:
-        raise ParameterError(f"ridge weight r must be positive, got {r}")
-    return LinearLaw(hm, r)(x)
+    return LinearLaw(hm, _positive(r, "r"))(x)
 
 
 def fista_l1l2(hm: HorizonMatrices, mu: float, x) -> Packet:

@@ -226,6 +226,122 @@ class TestExitCodes:
         assert not out.exists()
 
 
+def benchmark_variant():
+    """``configs/benchmark.json`` with every number key present: an
+    ``epsilon``-form ``l1l2`` entry, a global ``Q`` and an ``l0`` ``W``."""
+    cfg = json.loads((ROOT / "configs" / "benchmark.json").read_text())
+    cfg["controllers"][1] = {"name": "L1L2(ii)", "family": "l1l2",
+                             "mu": 3.3, "epsilon": 2.0}
+    cfg["Q"] = np.eye(4).tolist()
+    cfg["controllers"][2]["W"] = np.eye(4).tolist()
+    cfg["run"] = {"runs": 5, "T": 10, "seed": 0}
+    return cfg
+
+
+# Each config number: where it sits (a matrix key names one of its
+# entries), and whether it must have a sign.
+NUMBER_KEYS = {
+    "plant.A": (("plant", "A", 0, 1), False),
+    "plant.B": (("plant", "B", 2), False),
+    "Q": (("Q", 1, 2), False),
+    "horizon": (("horizon",), True),
+    "controllers[0].mu": (("controllers", 0, "mu"), True),
+    "controllers[1].epsilon": (("controllers", 1, "epsilon"), True),
+    "controllers[0].r": (("controllers", 0, "r"), True),
+    "controllers[3].r": (("controllers", 3, "r"), True),
+    "controllers[2].beta": (("controllers", 2, "beta"), True),
+    "controllers[2].W": (("controllers", 2, "W", 0, 3), False),
+    "channel.receptions_between_bursts":
+        (("channel", "receptions_between_bursts"), True),
+    "run.runs": (("run", "runs"), True),
+    "run.T": (("run", "T"), True),
+    "run.seed": (("run", "seed"), True),
+}
+BAD_NUMBERS = {
+    "true": True,
+    "string": "1",
+    "null": None,
+    "400-digit": 10 ** 400,
+    "nan": float("nan"),
+    "infinity": float("inf"),
+    "negative": -1,
+}
+
+
+def set_at(cfg, where, value):
+    node = cfg
+    for step in where[:-1]:
+        node = node[step]
+    node[where[-1]] = value
+
+
+def assert_config_error(tmp_path, capsys, cfg, command="montecarlo"):
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    # An exception escaping main would be a traceback from the command.
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:"), err
+    assert "Traceback" not in err
+    assert not out.exists()
+    return err
+
+
+@pytest.mark.parametrize("key, kind", [
+    (key, kind) for key, (_, signed) in NUMBER_KEYS.items()
+    for kind in BAD_NUMBERS if signed or kind != "negative"])
+def test_bad_config_number_exits_2(tmp_path, capsys, key, kind):
+    # Every config number goes through the library's number, integer or
+    # matrix check; whatever it refuses is a config error naming the key.
+    cfg = benchmark_variant()
+    set_at(cfg, NUMBER_KEYS[key][0], BAD_NUMBERS[kind])
+    err = assert_config_error(tmp_path, capsys, cfg)
+    assert err.startswith(f"config error: {key} "), err
+
+
+@pytest.mark.parametrize("change", [
+    # mu ** 2 overflowed: epsilon = mu^2 N / (4 r) is past the float range.
+    lambda c: c["controllers"][0].update(mu=1e308),
+    # An r-form entry with a horizon past the float range.
+    lambda c: c.update(horizon=10 ** 400),
+    lambda c: c["plant"]["A"][0].__setitem__(1, True),
+    lambda c: c["run"].update(threads=1.0),
+], ids=["mu-squared", "horizon", "true-in-row", "threads-float"])
+def test_out_of_range_number_exits_2(tmp_path, capsys, change):
+    cfg = benchmark_variant()
+    change(cfg)
+    assert_config_error(tmp_path, capsys, cfg, command="design")
+
+
+@pytest.mark.parametrize("content", [
+    json.dumps(variant()).replace('"T": 8', '"T": 1' + "0" * 5000).encode(),
+    b"\xff\xfe{}",
+], ids=["5000-digit", "not-utf-8"])
+def test_unreadable_config_text_exits_2(tmp_path, capsys, content):
+    # Python's json refuses an integer of more than 4300 digits, and
+    # read_text a file that is not UTF-8, with a plain ValueError rather
+    # than a JSONDecodeError.
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert main(["design", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+def test_horizon_one_is_a_config_error_for_dropout_traces(tmp_path, capsys,
+                                                          command):
+    # A bounded-uniform trace needs N >= 2; design and audit take N = 1.
+    cfg = variant(horizon=1)
+    err = assert_config_error(tmp_path, capsys, cfg, command=command)
+    assert err == "config error: horizon must be an integer >= 2, got 1\n"
+    path = write_config(tmp_path, cfg)
+    for other in ("design", "audit"):
+        assert main([other, "--config", str(path), "--out",
+                     str(tmp_path / other)]) == 0
+
+
 class TestDesignCommand:
     def test_scalar_deadbeat_report(self, tmp_path, capsys):
         cfg = {

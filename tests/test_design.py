@@ -159,6 +159,14 @@ class TestL1L2Design:
         with pytest.raises(ParameterError):
             sp.design_l1l2(plant, [[1.0]], 1.0, 2, -1.0)
 
+    @pytest.mark.parametrize("N", ["3", -1, 0, 2.0, True])
+    def test_rejects_a_bad_horizon_before_using_it(self, N):
+        # r = mu^2 N / (4 epsilon) comes after the check, so a string is
+        # not a raw TypeError and N = -1 is not reported as a negative r.
+        plant = sp.PlantModel(A=[[2.0]], B=[1.0])
+        with pytest.raises(ParameterError, match="N must be an integer"):
+            sp.design_l1l2(plant, [[1.0]], 1.0, N, 1.0)
+
     def test_benchmark_constants_frozen(self, bench_l1l2):
         assert bench_l1l2.r == pytest.approx(4.1042, rel=1e-12)
         assert bench_l1l2.a1 == pytest.approx(44.330408787806, rel=1e-9)

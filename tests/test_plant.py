@@ -220,3 +220,31 @@ def test_scalar_arguments_must_be_finite_real_numbers(name, call, value):
     # Not a raw ValueError or TypeError from float(), and no NaN input.
     with pytest.raises(ParameterError, match=name):
         call(value)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_],
+                         ids=["true", "false", "numpy-true"])
+@pytest.mark.parametrize("name, call", [
+    ("mu", lambda v: sp.LassoLaw(SCALAR_HM, v)),
+    ("mu", lambda v: sp.design_l1l2(SCALAR, [[1.0]], v, 3, 1.0)),
+    ("epsilon", lambda v: sp.design_l1l2(SCALAR, [[1.0]], 1.0, 3, v)),
+    ("mu", lambda v: sp.omega_contains(SCALAR_HM, v, [1.0])),
+    ("r", lambda v: sp.LinearLaw(SCALAR_HM, v)),
+    ("r", lambda v: sp.ridge_packet(SCALAR_HM, v, [1.0])),
+    ("r", lambda v: sp.solve_dare(SCALAR, [[1.0]], v)),
+    ("beta", lambda v: sp.design_l0(SCALAR, [[1.0]], 3, v)),
+    ("u", lambda v: sp.propagate(SCALAR, [1.0], v)),
+    ("N", lambda v: sp.build_horizon_matrices(SCALAR, v, [[1.0]], [[1.0]])),
+], ids=["LassoLaw", "design_l1l2-mu", "design_l1l2-epsilon", "omega_contains",
+        "LinearLaw", "ridge_packet", "solve_dare", "design_l0", "propagate",
+        "build_horizon_matrices"])
+def test_scalar_arguments_refuse_bools(name, call, value):
+    # A bool is not read as 1 or 0: LassoLaw(hm, True) once built mu = 1.
+    with pytest.raises(ParameterError, match=name):
+        call(value)
+
+
+def test_plant_entry_past_the_float_range_is_a_parameter_error():
+    # The float cast overflows; that is a bad argument, not an OverflowError.
+    with pytest.raises(ParameterError, match="A must be an array of real"):
+        sp.PlantModel(A=[[10 ** 400]], B=[1.0])

@@ -172,6 +172,12 @@ class TestCountNonzero:
     def test_empty(self):
         assert sp.count_nonzero(np.zeros(0)) == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_are_refused(self, bad):
+        # A NaN or infinite peak would hide every entry and count 0.
+        with pytest.raises(ParameterError, match="u must be finite"):
+            sp.count_nonzero([bad, 1.0])
+
 
 @pytest.mark.parametrize("family", ["omp", "ls", "ridge"])
 def test_packet_sparsity_is_scale_invariant(bench_l0, family):
