@@ -15,21 +15,20 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .design import (audit_contraction_l0, audit_contraction_l1l2,
-                     audit_residual_l0, audit_value_sandwich, compute_wstar,
-                     design_l0, design_l1l2)
+from .design import (LinearDesign, audit_contraction_l0,
+                     audit_contraction_l1l2, audit_residual_l0,
+                     audit_value_sandwich, design_l0, design_l1l2,
+                     design_linear)
 from .errors import (ConfigError, DesignError, ParameterError, ProtocolError,
                      SimulationRunError, SolverError, SparsePpcError, each_row)
 from .netsim import _generator, monte_carlo, run_closed_loop, run_conditions
-from .plant import (PlantModel, _finite, _integer, _positive, _square,
-                    build_horizon_matrices)
-from .riccati import fixed_point_residual, solve_dare
-from .solvers import LinearLaw
+from .plant import PlantModel, _finite, _integer, _positive, _square
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -212,65 +211,52 @@ def load_config(path) -> ExperimentConfig:
 @dataclass
 class BuiltController:
     name: str
-    designer: object             # a packet law, which names its family
+    designer: object             # design.law, which names its family
     report: dict
-    design: object = None        # L1L2Design / L0Design when applicable
+    design: LinearDesign         # an L1L2Design or L0Design for those families
 
 
-def _listify(M: np.ndarray) -> list:
+def _listify(M) -> list | float:
     return np.asarray(M, dtype=float).tolist()
 
 
-def _base_report(plant: PlantModel, Q, r, P, K) -> dict:
-    return {
-        "r": float(r),
-        "P": _listify(P),
-        "K": _listify(K),
-        "residuals": {
-            "dare_fixed_point": fixed_point_residual(plant, Q, r, P),
-            "closed_loop_identity": float(np.linalg.norm(
-                (plant.A + plant.B @ K).T @ P @ (plant.A + plant.B @ K)
-                - P + Q + r * (K.T @ K), "fro")),
-        },
-    }
+# The design fields each family reports after its regulator and residuals.
+REPORTED = {"l1l2": ("mu", "epsilon", "a1", "a2", "rho", "R", "Wstar"),
+            "l0": ("beta", "c1", "rho", "c", "Eps", "W", "Wstar"),
+            "ridge": ("Wstar",), "ls": ("Wstar",)}
 
 
 def build_controller(cfg: ExperimentConfig, spec: dict) -> BuiltController:
-    """Instantiate one controller from its validated config entry."""
+    """Design one controller from its validated config entry and report it."""
     plant, N = cfg.plant, cfg.horizon
     Q = spec.get("Q", cfg.Q)
     name, family = spec["name"], spec["family"]
 
     if family == "l1l2":
         design = design_l1l2(plant, Q, spec["mu"], N, spec["epsilon"])
-        report = _base_report(plant, design.Q, design.r, design.P, design.K)
-        report.update(mu=design.mu, epsilon=design.epsilon, a1=design.a1,
-                      a2=design.a2, rho=design.rho, R=design.R,
-                      Wstar=_listify(design.Wstar))
-        return BuiltController(name, design.law, report, design=design)
-
-    if family == "l0":
+    elif family == "l0":
         try:
             design = design_l0(plant, Q, N, spec["beta"], W=spec.get("W"))
         except DesignError as exc:
             raise DesignError(f"{name}: {exc}") from exc
-        report = _base_report(plant, design.Q, 0.0, design.P, design.K)
-        report.update(beta=design.beta, c1=design.c1, rho=design.rho,
-                      c=design.c, Eps=_listify(design.Eps),
-                      W=_listify(design.W), Wstar=_listify(design.Wstar),
-                      W_overridden="W" in spec)
-        report["residuals"]["wstar_identity"] = design.wstar_defect
-        report["residuals"]["loewner_margin"] = design.loewner_margin
-        return BuiltController(name, design.law, report, design=design)
+    else:
+        # The quadratic baselines use the regulator at their own input
+        # weight (zero for plain least squares).
+        design = design_linear(plant, Q, N, spec.get("r", 0.0))
 
-    # Quadratic baselines: terminal weight from the Riccati equation at the
-    # family's own input weight (zero for plain least squares).
-    r = spec.get("r", 0.0) if family == "ridge" else 0.0
-    dare = solve_dare(plant, Q, r)
-    hm = build_horizon_matrices(plant, N, Q, dare.P)
-    report = _base_report(plant, Q, r, dare.P, dare.K)
-    report["Wstar"] = _listify(compute_wstar(hm))
-    return BuiltController(name, LinearLaw(hm, r), report)
+    P, K, r = design.P, design.K, design.r
+    closed = plant.A + plant.B @ K
+    report = {"r": r, "P": _listify(P), "K": _listify(K), "residuals": {
+        "dare_fixed_point": design.residual,
+        "closed_loop_identity": float(np.linalg.norm(
+            closed.T @ P @ closed - P + design.Q + r * (K.T @ K), "fro"))}}
+    report.update((key, _listify(getattr(design, key)))
+                  for key in REPORTED[family])
+    if family == "l0":
+        report["W_overridden"] = "W" in spec
+        report["residuals"].update(wstar_identity=design.wstar_defect,
+                                   loewner_margin=design.loewner_margin)
+    return BuiltController(name, design.law, report, design)
 
 
 def _build_all(cfg: ExperimentConfig) -> list:
@@ -281,8 +267,10 @@ def _build_all(cfg: ExperimentConfig) -> list:
 # Output helpers
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+def _out_dir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _write_csv(path: Path, steps: np.ndarray, series: dict):
@@ -290,7 +278,7 @@ def _write_csv(path: Path, steps: np.ndarray, series: dict):
     lines = ["k," + ",".join(names)]
     for i, k in enumerate(steps):
         lines.append(str(int(k)) + "," +
-                     ",".join(_fmt(series[name][i]) for name in names))
+                     ",".join(f"{series[name][i]:.17g}" for name in names))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -318,10 +306,7 @@ def _meta(command: str, cfg: ExperimentConfig, wall_time: float) -> dict:
         "T": cfg.T,
         "horizon": cfg.horizon,
         "controllers": [spec["name"] for spec in cfg.controllers],
-        "versions": {
-            "sparseppc": __version__,
-            "numpy": np.__version__,
-        },
+        "versions": {"sparseppc": __version__, "numpy": np.__version__},
         "wall_time_s": wall_time,
     }
 
@@ -332,8 +317,7 @@ def _meta(command: str, cfg: ExperimentConfig, wall_time: float) -> dict:
 
 def cmd_design(cfg: ExperimentConfig, args) -> int:
     built = _build_all(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     reports = []
     for ctrl in built:
         entry = {"name": ctrl.name, "family": ctrl.designer.family,
@@ -350,8 +334,7 @@ def cmd_design(cfg: ExperimentConfig, args) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     built = _build_all(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
 
     # A replay of one Monte Carlo run of a study with the same seed.
     x0, trace = run_conditions(cfg.plant, cfg.horizon, cfg.T, cfg.seed,
@@ -361,11 +344,8 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     for ctrl in built:
         sim = run_closed_loop(cfg.plant, ctrl.designer, trace, x0, cfg.T)
         payload["controllers"][ctrl.name] = {
-            "states": _listify(sim.states),
-            "inputs": _listify(sim.inputs),
-            "norms": _listify(sim.norms),
-            "sparsity": _listify(sim.sparsity),
-        }
+            key: _listify(getattr(sim, key))
+            for key in ("states", "inputs", "norms", "sparsity")}
     _write_json(out / "simulate.json", payload)
     print(f"simulated {cfg.T} steps for {len(built)} controller(s) "
           f"(seed {cfg.seed}, run {args.run_index})")
@@ -375,8 +355,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
 def cmd_montecarlo(cfg: ExperimentConfig, args) -> int:
     built = _build_all(cfg)
     designers = {ctrl.name: ctrl.designer for ctrl in built}
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
 
     start = time.perf_counter()
     result = monte_carlo(cfg.plant, designers, cfg.horizon, cfg.runs,
@@ -439,8 +418,7 @@ def cmd_audit(cfg: ExperimentConfig, args) -> int:
     draws = cfg.runs
     designs = {spec["name"]: build_controller(cfg, spec).design
                for spec in cfg.controllers if spec["family"] in AUDITED}
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
 
     summary = {"seed": cfg.seed, "draws": draws, "controllers": []}
     failures_total = 0
@@ -477,7 +455,9 @@ def cmd_audit(cfg: ExperimentConfig, args) -> int:
 # Entry point
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    # Built once per process; each parse starts from a fresh namespace.
     parser = argparse.ArgumentParser(
         prog="sparseppc",
         description="Sparse packetized predictive control toolkit")

@@ -1,10 +1,11 @@
 """Controller design rules and the inequality audits that certify them.
 
-Two pipelines are provided.  The l1-regularized design trades the sparsity
-weight ``mu`` and a disturbance budget ``epsilon`` for a Riccati input weight
-``r = mu^2 N / (4 epsilon)`` and yields practical stability: trajectories
-enter and stay in a ball of radius ``R``.  The l0 (OMP) design solves the
-cheap-control Riccati equation and builds a constraint weight
+Every family starts from the regulator of :func:`design_linear`, which the
+quadratic baselines use as it is.  The l1-regularized design trades the
+sparsity weight ``mu`` and a disturbance budget ``epsilon`` for a Riccati
+input weight ``r = mu^2 N / (4 epsilon)`` and yields practical stability:
+trajectories enter and stay in a ball of radius ``R``.  The l0 (OMP) design
+takes the cheap-control regulator and builds a constraint weight
 ``W = W* + Eps`` whose slack ``Eps`` is a scalar multiple of ``P``, small
 enough that the Lyapunov function ``x' P x`` strictly decreases at every
 reception; this gives asymptotic stability under bounded dropouts.
@@ -16,7 +17,7 @@ certified numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -26,7 +27,7 @@ from .plant import (HorizonMatrices, PlantModel, _finite, _frozen, _integer,
                     _positive, _real, _state_vector, build_horizon_matrices,
                     require_spd, row_dot, row_matmul)
 from .riccati import solve_dare
-from .solvers import LassoLaw, LinearLaw, OmpLaw
+from .solvers import LassoLaw, LinearLaw, OmpLaw, PacketLaw
 
 # Identity check between the stacked least-squares weight and P - Q on the
 # cheap-control Riccati solution.
@@ -91,63 +92,80 @@ def _values(law: LassoLaw, Q: np.ndarray, X: np.ndarray) -> tuple:
 
 
 @dataclass(frozen=True)
-class L1L2Design:
-    """Constants certified by the practical-stability design rule.
-
-    ``lam_min_q`` and ``lam_max_q`` are the extreme eigenvalues of ``Q``,
-    which the rule and its audits use.
-    """
+class LinearDesign:
+    """The regulator at input weight ``r``: the Riccati solution ``P``, its
+    gain ``K`` and fixed-point ``residual``, the horizon matrices and ``W*``.
+    Its law is least squares at ``r = 0`` and ridge above."""
 
     plant: PlantModel
     Q: np.ndarray
-    mu: float
     N: int
-    epsilon: float
     r: float
     P: np.ndarray
     K: np.ndarray
+    residual: float
+    Wstar: np.ndarray
+    hm: HorizonMatrices
+
+    @cached_property
+    def law(self) -> PacketLaw:
+        """The design's one packet law, shared by the closed loop and audits."""
+        return LinearLaw(self.hm, self.r)
+
+    def _regulator(self) -> dict:
+        # The fields a family's design extends; a cached law is not one.
+        return {f.name: getattr(self, f.name) for f in fields(LinearDesign)}
+
+
+def design_linear(plant: PlantModel, Q, N: int, r: float = 0.0) -> LinearDesign:
+    """Check ``Q``, solve the Riccati equation at ``r`` and build the
+    horizon matrices for ``N`` steps and their ``W*``."""
+    Q = require_spd(Q, plant.n, "Q")
+    dare = solve_dare(plant, Q, r)
+    hm = build_horizon_matrices(plant, N, Q, dare.P)
+    return LinearDesign(plant=plant, Q=_frozen(Q), N=hm.N, r=dare.r,
+                        P=dare.P, K=dare.K, residual=dare.residual,
+                        Wstar=compute_wstar(hm), hm=hm)
+
+
+@dataclass(frozen=True)
+class L1L2Design(LinearDesign):
+    """Constants certified by the practical-stability design rule;
+    ``lam_min_q`` and ``lam_max_q`` are the extreme eigenvalues of ``Q``."""
+
+    mu: float
+    epsilon: float
     a1: float
     a2: float
     lam_min_q: float
     lam_max_q: float
     rho: float
     R: float
-    Wstar: np.ndarray
-    hm: HorizonMatrices
 
     @cached_property
     def law(self) -> LassoLaw:
-        """The design's one packet law, shared by the closed loop and the
-        audits; its region cache lives as long as the design."""
+        """The lasso law; its region cache lives as long as the design."""
         return LassoLaw(self.hm, self.mu)
 
 
 @dataclass(frozen=True)
-class L0Design:
+class L0Design(LinearDesign):
     """Constants certified by the asymptotic-stability design rule;
     ``loewner_margin`` is ``lambda_min(W - W*) > 0`` and ``wstar_defect``
     is ``||W* - (P - Q)||_F``."""
 
-    plant: PlantModel
-    Q: np.ndarray
-    N: int
     beta: float
-    P: np.ndarray
-    K: np.ndarray
     c1: float
     rho: float
     c: float
     Eps: np.ndarray
     W: np.ndarray
-    Wstar: np.ndarray
     loewner_margin: float
     wstar_defect: float
-    hm: HorizonMatrices
 
     @cached_property
     def law(self) -> OmpLaw:
-        """The design's one packet law, shared by the closed loop and the
-        audits; ``design_l0`` has checked its ``W`` against ``W*``."""
+        """The OMP law, whose ``W`` ``design_l0`` checked against ``W*``."""
         return OmpLaw(self.hm, self.W)
 
     @cached_property
@@ -160,29 +178,23 @@ def design_l1l2(plant: PlantModel, Q, mu: float, N: int,
                 epsilon: float) -> L1L2Design:
     """Practical-stability design for the l1-regularized packet controller.
 
-    Picks ``r = mu^2 N / (4 epsilon)``, solves the Riccati equation for the
-    terminal weight, and derives the contraction factor ``rho`` and ultimate
-    bound ``R`` from the value-function sandwich constants
+    Picks ``r = mu^2 N / (4 epsilon)``, builds the regulator at that weight
+    with :func:`design_linear`, and derives the contraction factor ``rho``
+    and ultimate bound ``R`` from the value-function sandwich constants
 
         a1 = mu sqrt(n) sigma_max(Gdag H),   a2 = lambda_max(W*).
     """
     mu, epsilon = _positive(mu, "mu"), _positive(epsilon, "epsilon")
     N = _integer(N, "N", 1)
-    n = plant.n
-    Q = require_spd(Q, n, "Q")
+    base = design_linear(plant, Q, N, mu * mu * N / (4.0 * epsilon))
 
-    r = mu * mu * N / (4.0 * epsilon)
-    dare = solve_dare(plant, Q, r)
-    hm = build_horizon_matrices(plant, N, Q, dare.P)
-
-    L = _cholesky(hm.GtG, "G'G")
-    pseudo = np.linalg.solve(L.T, np.linalg.solve(L, hm.GtH))  # Gdag H, (N, n)
+    L = _cholesky(base.hm.GtG, "G'G")
+    pseudo = np.linalg.solve(L.T, np.linalg.solve(L, base.hm.GtH))  # Gdag H
     sigma_max = float(np.linalg.norm(pseudo, 2))
-    Wstar = compute_wstar(hm)
 
-    a1 = mu * np.sqrt(n) * sigma_max
-    a2 = max(float(np.linalg.eigvalsh(Wstar)[-1]), 0.0)
-    eig_q = np.linalg.eigvalsh(Q)
+    a1 = mu * np.sqrt(plant.n) * sigma_max
+    a2 = max(float(np.linalg.eigvalsh(base.Wstar)[-1]), 0.0)
+    eig_q = np.linalg.eigvalsh(base.Q)
     lam_min_q, lam_max_q = float(eig_q[0]), float(eig_q[-1])
 
     rho = 1.0 - lam_min_q / (a1 + a2 + lam_max_q)
@@ -192,21 +204,20 @@ def design_l1l2(plant: PlantModel, Q, mu: float, N: int,
             "sandwich constants do not certify this plant"
         )
     R = float(np.sqrt((epsilon / lam_min_q + 0.25) / (1.0 - rho)))
-    return L1L2Design(plant=plant, Q=_frozen(Q), mu=mu, N=N,
-                      epsilon=epsilon, r=r, P=dare.P, K=dare.K,
-                      a1=a1, a2=a2, lam_min_q=lam_min_q, lam_max_q=lam_max_q,
-                      rho=rho, R=R, Wstar=Wstar, hm=hm)
+    return L1L2Design(**base._regulator(), mu=mu, epsilon=epsilon, a1=a1,
+                      a2=a2, lam_min_q=lam_min_q, lam_max_q=lam_max_q,
+                      rho=rho, R=R)
 
 
 def design_l0(plant: PlantModel, Q, N: int, beta: float,
               W=None) -> L0Design:
     """Asymptotic-stability design for the OMP packet controller.
 
-    Solves the cheap-control (``r = 0``) Riccati equation, forms the
-    amplification constant ``c1`` from the row blocks of ``Phi``, the
-    contraction ``rho = 1 - lambda_min(Q P^(-1))``, the geometric sum
-    ``c = c1 (1 - rho^N) / (1 - rho)``, and sets the constraint weight
-    ``W = (P - Q) + Eps`` with ``Eps = beta (1 - rho) P / c``.
+    Builds the cheap-control (``r = 0``) regulator with
+    :func:`design_linear`, forms the amplification constant ``c1`` from the
+    row blocks of ``Phi``, the contraction ``rho = 1 - lambda_min(Q P^(-1))``,
+    the geometric sum ``c = c1 (1 - rho^N) / (1 - rho)``, and sets the
+    constraint weight ``W = (P - Q) + Eps`` with ``Eps = beta (1 - rho) P / c``.
 
     ``beta`` must lie strictly in (0, 1); smaller values leave more margin in
     the per-reception Lyapunov decrease.  A given ``W`` (symmetrized)
@@ -217,12 +228,8 @@ def design_l0(plant: PlantModel, Q, N: int, beta: float,
     beta = _finite(beta, "beta")
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must lie strictly in (0, 1), got {beta}")
-    n = plant.n
-    Q = require_spd(Q, n, "Q")
-
-    dare = solve_dare(plant, Q, 0.0)
-    P = dare.P
-    hm = build_horizon_matrices(plant, N, Q, P)
+    base = design_linear(plant, Q, N)
+    n, N, Q, P, hm, Wstar = plant.n, base.N, base.Q, base.P, base.hm, base.Wstar
 
     # c1 = max_i lambda_max(Phi_i' P Phi_i, G'G) over the row blocks Phi_i
     # of Phi, all N pencils whitened by the Cholesky factor of G'G at once.
@@ -242,10 +249,9 @@ def design_l0(plant: PlantModel, Q, N: int, beta: float,
     if not rho < 1.0:
         raise DesignError(f"rho = {rho:.6e} must be below 1")
 
-    c = c1 * (1.0 - rho ** int(N)) / (1.0 - rho)
+    c = c1 * (1.0 - rho ** N) / (1.0 - rho)
     Eps = (beta * (1.0 - rho) / c) * P
     Wstar_manifold = P - Q
-    Wstar = compute_wstar(hm)
     defect = float(np.linalg.norm(Wstar - Wstar_manifold, "fro"))
     limit = WSTAR_IDENTITY_RTOL * (1.0 + float(np.linalg.norm(P, "fro")))
     if defect > limit:
@@ -265,10 +271,9 @@ def design_l0(plant: PlantModel, Q, N: int, beta: float,
             "W does not strictly dominate the least-squares weight W* "
             f"(smallest eigenvalue of W - W* is {margin:.3e})")
 
-    return L0Design(plant=plant, Q=_frozen(Q), N=int(N), beta=beta, P=P,
-                    K=dare.K, c1=c1, rho=rho, c=c, Eps=_frozen(Eps),
-                    W=_frozen(W), Wstar=Wstar, loewner_margin=margin,
-                    wstar_defect=defect, hm=hm)
+    return L0Design(**base._regulator(), beta=beta, c1=c1, rho=rho, c=c,
+                    Eps=_frozen(Eps), W=_frozen(W), loewner_margin=margin,
+                    wstar_defect=defect)
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,10 @@ REACHABILITY_RTOL = 1e-10
 
 def _real(M, name: str) -> np.ndarray:
     # ``M`` as a float array, or ParameterError unless its entries are real
-    # numbers: a complex entry is refused, not cast to its real part.
+    # numbers: complex and boolean entries are refused, not cast to floats.
     try:
         arr = np.asarray(M)
-        if arr.dtype.kind not in "biufO":
+        if arr.dtype.kind not in "iufO":
             raise TypeError(f"entries of dtype {arr.dtype}")
         return arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparseppc import ConfigError, LassoLaw, OmpLaw, PacketLaw
+from sparseppc import (ConfigError, LassoLaw, OmpLaw, PacketLaw,
+                       fixed_point_residual)
 from sparseppc import cli
 from sparseppc.cli import build_controller, load_config, main
 from sparseppc.netsim import _generator, monte_carlo
@@ -375,6 +376,22 @@ class TestDesignCommand:
         assert not report["greedy"]["W_overridden"]
         assert 0.0 < report["lasso"]["rho"] < 1.0
 
+    @pytest.mark.parametrize("family", ["l1l2", "l0", "ridge", "ls"])
+    def test_every_family_reports_its_own_design(self, family):
+        # One design per controller: the law comes from it, and the report's
+        # Riccati residual is the solve's own, not a second evaluation.
+        cfg = load_config(ROOT / "configs" / "benchmark.json")
+        for spec in cfg.controllers:
+            if spec["family"] != family:
+                continue
+            built = build_controller(cfg, spec)
+            design = built.design
+            assert design is not None
+            assert built.designer is design.law
+            assert built.designer.family == family
+            assert built.report["residuals"]["dare_fixed_point"] == (
+                fixed_point_residual(cfg.plant, design.Q, design.r, design.P))
+
     def test_dominating_w_override_is_used(self, tmp_path):
         cfg = variant(controllers=[{"name": "greedy", "family": "l0",
                                     "beta": 0.5}])
@@ -461,6 +478,17 @@ class TestMonteCarloCommand:
                      "--out", str(tmp_path), "--runs", "1"]) == 0
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert meta["runs"] == 1
+
+    def test_flags_do_not_leak_into_the_next_call(self, tmp_path):
+        # The parser is built once per process; a flag given to one call
+        # must not become the next call's default.
+        path = write_config(tmp_path, variant())
+        for argv in (["--seed", "5", "--runs", "1"], []):
+            assert main(["montecarlo", "--config", str(path),
+                         "--out", str(tmp_path)] + argv) == 0
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["seed"] == 1 and meta["runs"] == 3
+        assert cli._parser() is cli._parser()
 
 
 class TestAuditCommand:

@@ -244,6 +244,23 @@ def test_scalar_arguments_refuse_bools(name, call, value):
         call(value)
 
 
+@pytest.mark.parametrize("name, call", [
+    ("A", lambda v: sp.PlantModel(A=v, B=[1.0])),
+    ("B", lambda v: sp.PlantModel(A=[[2.0]], B=v[0])),
+    ("Q", lambda v: sp.build_horizon_matrices(SCALAR, 3, v, [[1.0]])),
+    ("P", lambda v: sp.build_horizon_matrices(SCALAR, 3, [[1.0]], v)),
+    ("W", lambda v: sp.OmpLaw(SCALAR_HM, v)),
+    ("X", lambda v: sp.LinearLaw(SCALAR_HM).solve(v)),
+    ("u", lambda v: sp.count_nonzero(v)),
+], ids=["PlantModel-A", "PlantModel-B", "horizon-Q", "horizon-P", "OmpLaw-W",
+        "law.solve", "count_nonzero"])
+def test_matrix_arguments_refuse_boolean_arrays(name, call):
+    # A boolean array is not read as ones and zeros: PlantModel(A=[[True]],
+    # B=[True]) once built A = B = [[1.0]].
+    with pytest.raises(ParameterError, match=f"{name} must be an array of real"):
+        call(np.array([[True]]))
+
+
 def test_plant_entry_past_the_float_range_is_a_parameter_error():
     # The float cast overflows; that is a bad argument, not an OverflowError.
     with pytest.raises(ParameterError, match="A must be an array of real"):

@@ -109,6 +109,24 @@ def test_cli_leaves_the_w_dominance_check_to_design_l0():
     assert not calls, f"cli.py calls eigvalsh at lines {calls}"
 
 
+def test_cli_builds_no_regulator_of_its_own():
+    # Every family's regulator comes from design.design_linear; cli.py
+    # only formats the designs.
+    regulator = {"solve_dare", "build_horizon_matrices", "compute_wstar",
+                 "fixed_point_residual", "LinearLaw"}
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    calls = [f"{node.lineno} {name}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and (name := getattr(node.func, "id",
+                                  getattr(node.func, "attr", None)))
+             in regulator]
+    assert not calls, f"cli.py builds a regulator at lines {calls}"
+    imports = [node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and node.module in ("riccati", "solvers")]
+    assert not imports, f"cli.py imports from {imports}"
+
+
 def test_public_surface_is_pinned():
     # A name added to or removed from the package surface shows up here.
     assert sparseppc.__all__ == [
