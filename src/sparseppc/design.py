@@ -23,9 +23,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegeneracyError, DesignError, ParameterError, SolverError
-from .plant import (HorizonMatrices, PlantModel, _finite, _frozen, _integer,
-                    _positive, _real, _state_vector, build_horizon_matrices,
-                    require_spd, row_dot, row_matmul)
+from .plant import (HorizonMatrices, PlantModel, _finite, _frozen,
+                    _horizon_matrices, _integer, _positive, _real, _square,
+                    _state_vector, require_spd, row_dot, row_matmul)
 from .riccati import solve_dare
 from .solvers import LassoLaw, LinearLaw, OmpLaw, PacketLaw
 
@@ -118,14 +118,29 @@ class LinearDesign:
 
 
 def design_linear(plant: PlantModel, Q, N: int, r: float = 0.0) -> LinearDesign:
-    """Check ``Q``, solve the Riccati equation at ``r`` and build the
-    horizon matrices for ``N`` steps and their ``W*``."""
-    Q = require_spd(Q, plant.n, "Q")
-    dare = solve_dare(plant, Q, r)
-    hm = build_horizon_matrices(plant, N, Q, dare.P)
-    return LinearDesign(plant=plant, Q=_frozen(Q), N=hm.N, r=dare.r,
-                        P=dare.P, K=dare.K, residual=dare.residual,
-                        Wstar=compute_wstar(hm), hm=hm)
+    """Solve the Riccati equation at ``r`` and build the horizon matrices
+    for ``N`` steps and their ``W*``.
+
+    ``Q``, ``r`` and the plant's reachability are checked once, by
+    :func:`solve_dare`, and the Riccati ``P`` once, as
+    :func:`build_horizon_matrices` checks it.  The plant object keeps the
+    regulator: a later call on it with the same ``Q``, ``N`` and ``r``
+    returns a design on the same ``P``, ``hm`` and ``W*``, so each distinct
+    regulator is solved once per plant.
+    """
+    Q = _square(Q, plant.n, "Q")
+    N, r = _integer(N, "N", 1), _finite(r, "r")
+    key = (Q.tobytes(), N, r)
+    regulator = plant._regulators.get(key)
+    if regulator is None:
+        dare = solve_dare(plant, Q, r)
+        Q = 0.5 * (Q + Q.T)                # as solve_dare symmetrized it
+        hm = _horizon_matrices(plant, N, Q, require_spd(dare.P, plant.n, "P"))
+        # No reference back to the plant, so no cycle keeps either alive.
+        regulator = plant._regulators[key] = dict(
+            Q=_frozen(Q), N=N, r=r, P=dare.P, K=dare.K,
+            residual=dare.residual, Wstar=compute_wstar(hm), hm=hm)
+    return LinearDesign(plant=plant, **regulator)
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,12 @@ class PlantModel:
         """State dimension."""
         return self.A.shape[0]
 
+    @cached_property
+    def _regulators(self) -> dict:
+        # The regulators design.design_linear solved on this plant object,
+        # by (Q, N, r): each distinct one is solved once per plant.
+        return {}
+
 
 def row_matmul(X: np.ndarray, M: np.ndarray) -> np.ndarray:
     """``X @ M.T`` computed so that each row's bits do not depend on the
@@ -268,6 +274,14 @@ def build_horizon_matrices(plant: PlantModel, N: int, Q, P) -> HorizonMatrices:
     P = require_spd(P, n, "P")
     if not check_reachability(plant):
         raise ParameterError("plant (A, B) is not reachable")
+    return _horizon_matrices(plant, N, Q, P)
+
+
+def _horizon_matrices(plant: PlantModel, N: int, Q: np.ndarray,
+                      P: np.ndarray) -> HorizonMatrices:
+    # build_horizon_matrices on a checked horizon, symmetric SPD weights and
+    # a reachable plant.
+    n = plant.n
 
     # Powers A^k B for k = 0 .. N-1, then the block triangle and the stack of
     # state-transition powers.

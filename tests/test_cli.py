@@ -13,7 +13,7 @@ import pytest
 
 from sparseppc import (ConfigError, LassoLaw, OmpLaw, PacketLaw,
                        fixed_point_residual)
-from sparseppc import cli
+from sparseppc import cli, plant, riccati
 from sparseppc.cli import build_controller, load_config, main
 from sparseppc.netsim import _generator, monte_carlo
 
@@ -406,6 +406,77 @@ class TestDesignCommand:
         assert entry["residuals"]["loewner_margin"] == pytest.approx(0.1)
 
 
+def count_calls(monkeypatch, module, name):
+    """Record each call of ``module.name`` in the returned list, wherever a
+    ``sparseppc`` module binds that function."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for key, bound in list(sys.modules.items()):
+        if ((key == "sparseppc" or key.startswith("sparseppc."))
+                and getattr(bound, name, None) is original):
+            monkeypatch.setattr(bound, name, counted)
+    return calls
+
+
+class TestOneSolvePerRegulator:
+    # A plant object keeps the regulators designed on it, so a config's
+    # controllers share each distinct (Q, N, r); a fresh load_config builds
+    # a fresh plant and solves again.
+    BENCH = ROOT / "configs" / "benchmark.json"
+
+    def build(self, cfg=None):
+        cfg = cfg or load_config(self.BENCH)
+        return {spec["name"]: build_controller(cfg, spec)
+                for spec in cfg.controllers}
+
+    def test_each_input_is_checked_once(self, monkeypatch):
+        # Q, the Riccati P and reachability once per distinct regulator; the
+        # five controllers made 20 SPD checks and 10 reachability tests when
+        # each design re-checked them in every step.
+        spd = count_calls(monkeypatch, plant, "require_spd")
+        reachability = count_calls(monkeypatch, plant,
+                                   "check_reachability")
+        self.build()
+        assert (len(spd), len(reachability)) == (4, 2)
+
+    def test_each_load_config_solves_each_regulator_once(self, monkeypatch):
+        solves = count_calls(monkeypatch, riccati, "solve_dare")
+        built = self.build()
+        assert len(solves) == 2                  # r = 4.1042 and r = 0
+        assert built["RIDGE"].design.hm is built["L1L2(i)"].design.hm
+        assert built["LS"].design.hm is built["OMP"].design.hm
+        assert built["LS"].design.hm is not built["RIDGE"].design.hm
+        again = self.build()
+        assert len(solves) == 4
+        assert again["RIDGE"].design.hm is not built["RIDGE"].design.hm
+
+    def test_l1l2_controllers_share_the_regulator_not_the_law(self):
+        built = self.build()
+        first, second = built["L1L2(i)"], built["L1L2(ii)"]
+        assert first.design.hm is second.design.hm
+        assert first.design.P is second.design.P
+        assert first.designer is not second.designer
+        assert (first.designer.mu, second.designer.mu) == (10.7167, 3.3)
+        assert first.report["R"] != second.report["R"]
+
+    def test_own_q_gets_its_own_solve(self, tmp_path, monkeypatch):
+        payload = json.loads(self.BENCH.read_text())
+        payload["controllers"][3]["Q"] = (2.0 * np.eye(4)).tolist()
+        cfg = load_config(write_config(tmp_path, payload))
+        solves = count_calls(monkeypatch, riccati, "solve_dare")
+        built = self.build(cfg)
+        assert len(solves) == 3
+        ridge, lasso = built["RIDGE"].design, built["L1L2(i)"].design
+        assert ridge.r == lasso.r and ridge.hm is not lasso.hm
+        np.testing.assert_array_equal(ridge.Q, 2.0 * np.eye(4))
+        assert not np.allclose(ridge.P, lasso.P)
+
+
 class TestSimulateCommand:
     def test_trace_shapes_and_nan_handling(self, tmp_path):
         path = write_config(tmp_path, variant())
@@ -471,6 +542,17 @@ class TestMonteCarloCommand:
             a = (tmp_path / "x" / fname).read_bytes()
             b = (tmp_path / "y" / fname).read_bytes()
             assert a == b
+
+    def test_benchmark_study_keeps_its_sparsity(self, tmp_path):
+        # The full 500-run study's avg_sparsity.csv (seed 0) is pinned byte
+        # for byte: a solver or design change may move avg_norm in its last
+        # digits, but not one packet's support.
+        assert main(["montecarlo", "--config",
+                     str(ROOT / "configs" / "benchmark.json"),
+                     "--out", str(tmp_path)]) == 0
+        expected = ROOT / "tests" / "fixtures" / "benchmark_avg_sparsity.csv"
+        assert ((tmp_path / "avg_sparsity.csv").read_bytes()
+                == expected.read_bytes())
 
     def test_runs_flag_overrides_config(self, tmp_path):
         path = write_config(tmp_path, variant())

@@ -46,10 +46,10 @@ class TestWstar:
 
     @pytest.mark.parametrize("rule", ["wstar", "l1l2", "l0"])
     def test_singular_gram_is_a_degeneracy_error(self, monkeypatch, rule):
-        # build_horizon_matrices refuses a singular G'G itself, so a zero
-        # column is put into G after it: every factorization of G'G must
-        # then raise the package's error, not numpy's.
-        build = sp.build_horizon_matrices
+        # Building the horizon matrices refuses a singular G'G itself, so a
+        # zero column is put into G after it: every factorization of G'G
+        # must then raise the package's error, not numpy's.
+        build = sp.plant._horizon_matrices
 
         def degenerate(*args):
             hm = build(*args)
@@ -57,7 +57,7 @@ class TestWstar:
             G[:, -1] = 0.0
             return dataclasses.replace(hm, G=G)
 
-        monkeypatch.setattr(sp.design, "build_horizon_matrices", degenerate)
+        monkeypatch.setattr(sp.design, "_horizon_matrices", degenerate)
         plant = sp.PlantModel(A=[[0.9, 0.2], [0.0, 0.7]], B=[0.0, 1.0])
         with pytest.raises(DegeneracyError, match="G'G"):
             if rule == "wstar":
