@@ -12,6 +12,15 @@ batch of runs is rolled out reception-major.  Round ``j`` computes the
 each of those runs then replays its packet through its own segment.  No
 packet is computed during a dropout burst.
 
+A study keeps what it reports.  The reception schedule depends on the
+dropout flags alone, so a study computes it once for all its laws.  Each
+rollout carries every run's current state ``(runs, n)`` from one round to
+the next and writes the per-step norms ``(runs, T + 1)`` and packet
+sparsity ``(runs, T)``: 16 bytes per run-step.  The state history and
+inputs of a :class:`SimTrace` are written only for :func:`run_closed_loop`
+and for ``monte_carlo(..., keep_traces=True)``, ``8 (n + 3)`` bytes per
+run-step in all (56 at ``n = 4``).
+
 Monte Carlo run ``k`` of a study with master seed ``s`` draws its initial
 state from the Philox stream keyed by ``SeedSequence(s, spawn_key=(k, 0))``
 and its dropout trace from the one keyed by ``(k, 1)``.  The keys of all
@@ -284,7 +293,27 @@ def _require_law(designer) -> None:
                              f"packets(X), got {type(designer).__name__}")
 
 
-def _rollout(plant: PlantModel, law, X0: np.ndarray, D: np.ndarray) -> tuple:
+def _schedule(D: np.ndarray) -> tuple:
+    """The reception rounds of the ``(runs, T)`` dropout flags ``D``.
+
+    Returns ``(run_of, start, length, bounds)``: every reception as its run,
+    its step and the length of the segment it starts, sorted by its index
+    ``j`` in its run, then longest segment first, then run; round ``j`` is
+    ``bounds[j]:bounds[j + 1]`` of them.  It depends on ``D`` alone, so a
+    study computes it once for all its laws.
+    """
+    T = D.shape[1]
+    run_of, start = np.nonzero(~D)
+    nth = np.cumsum(~D, axis=1)[~D] - 1
+    end = np.append(start[1:], T)
+    end[np.append(run_of[1:] != run_of[:-1], True)] = T
+    order = np.lexsort((run_of, start - end, nth))
+    bounds = np.searchsorted(nth[order], np.arange(nth.max() + 2))
+    return run_of[order], start[order], (end - start)[order], bounds
+
+
+def _rollout(plant: PlantModel, law, X0: np.ndarray, D: np.ndarray,
+             keep_states: bool = True, schedule: tuple | None = None) -> tuple:
     """Advance a batch of runs through the buffered protocol, reception by
     reception.
 
@@ -294,30 +323,34 @@ def _rollout(plant: PlantModel, law, X0: np.ndarray, D: np.ndarray) -> tuple:
     segments, each from one reception to the next or to ``T``.  Round ``j``
     makes one ``law.packets`` call on the ``j``-th reception state of every
     run that has one; each of those runs then applies its packet's entries
-    through its own segment.  A segment longer than the packet is a
-    :class:`ProtocolError` at step ``start + width``.  Returns ``(states,
-    inputs, sparsity, norms)`` of shapes ``(runs, T + 1, n)``, ``(runs,
-    T)``, ``(runs, T)`` and ``(runs, T + 1)``.  Every state product is
-    row-independent (``plant.row_matmul``), so a run computes the same bits
-    alone or inside any batch.  Each run stops at its own first failure;
-    the rollout then raises :class:`_RunFailure` for the earliest failing
-    step, a law failure before a protocol failure at the same step, and
-    the lowest-indexed run.
+    through its own segment, and carries the state it ends at to its next
+    round.  ``schedule`` is :func:`_schedule` of ``D``, computed here if not
+    given.  A segment longer than the packet is a :class:`ProtocolError` at
+    step ``start + width``.
+
+    Returns ``(states, inputs, sparsity, norms)`` of shapes ``(runs, T + 1,
+    n)``, ``(runs, T)``, ``(runs, T)`` and ``(runs, T + 1)``.  Each round
+    writes the norms and sparsity of its own steps; only ``keep_states``
+    also writes the states and inputs, which are ``None`` without it.  At
+    ``n = 4`` that is 56 against 16 bytes per run-step.  Every state
+    product is row-independent (``plant.row_matmul``), so a run computes
+    the same bits alone or inside any batch.  Each run stops at its own
+    first failure; the rollout then raises :class:`_RunFailure` for the
+    earliest failing step, a law failure before a protocol failure at the
+    same step, and the lowest-indexed run.
     """
     runs, T = D.shape
-    states = np.empty((runs, T + 1, plant.n))
-    inputs = np.empty((runs, T))
+    run_of, start, length, bounds = (_schedule(D) if schedule is None
+                                     else schedule)
+    current = X0.copy()  # each run's state at its next reception
+    norms = np.empty((runs, T + 1))
+    norms[:, 0] = np.linalg.norm(current, axis=1)
     sparsity = np.full((runs, T), np.nan)
-    states[:, 0] = X0
-    # Every reception as (run, start, segment length, index j in its run),
-    # sorted by round j, then longest segment first, then run.
-    run_of, start = np.nonzero(~D)
-    nth = np.cumsum(~D, axis=1)[~D] - 1
-    end = np.append(start[1:], T)
-    end[np.append(run_of[1:] != run_of[:-1], True)] = T
-    order = np.lexsort((run_of, start - end, nth))
-    run_of, start, length = run_of[order], start[order], (end - start)[order]
-    bounds = np.searchsorted(nth[order], np.arange(nth.max() + 2))
+    states = inputs = None
+    if keep_states:
+        states = np.empty((runs, T + 1, plant.n))
+        inputs = np.empty((runs, T))
+        states[:, 0] = current
     b = plant.B[:, 0]
     alive = np.ones(runs, dtype=bool)
     failures = []  # (step, law 0 / protocol 1, run, error)
@@ -326,7 +359,7 @@ def _rollout(plant: PlantModel, law, X0: np.ndarray, D: np.ndarray) -> tuple:
         if not live.size:  # later rounds hold a subset of these runs
             break
         rows, at, span = run_of[live], start[live], length[live]
-        X = states[rows, at]
+        X = current[rows]
         U, sparsity_j, failed = _packets(law, X, at * runs + rows)
         if failed:
             for i, exc in failed.items():
@@ -351,13 +384,18 @@ def _rollout(plant: PlantModel, law, X0: np.ndarray, D: np.ndarray) -> tuple:
         for i, active in enumerate(steps.sum(axis=0)):
             path[:active, i + 1] = (row_matmul(path[:active, i], plant.A)
                                     + U[:active, i, None] * b)
+        current[rows] = path[np.arange(rows.size), span]
+        # Only the written entries of the path: the rest is uninitialized.
         r, i = np.nonzero(steps)
-        states[rows[r], at[r] + i + 1] = path[r, i + 1]
-        inputs[rows[r], at[r] + i] = U[r, i]
+        visited = path[r, i + 1]
+        norms[rows[r], at[r] + i + 1] = np.linalg.norm(visited, axis=1)
+        if keep_states:
+            states[rows[r], at[r] + i + 1] = visited
+            inputs[rows[r], at[r] + i] = U[r, i]
     if failures:
         _, _, row, cause = min(failures, key=lambda f: f[:3])
         raise _RunFailure(row, cause)
-    return states, inputs, sparsity, np.linalg.norm(states, axis=2)
+    return states, inputs, sparsity, norms
 
 
 def _sim_traces(states, inputs, sparsity, norms, dropped: list) -> list:
@@ -444,9 +482,11 @@ def monte_carlo(plant: PlantModel, designers: Mapping[str, object],
     conditions.  A failing run aborts the study with its index and seed
     attached for replay: the lowest-indexed run failing at the earliest
     step (a law failure before a protocol failure there), designers taken
-    in order.  ``keep_traces`` keeps every run's :class:`SimTrace`.  A
-    ``seed`` that is not an integer ``>= 0`` raises
-    :class:`ParameterError`.
+    in order.  A study holds each run's per-step norms and sparsity, 16
+    bytes per run-step, and averages them over the runs; ``keep_traces``
+    also keeps every run's :class:`SimTrace`, whose states and inputs
+    bring that to ``8 (n + 3)`` bytes (56 at ``n = 4``).  A ``seed`` that
+    is not an integer ``>= 0`` raises :class:`ParameterError`.
     """
     if not designers:
         raise ParameterError("at least one designer is required")
@@ -456,13 +496,14 @@ def monte_carlo(plant: PlantModel, designers: Mapping[str, object],
     N, T, gap = _trace_shape(N, T, receptions_between_bursts)
     seed = _integer(seed, "seed", 0)
     X0, D = _conditions(plant, N, T, seed, np.arange(runs), gap)
+    schedule = _schedule(D)
     if keep_traces:
         traces = [DropoutTrace(d=d, N_bound=N) for d in D]
 
     avg_norm, avg_sparsity, kept = {}, {}, {}
     for name, law in designers.items():
         try:
-            rollout = _rollout(plant, law, X0, D)
+            rollout = _rollout(plant, law, X0, D, keep_traces, schedule)
         except _RunFailure as failure:
             raise SimulationRunError(failure.row, seed,
                                      failure.cause) from failure.cause

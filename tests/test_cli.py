@@ -40,6 +40,12 @@ def src_env():
     return env
 
 
+def read_csv(path):
+    """A result CSV as its header line and its numbers."""
+    with open(path) as fh:
+        return fh.readline(), np.loadtxt(fh, delimiter=",")
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -553,6 +559,18 @@ class TestMonteCarloCommand:
         expected = ROOT / "tests" / "fixtures" / "benchmark_avg_sparsity.csv"
         assert ((tmp_path / "avg_sparsity.csv").read_bytes()
                 == expected.read_bytes())
+
+    def test_benchmark_study_keeps_its_norms_within_tolerance(self, tmp_path):
+        # The full 500-run study's avg_norm.csv (seed 0) is pinned to 1e-6
+        # relative per finite entry, with the same NaN pattern.
+        assert main(["montecarlo", "--config",
+                     str(ROOT / "configs" / "benchmark.json"),
+                     "--out", str(tmp_path)]) == 0
+        got = read_csv(tmp_path / "avg_norm.csv")
+        expected = read_csv(ROOT / "tests" / "fixtures" / "benchmark_avg_norm.csv")
+        assert got[0] == expected[0]
+        np.testing.assert_array_equal(np.isnan(got[1]), np.isnan(expected[1]))
+        np.testing.assert_allclose(got[1], expected[1], rtol=1e-6, atol=0)
 
     def test_runs_flag_overrides_config(self, tmp_path):
         path = write_config(tmp_path, variant())

@@ -268,6 +268,29 @@ def test_monte_carlo_run_equals_its_one_run_rollout(bench_cfg, bench_laws, name)
         np.testing.assert_array_equal(run.norms, alone.norms)
 
 
+def test_a_study_averages_the_same_with_or_without_traces(bench_cfg,
+                                                          bench_laws):
+    laws = {name: law for name, (_, law) in bench_laws.items()}
+    N, T, runs, seed = bench_cfg.horizon, 100, 60, 3
+    bare = sp.monte_carlo(bench_cfg.plant, laws, N, runs=runs, T=T, seed=seed)
+    kept = sp.monte_carlo(bench_cfg.plant, laws, N, runs=runs, T=T, seed=seed,
+                          keep_traces=True)
+    assert bare.traces is None
+    for name in laws:
+        np.testing.assert_array_equal(bare.avg_norm[name], kept.avg_norm[name])
+        np.testing.assert_array_equal(bare.avg_sparsity[name],
+                                      kept.avg_sparsity[name])
+        norms = np.array([run.norms for run in kept.traces[name]])
+        np.testing.assert_array_equal(kept.avg_norm[name],
+                                      norms[:, :T].mean(axis=0))
+        sparsity = np.array([run.sparsity for run in kept.traces[name]])
+        # NaN at the steps where no run computes a packet, as 0 / 0.
+        with np.errstate(invalid="ignore"):
+            mean = (np.nansum(sparsity, axis=0)
+                    / np.sum(~np.isnan(sparsity), axis=0))
+        np.testing.assert_array_equal(kept.avg_sparsity[name], mean)
+
+
 def test_failure_is_pinned_on_the_earliest_step_then_lowest_run(bench_cfg,
                                                                  bench_laws):
     plant, N, T, seed = bench_cfg.plant, bench_cfg.horizon, 30, 4

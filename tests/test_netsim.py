@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import sparseppc as sp
 from sparseppc import ParameterError, ProtocolError, SimulationRunError
 
-from conftest import BENCH_N
+from conftest import BENCH_N, random_reachable_plant
 
 
 class ConstantLaw:
@@ -548,6 +549,22 @@ class TestReceptionRounds:
         assert law.rows == [int(np.sum(counts > j))
                             for j in range(counts.max())]
         assert len(set(law.rows)) > 1
+
+    def test_a_study_without_traces_holds_no_state_history(self):
+        # A study reads only each run's per-step norms and sparsity, so its
+        # allocation peak stays below one (runs, T + 1, n) state history
+        # (12.3 MiB here); a rollout that stored every state peaked at 2.65x.
+        plant = random_reachable_plant(np.random.default_rng(8), 8, rho=0.9)
+        N, runs, T = 10, 2000, 100
+        hm = sp.build_horizon_matrices(plant, N, np.eye(8), np.eye(8))
+        law = sp.LinearLaw(hm)
+        tracemalloc.start()
+        try:
+            sp.monte_carlo(plant, {"ls": law}, N, runs=runs, T=T, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < runs * (T + 1) * plant.n * 8
 
 
 STATE_CALLS = [
