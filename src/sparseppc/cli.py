@@ -2,8 +2,8 @@
 
 A single JSON config describes the plant, the horizon, the controller list,
 the dropout channel, and the run parameters; see the README for the schema.
-Exit codes: 0 success, 2 config error, 3 design failure, 4 audit failure,
-5 simulation protocol error.
+Exit codes: 0 success, 2 config error (a bad config, flag or ``--out``),
+3 design failure, 4 audit failure, 5 simulation protocol error.
 """
 
 from __future__ import annotations
@@ -36,7 +36,19 @@ EXIT_DESIGN = 3
 EXIT_AUDIT = 4
 EXIT_PROTOCOL = 5
 
-FAMILIES = ("l1l2", "l0", "ridge", "ls")
+# Each controller family's own config keys with the check on each value, the
+# keys it requires, and the design fields it reports after its regulator and
+# residuals; every controller also takes "name", "family" and a "Q" weight.
+# The table is plain data: the design and audit functions are looked up when
+# they are called, so one rebound by name (as perfbench's tracer does) runs.
+FAMILIES = {
+    "l1l2": ({"mu": "positive", "epsilon": "positive", "r": "positive"},
+             ("mu",), ("mu", "epsilon", "a1", "a2", "rho", "R", "Wstar")),
+    "l0": ({"beta": "finite", "W": "matrix"},
+           ("beta",), ("beta", "c1", "rho", "c", "Eps", "W", "Wstar")),
+    "ridge": ({"r": "positive"}, ("r",), ("Wstar",)),
+    "ls": ({}, (), ("Wstar",)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +58,17 @@ FAMILIES = ("l1l2", "l0", "ridge", "ls")
 def _require(cond: bool, message: str):
     if not cond:
         raise ConfigError(message)
+
+
+def _object(value, name: str, keys, required=()) -> dict:
+    """``value`` if it is a JSON object whose keys are all in ``keys`` and
+    include every key in ``required``; ConfigError otherwise."""
+    _require(isinstance(value, dict), f"{name} must be an object")
+    unknown = value.keys() - keys
+    _require(not unknown, f"{name} has unknown keys {sorted(unknown)}")
+    for key in required:
+        _require(key in value, f"{name} is missing required key '{key}'")
+    return value
 
 
 @contextmanager
@@ -93,16 +116,10 @@ def load_config(path) -> ExperimentConfig:
         # Bad JSON, a file that is not UTF-8, or an integer past Python's
         # digit limit for int-to-string conversion.
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    _require(isinstance(raw, dict), "top level of the config must be an object")
+    _object(raw, "config", ("plant", "horizon", "Q", "controllers", "channel",
+                            "run"), ("plant", "horizon", "controllers"))
 
-    unknown = set(raw) - {"plant", "horizon", "Q", "controllers", "channel", "run"}
-    _require(not unknown, f"unknown top-level config keys: {sorted(unknown)}")
-    for key in ("plant", "horizon", "controllers"):
-        _require(key in raw, f"config is missing required key '{key}'")
-
-    plant_raw = raw["plant"]
-    _require(isinstance(plant_raw, dict) and {"A", "B"} <= set(plant_raw),
-             "plant must be an object with keys 'A' and 'B'")
+    plant_raw = _object(raw["plant"], "plant", "AB", "AB")
     A, B = (_no_bools(plant_raw[key], f"plant.{key}") for key in "AB")
     with _config_checks("plant."):
         plant = PlantModel(A=A, B=B)
@@ -113,6 +130,7 @@ def load_config(path) -> ExperimentConfig:
     def weight(value, name):
         return _square(_no_bools(value, name), n, name)
 
+    check = {"positive": _positive, "finite": _finite, "matrix": weight}
     Q = weight(raw["Q"], "Q") if "Q" in raw else np.eye(n)
 
     ctrl_raw = raw["controllers"]
@@ -123,85 +141,57 @@ def load_config(path) -> ExperimentConfig:
     for idx, item in enumerate(ctrl_raw):
         where = f"controllers[{idx}]"
         _require(isinstance(item, dict), f"{where} must be an object")
-        _require("name" in item and "family" in item,
-                 f"{where} needs 'name' and 'family'")
+        family = item.get("family")
+        # A tuple, not the dict: a list read from JSON is not hashable.
+        _require(family in tuple(FAMILIES), f"{where}.family must be one of "
+                 f"{tuple(FAMILIES)}, got {family!r}")
+        checks, required, _ = FAMILIES[family]
+        checks = {"Q": "matrix", **checks}
+        _object(item, where, ("name", "family", *checks), ("name", *required))
         name = item["name"]
         _require(isinstance(name, str) and name and "," not in name
                  and "\n" not in name,
                  f"{where}.name must be a non-empty string without commas")
         _require(name not in names, f"duplicate controller name {name!r}")
         names.add(name)
-        family = item["family"]
-        _require(family in FAMILIES,
-                 f"{where}.family must be one of {FAMILIES}, got {family!r}")
 
-        allowed = {"name", "family", "Q"}
         spec: dict = {"name": name, "family": family}
-        if "Q" in item:
-            spec["Q"] = weight(item["Q"], f"{where}.Q")
+        spec.update((key, check[kind](item[key], f"{where}.{key}"))
+                    for key, kind in checks.items() if key in item)
+        # The two rules that are more than one key's own check.
         if family == "l1l2":
-            allowed |= {"mu", "epsilon", "r"}
-            _require("mu" in item, f"{where} (l1l2) needs 'mu'")
-            mu = spec["mu"] = _positive(item["mu"], f"{where}.mu")
-            has_eps, has_r = "epsilon" in item, "r" in item
-            _require(has_eps != has_r,
+            _require(("epsilon" in spec) != ("r" in spec),
                      f"{where} (l1l2) needs exactly one of 'epsilon' or 'r'")
-            if has_eps:
-                spec["epsilon"] = _positive(item["epsilon"], f"{where}.epsilon")
-            else:
-                r = _positive(item["r"], f"{where}.r")
+            if "r" in spec:
+                mu, r = spec["mu"], spec.pop("r")
                 spec["epsilon"] = _finite(mu * mu * horizon / (4.0 * r),
                                           f"{where}.epsilon = mu^2 N / (4 r)")
         elif family == "l0":
-            allowed |= {"beta", "W"}
-            _require("beta" in item, f"{where} (l0) needs 'beta'")
-            spec["beta"] = _finite(item["beta"], f"{where}.beta")
             _require(0.0 < spec["beta"] < 1.0,
                      f"{where}.beta must lie strictly in (0, 1)")
-            if "W" in item:
-                spec["W"] = weight(item["W"], f"{where}.W")
-        elif family == "ridge":
-            allowed |= {"r"}
-            _require("r" in item, f"{where} (ridge) needs 'r'")
-            spec["r"] = _positive(item["r"], f"{where}.r")
-        extra = set(item) - allowed
-        _require(not extra, f"{where} has unknown keys {sorted(extra)}")
         controllers.append(spec)
 
-    channel_gap = 1
-    if "channel" in raw:
-        chan = raw["channel"]
-        _require(isinstance(chan, dict), "channel must be an object")
-        _require(set(chan) <= {"model", "receptions_between_bursts"},
-                 "channel accepts only 'model' and 'receptions_between_bursts'")
-        model = chan.get("model", "bounded_uniform")
-        _require(model == "bounded_uniform",
-                 f"unknown channel model {model!r}; only 'bounded_uniform' is supported")
-        if "receptions_between_bursts" in chan:
-            channel_gap = _integer(chan["receptions_between_bursts"],
-                                   "channel.receptions_between_bursts", 1)
+    chan = _object(raw.get("channel", {}), "channel",
+                   ("model", "receptions_between_bursts"))
+    model = chan.get("model", "bounded_uniform")
+    _require(model == "bounded_uniform",
+             f"unknown channel model {model!r}; only 'bounded_uniform' is supported")
+    channel_gap = _integer(chan.get("receptions_between_bursts", 1),
+                           "channel.receptions_between_bursts", 1)
 
-    runs, T, seed = 500, 100, 0
-    if "run" in raw:
-        run = raw["run"]
-        _require(isinstance(run, dict), "run must be an object")
-        _require(set(run) <= {"runs", "T", "seed", "threads"},
-                 "run accepts only 'runs', 'T', 'seed', 'threads'")
-        if "runs" in run:
-            runs = _integer(run["runs"], "run.runs", 1)
-        if "T" in run:
-            T = _integer(run["T"], "run.T", 1)
-        if "seed" in run:
-            seed = _integer(run["seed"], "run.seed", 0)
-        # Older configs may still carry the removed thread-pool size.
-        threads = run.get("threads", 1)
-        _require(type(threads) is int and threads == 1,
-                 "run.threads must be 1: the Monte Carlo thread pool was "
-                 f"removed, got {threads!r}")
+    run = _object(raw.get("run", {}), "run", ("runs", "T", "seed", "threads"))
+    # Older configs may still carry the removed thread-pool size.
+    threads = run.get("threads", 1)
+    _require(type(threads) is int and threads == 1,
+             "run.threads must be 1: the Monte Carlo thread pool was "
+             f"removed, got {threads!r}")
 
     return ExperimentConfig(plant=plant, horizon=horizon, Q=Q,
                             controllers=tuple(controllers),
-                            channel_gap=channel_gap, runs=runs, T=T, seed=seed)
+                            channel_gap=channel_gap,
+                            runs=_integer(run.get("runs", 500), "run.runs", 1),
+                            T=_integer(run.get("T", 100), "run.T", 1),
+                            seed=_integer(run.get("seed", 0), "run.seed", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +208,6 @@ class BuiltController:
 
 def _listify(M) -> list | float:
     return np.asarray(M, dtype=float).tolist()
-
-
-# The design fields each family reports after its regulator and residuals.
-REPORTED = {"l1l2": ("mu", "epsilon", "a1", "a2", "rho", "R", "Wstar"),
-            "l0": ("beta", "c1", "rho", "c", "Eps", "W", "Wstar"),
-            "ridge": ("Wstar",), "ls": ("Wstar",)}
 
 
 def build_controller(cfg: ExperimentConfig, spec: dict) -> BuiltController:
@@ -251,7 +235,7 @@ def build_controller(cfg: ExperimentConfig, spec: dict) -> BuiltController:
         "closed_loop_identity": float(np.linalg.norm(
             closed.T @ P @ closed - P + design.Q + r * (K.T @ K), "fro"))}}
     report.update((key, _listify(getattr(design, key)))
-                  for key in REPORTED[family])
+                  for key in FAMILIES[family][2])
     if family == "l0":
         report["W_overridden"] = "W" in spec
         report["residuals"].update(wstar_identity=design.wstar_defect,
@@ -522,6 +506,11 @@ def main(argv=None) -> int:
             return EXIT_PROTOCOL
         print(f"design error: {exc}", file=sys.stderr)
         return EXIT_DESIGN
+    except OSError as exc:
+        # The config is read by now: an output path under --out is refused
+        # (a file where the directory goes, or a directory where a file does).
+        print(f"config error: --out {args.out}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entry():  # pragma: no cover - thin wrapper

@@ -17,9 +17,9 @@ dropout flags alone, so a study computes it once for all its laws.  Each
 rollout carries every run's current state ``(runs, n)`` from one round to
 the next and writes the per-step norms ``(runs, T + 1)`` and packet
 sparsity ``(runs, T)``: 16 bytes per run-step.  The state history and
-inputs of a :class:`SimTrace` are written only for :func:`run_closed_loop`
-and for ``monte_carlo(..., keep_traces=True)``, ``8 (n + 3)`` bytes per
-run-step in all (56 at ``n = 4``).
+inputs of a :class:`SimTrace` are written only for :func:`run_closed_loop`,
+which replays one run of a study: ``8 (n + 3)`` bytes per run-step in all
+(56 at ``n = 4``).
 
 Monte Carlo run ``k`` of a study with master seed ``s`` draws its initial
 state from the Philox stream keyed by ``SeedSequence(s, spawn_key=(k, 0))``
@@ -398,15 +398,6 @@ def _rollout(plant: PlantModel, law, X0: np.ndarray, D: np.ndarray,
     return states, inputs, sparsity, norms
 
 
-def _sim_traces(states, inputs, sparsity, norms, dropped: list) -> list:
-    """One read-only :class:`SimTrace` per row of a rollout."""
-    for arr in (states, inputs, sparsity, norms):
-        arr.setflags(write=False)
-    return [SimTrace(states=states[r], inputs=inputs[r], dropped=dropped[r],
-                     sparsity=sparsity[r], norms=norms[r])
-            for r in range(len(dropped))]
-
-
 def run_closed_loop(plant: PlantModel, designer, trace: DropoutTrace, x0,
                     T: int) -> SimTrace:
     """Roll the buffered-actuator protocol for ``T`` steps.
@@ -430,8 +421,12 @@ def run_closed_loop(plant: PlantModel, designer, trace: DropoutTrace, x0,
     except _RunFailure as failure:
         # Raise the run's own error, keeping what it was raised from.
         raise failure.cause from failure.cause.__cause__
-    sub = DropoutTrace(d=trace.d[:T], N_bound=trace.N_bound)
-    return _sim_traces(*rollout, [sub])[0]
+    for arr in rollout:
+        arr.setflags(write=False)
+    states, inputs, sparsity, norms = (arr[0] for arr in rollout)
+    return SimTrace(states=states, inputs=inputs,
+                    dropped=DropoutTrace(d=trace.d[:T], N_bound=trace.N_bound),
+                    sparsity=sparsity, norms=norms)
 
 
 @dataclass(frozen=True)
@@ -443,7 +438,6 @@ class MonteCarloResult:
     avg_sparsity: dict
     runs: int
     seed: int
-    traces: dict | None = None
 
 
 def run_conditions(plant: PlantModel, N: int, T: int, seed: int, run_idx: int,
@@ -469,8 +463,7 @@ def run_conditions(plant: PlantModel, N: int, T: int, seed: int, run_idx: int,
 
 def monte_carlo(plant: PlantModel, designers: Mapping[str, object],
                 N: int, runs: int, T: int = 100, seed: int = 0,
-                receptions_between_bursts: int = 1,
-                keep_traces: bool = False) -> MonteCarloResult:
+                receptions_between_bursts: int = 1) -> MonteCarloResult:
     """Average closed-loop norm and packet sparsity over independent runs.
 
     Each designer is a packet law, as for :func:`run_closed_loop`; anything
@@ -483,10 +476,9 @@ def monte_carlo(plant: PlantModel, designers: Mapping[str, object],
     attached for replay: the lowest-indexed run failing at the earliest
     step (a law failure before a protocol failure there), designers taken
     in order.  A study holds each run's per-step norms and sparsity, 16
-    bytes per run-step, and averages them over the runs; ``keep_traces``
-    also keeps every run's :class:`SimTrace`, whose states and inputs
-    bring that to ``8 (n + 3)`` bytes (56 at ``n = 4``).  A ``seed`` that
-    is not an integer ``>= 0`` raises :class:`ParameterError`.
+    bytes per run-step, and averages them over the runs; a run's states
+    and inputs come from replaying it with :func:`run_closed_loop`.  A
+    ``seed`` that is not an integer ``>= 0`` raises :class:`ParameterError`.
     """
     if not designers:
         raise ParameterError("at least one designer is required")
@@ -497,17 +489,15 @@ def monte_carlo(plant: PlantModel, designers: Mapping[str, object],
     seed = _integer(seed, "seed", 0)
     X0, D = _conditions(plant, N, T, seed, np.arange(runs), gap)
     schedule = _schedule(D)
-    if keep_traces:
-        traces = [DropoutTrace(d=d, N_bound=N) for d in D]
 
-    avg_norm, avg_sparsity, kept = {}, {}, {}
+    avg_norm, avg_sparsity = {}, {}
     for name, law in designers.items():
         try:
-            rollout = _rollout(plant, law, X0, D, keep_traces, schedule)
+            _, _, spars_mat, norms = _rollout(
+                plant, law, X0, D, keep_states=False, schedule=schedule)
         except _RunFailure as failure:
             raise SimulationRunError(failure.row, seed,
                                      failure.cause) from failure.cause
-        _, _, spars_mat, norms = rollout
         avg_norm[name] = norms[:, :T].mean(axis=0)
         # NaN marks steps without a freshly computed packet; average over the
         # runs that did compute one, NaN if none did.
@@ -517,9 +507,6 @@ def monte_carlo(plant: PlantModel, designers: Mapping[str, object],
         nz = counts > 0
         avg[nz] = sums[nz] / counts[nz]
         avg_sparsity[name] = avg
-        if keep_traces:
-            kept[name] = _sim_traces(*rollout, traces)
 
     return MonteCarloResult(steps=np.arange(T), avg_norm=avg_norm,
-                            avg_sparsity=avg_sparsity, runs=runs,
-                            seed=seed, traces=kept or None)
+                            avg_sparsity=avg_sparsity, runs=runs, seed=seed)

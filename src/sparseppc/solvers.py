@@ -504,9 +504,7 @@ class OmpLaw(PacketLaw):
                 f"(residual {r2[0]:.6e} > bound {bound_a[0]:.6e}); "
                 "W is inconsistent with these horizon matrices"
             )
-        certificate = {"constraint_slack": bound - resid2,
-                       "feasible": np.ones(X.shape[0], dtype=bool),
-                       "support": order}
+        certificate = {"constraint_slack": bound - resid2, "support": order}
         return U, size, certificate
 
 

@@ -13,9 +13,9 @@ import pytest
 
 from sparseppc import (ConfigError, LassoLaw, OmpLaw, PacketLaw,
                        fixed_point_residual)
-from sparseppc import cli, plant, riccati
+from sparseppc import cli, netsim, plant, riccati
 from sparseppc.cli import build_controller, load_config, main
-from sparseppc.netsim import _generator, monte_carlo
+from sparseppc.netsim import _generator
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -132,6 +132,13 @@ class TestLoadConfig:
         lambda c: c.update(run={"seed": -1}),
         lambda c: c.update(run={"budget": 5}),
         lambda c: c.update(run={"threads": 2}),
+        # A weight misplaced inside the plant is refused, not ignored.
+        lambda c: c["plant"].update(Q=[[1.0, 0.0], [0.0, 1.0]]),
+        lambda c: c.update(plant=[[0.9, 0.2], [0.0, 0.7]]),
+        lambda c: c.update(channel=["bounded_uniform"]),
+        lambda c: c.update(run=[3, 8, 1]),
+        lambda c: c["controllers"].append(["x", "ls"]),
+        lambda c: c["controllers"].append({"name": "x", "family": ["ls"]}),
     ])
     def test_rejects_malformed(self, tmp_path, mutate):
         cfg = variant()
@@ -334,6 +341,28 @@ def test_unreadable_config_text_exits_2(tmp_path, capsys, content):
                  str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, out, made_dir", [
+    ("design", "notes.txt", None),                  # an existing file
+    ("montecarlo", "notes.txt/out", None),          # a path under a file
+    ("simulate", "out", "out/simulate.json"),       # an output name taken
+], ids=["existing-file", "under-a-file", "output-is-a-directory"])
+def test_bad_out_exits_2(tmp_path, capsys, command, out, made_dir):
+    # A path the output cannot be written to is a bad flag: one line that
+    # names it, no traceback, and nothing written or created.
+    path = write_config(tmp_path, variant())
+    (tmp_path / "notes.txt").write_text("kept\n")
+    if made_dir:
+        (tmp_path / made_dir).mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / out
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --out {out}: "), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "notes.txt").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
@@ -826,24 +855,29 @@ def test_failed_run_exits_as_its_cause(tmp_path, capsys, monkeypatch,
         assert "spawn key (0,)" in stderr
 
 
+def study_runs(path, runs, run_index):
+    """``(name, states, dropout flags)`` of run ``run_index`` of the
+    config's study of ``runs`` runs, rolled out in one batch as
+    ``monte_carlo`` rolls them out."""
+    cfg = load_config(path)
+    X0, D = netsim._conditions(cfg.plant, cfg.horizon, cfg.T, cfg.seed,
+                               np.arange(runs), cfg.channel_gap)
+    for spec in cfg.controllers:
+        law = build_controller(cfg, spec).designer
+        states = netsim._rollout(cfg.plant, law, X0, D)[0]
+        yield spec["name"], states[run_index], D[run_index]
+
+
 def test_simulate_replays_monte_carlo_run_zero(tmp_path):
     path = write_config(tmp_path, variant())
     assert main(["simulate", "--config", str(path),
                  "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "simulate.json").read_text())
 
-    cfg = load_config(path)
-    designers = {spec["name"]: build_controller(cfg, spec).designer
-                 for spec in cfg.controllers}
-    result = monte_carlo(cfg.plant, designers, cfg.horizon, runs=1, T=cfg.T,
-                         seed=cfg.seed,
-                         receptions_between_bursts=cfg.channel_gap,
-                         keep_traces=True)
-    for name in designers:
-        run0 = result.traces[name][0]
-        assert payload["dropped"] == run0.dropped.d.tolist()
+    for name, states, dropped in study_runs(path, runs=1, run_index=0):
+        assert payload["dropped"] == dropped.tolist()
         np.testing.assert_array_equal(
-            np.array(payload["controllers"][name]["states"]), run0.states)
+            np.array(payload["controllers"][name]["states"]), states)
 
 
 @pytest.mark.parametrize("run_index", [0, 3])
@@ -854,15 +888,7 @@ def test_simulate_replays_any_monte_carlo_run(tmp_path, run_index):
     payload = json.loads((tmp_path / "simulate.json").read_text())
     assert payload["run_index"] == run_index
 
-    cfg = load_config(path)
-    designers = {spec["name"]: build_controller(cfg, spec).designer
-                 for spec in cfg.controllers}
-    result = monte_carlo(cfg.plant, designers, cfg.horizon,
-                         runs=run_index + 1, T=cfg.T, seed=cfg.seed,
-                         receptions_between_bursts=cfg.channel_gap,
-                         keep_traces=True)
-    for name in designers:
-        run = result.traces[name][run_index]
-        assert payload["dropped"] == run.dropped.d.tolist()
+    for name, states, dropped in study_runs(path, run_index + 1, run_index):
+        assert payload["dropped"] == dropped.tolist()
         np.testing.assert_array_equal(
-            np.array(payload["controllers"][name]["states"]), run.states)
+            np.array(payload["controllers"][name]["states"]), states)

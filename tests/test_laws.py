@@ -257,15 +257,16 @@ def test_omp_law_rejects_an_infeasible_weight(bench_l0):
 def test_monte_carlo_run_equals_its_one_run_rollout(bench_cfg, bench_laws, name):
     designer = bench_laws[name][1]
     N, T, seed = bench_cfg.horizon, 60, 7
-    res = sp.monte_carlo(bench_cfg.plant, {name: designer}, N, runs=40, T=T,
-                         seed=seed, keep_traces=True)
-    for k, run in enumerate(res.traces[name]):
+    X0, D = sp.netsim._conditions(bench_cfg.plant, N, T, seed, np.arange(40), 1)
+    states, inputs, sparsity, norms = sp.netsim._rollout(bench_cfg.plant,
+                                                         designer, X0, D)
+    for k in range(40):
         x0, trace = sp.run_conditions(bench_cfg.plant, N, T, seed, k)
         alone = sp.run_closed_loop(bench_cfg.plant, designer, trace, x0, T)
-        np.testing.assert_array_equal(run.states, alone.states)
-        np.testing.assert_array_equal(run.inputs, alone.inputs)
-        np.testing.assert_array_equal(run.sparsity, alone.sparsity)
-        np.testing.assert_array_equal(run.norms, alone.norms)
+        np.testing.assert_array_equal(states[k], alone.states)
+        np.testing.assert_array_equal(inputs[k], alone.inputs)
+        np.testing.assert_array_equal(sparsity[k], alone.sparsity)
+        np.testing.assert_array_equal(norms[k], alone.norms)
 
 
 def test_a_study_averages_the_same_with_or_without_traces(bench_cfg,
@@ -273,22 +274,21 @@ def test_a_study_averages_the_same_with_or_without_traces(bench_cfg,
     laws = {name: law for name, (_, law) in bench_laws.items()}
     N, T, runs, seed = bench_cfg.horizon, 100, 60, 3
     bare = sp.monte_carlo(bench_cfg.plant, laws, N, runs=runs, T=T, seed=seed)
-    kept = sp.monte_carlo(bench_cfg.plant, laws, N, runs=runs, T=T, seed=seed,
-                          keep_traces=True)
-    assert bare.traces is None
-    for name in laws:
-        np.testing.assert_array_equal(bare.avg_norm[name], kept.avg_norm[name])
-        np.testing.assert_array_equal(bare.avg_sparsity[name],
-                                      kept.avg_sparsity[name])
-        norms = np.array([run.norms for run in kept.traces[name]])
-        np.testing.assert_array_equal(kept.avg_norm[name],
+    conditions = [sp.run_conditions(bench_cfg.plant, N, T, seed, k)
+                  for k in range(runs)]
+    for name, law in laws.items():
+        # Each run replayed on its own, with its states.
+        kept = [sp.run_closed_loop(bench_cfg.plant, law, trace, x0, T)
+                for x0, trace in conditions]
+        norms = np.array([run.norms for run in kept])
+        np.testing.assert_array_equal(bare.avg_norm[name],
                                       norms[:, :T].mean(axis=0))
-        sparsity = np.array([run.sparsity for run in kept.traces[name]])
+        sparsity = np.array([run.sparsity for run in kept])
         # NaN at the steps where no run computes a packet, as 0 / 0.
         with np.errstate(invalid="ignore"):
             mean = (np.nansum(sparsity, axis=0)
                     / np.sum(~np.isnan(sparsity), axis=0))
-        np.testing.assert_array_equal(kept.avg_sparsity[name], mean)
+        np.testing.assert_array_equal(bare.avg_sparsity[name], mean)
 
 
 def test_failure_is_pinned_on_the_earliest_step_then_lowest_run(bench_cfg,

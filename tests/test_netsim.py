@@ -266,9 +266,9 @@ class TestMonteCarlo:
     def test_single_run_average_is_the_run_itself(self, small_plant,
                                                   small_designers):
         res = sp.monte_carlo(small_plant, small_designers, 3, runs=1, T=12,
-                             seed=5, keep_traces=True)
-        for name in small_designers:
-            only = res.traces[name][0]
+                             seed=5)
+        for name, law in small_designers.items():
+            only = alone(small_plant, law, 3, 12, 5, 0)
             np.testing.assert_array_equal(res.avg_norm[name], only.norms[:12])
             np.testing.assert_array_equal(res.avg_sparsity[name],
                                           only.sparsity)
@@ -285,16 +285,20 @@ class TestMonteCarlo:
 
     def test_run_conditions_replay_each_run(self, small_plant,
                                             small_designers):
-        res = sp.monte_carlo(small_plant, small_designers, 3, runs=4, T=10,
-                             seed=8, receptions_between_bursts=2,
-                             keep_traces=True)
+        # The study's conditions, as monte_carlo derives them for all runs.
+        X0, D = sp.netsim._conditions(small_plant, 3, 10, 8, np.arange(4), 2)
         for k in range(4):
             x0, trace = sp.run_conditions(small_plant, 3, 10, 8, k, 2)
-            for name in small_designers:
-                sim = res.traces[name][k]
-                np.testing.assert_array_equal(sim.states[0], x0)
-                np.testing.assert_array_equal(sim.dropped.d, trace.d)
-                assert sim.dropped.N_bound == trace.N_bound
+            np.testing.assert_array_equal(X0[k], x0)
+            np.testing.assert_array_equal(D[k], trace.d)
+            assert trace.N_bound == 3
+        res = sp.monte_carlo(small_plant, small_designers, 3, runs=4, T=10,
+                             seed=8, receptions_between_bursts=2)
+        for name, law in small_designers.items():
+            norms = np.array([alone(small_plant, law, 3, 10, 8, k, 2).norms
+                              for k in range(4)])
+            np.testing.assert_array_equal(res.avg_norm[name],
+                                          norms[:, :10].mean(axis=0))
 
     def test_seed_changes_results(self, small_plant, small_designers):
         a = sp.monte_carlo(small_plant, small_designers, 3, runs=4, T=10,
@@ -303,10 +307,9 @@ class TestMonteCarlo:
                            seed=2)
         assert not np.array_equal(a.avg_norm["ls"], b.avg_norm["ls"])
 
-    def test_runs_draw_distinct_conditions(self, small_plant, small_designers):
-        res = sp.monte_carlo(small_plant, small_designers, 3, runs=5, T=10,
-                             seed=0, keep_traces=True)
-        x0s = {tuple(t.states[0]) for t in res.traces["ls"]}
+    def test_runs_draw_distinct_conditions(self, small_plant):
+        X0, _ = sp.netsim._conditions(small_plant, 3, 10, 0, np.arange(5), 1)
+        x0s = {tuple(x0) for x0 in X0}
         assert len(x0s) == 5
 
     def test_all_runs_share_step_zero_reception(self, small_plant,
@@ -461,20 +464,18 @@ class TestReceptionRounds:
     def test_batched_equals_alone_with_back_to_back_receptions(
             self, small_plant, small_designers):
         N, T, seed, runs, gap = 3, 30, 6, 7, 3
-        res = sp.monte_carlo(small_plant, small_designers, N, runs=runs, T=T,
-                             seed=seed, receptions_between_bursts=gap,
-                             keep_traces=True)
-        received = ~np.array([t.dropped.d for t in res.traces["ls"]])
+        X0, D = sp.netsim._conditions(small_plant, N, T, seed,
+                                      np.arange(runs), gap)
         # Segments of length one: a reception right after a reception.
-        assert np.any(received[:, 1:] & received[:, :-1])
+        assert np.any(~D[:, 1:] & ~D[:, :-1])
+        fields = ("states", "inputs", "sparsity", "norms")
         for name, law in small_designers.items():
+            batched = sp.netsim._rollout(small_plant, law, X0, D)
             for k in range(runs):
                 sim = alone(small_plant, law, N, T, seed, k, gap)
-                batched = res.traces[name][k]
-                for field in ("states", "inputs", "sparsity", "norms"):
+                for field, rows in zip(fields, batched):
                     np.testing.assert_array_equal(
-                        getattr(batched, field), getattr(sim, field),
-                        (name, k, field))
+                        rows[k], getattr(sim, field), (name, k, field))
 
     def test_a_first_burst_as_long_as_the_packet_is_a_protocol_error(
             self, small_plant):
