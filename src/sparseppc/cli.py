@@ -82,11 +82,13 @@ def _config_checks(section: str = ""):
 
 
 def _no_bools(value, name: str):
-    # JSON true and false would reach the numpy checks as 1 and 0.
-    _require(not isinstance(value, bool),
-             f"{name} entries must be numbers, got {value!r}")
-    for entry in value if isinstance(value, list) else ():
-        _no_bools(entry, name)
+    # JSON true and false would reach the numpy checks as 1 and 0.  One
+    # pass over the entries as numpy nests them; a bool hidden in a ragged
+    # row is refused by the matrix check that follows.
+    bools = [e for e in np.asarray(value, dtype=object).ravel()
+             if e is True or e is False]
+    if bools:
+        raise ConfigError(f"{name} entries must be numbers, got {bools[0]!r}")
     return value
 
 
@@ -251,74 +253,54 @@ def _build_all(cfg: ExperimentConfig) -> list:
 # Output helpers
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
+def _write(out: Path, files: dict):
+    # A finished command's {file name: text} into ``out``, all or nothing:
+    # a name taken by a directory is refused first, and an ``out`` that is
+    # a file or lies under one is refused by mkdir before it makes anything.
+    for name in files:
+        if (out / name).is_dir():
+            raise OSError(f"{out / name} is a directory")
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, text in files.items():
+        (out / name).write_text(text)
 
 
-def _write_csv(path: Path, steps: np.ndarray, series: dict):
+def _csv(steps: np.ndarray, series: dict) -> str:
     names = list(series)
     lines = ["k," + ",".join(names)]
     for i, k in enumerate(steps):
         lines.append(str(int(k)) + "," +
                      ",".join(f"{series[name][i]:.17g}" for name in names))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _sanitize(obj):
-    """Replace NaN/inf with None so the JSON stays strictly valid."""
-    if isinstance(obj, float):
-        return obj if np.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
-
-
-def _write_json(path: Path, payload):
-    path.write_text(json.dumps(_sanitize(payload), indent=2, allow_nan=False)
-                    + "\n")
-
-
-def _meta(command: str, cfg: ExperimentConfig, wall_time: float) -> dict:
-    return {
-        "command": command,
-        "seed": cfg.seed,
-        "runs": cfg.runs,
-        "T": cfg.T,
-        "horizon": cfg.horizon,
-        "controllers": [spec["name"] for spec in cfg.controllers],
-        "versions": {"sparseppc": __version__, "numpy": np.__version__},
-        "wall_time_s": wall_time,
-    }
+def _json(payload) -> str:
+    # NaN and the infinities become null, so the JSON stays strictly valid.
+    plain = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    return json.dumps(plain, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # Commands
+#
+# Each returns its exit code, its files as {file name: text} and its summary
+# lines, which ``main`` writes and prints only once the command has finished.
 
 
-def cmd_design(cfg: ExperimentConfig, args) -> int:
-    built = _build_all(cfg)
-    out = _out_dir(args)
-    reports = []
-    for ctrl in built:
-        entry = {"name": ctrl.name, "family": ctrl.designer.family,
-                 "horizon": cfg.horizon}
-        entry.update(ctrl.report)
-        reports.append(entry)
+def cmd_design(cfg: ExperimentConfig, args) -> tuple:
+    reports, lines = [], []
+    for ctrl in _build_all(cfg):
+        reports.append({"name": ctrl.name, "family": ctrl.designer.family,
+                        "horizon": cfg.horizon, **ctrl.report})
         extras = [f"{key}={ctrl.report[key]:.6g}"
                   for key in ("rho", "R", "c1", "c") if key in ctrl.report]
-        print(f"designed {ctrl.name} ({ctrl.designer.family})"
-              + (": " + ", ".join(extras) if extras else ""))
-    _write_json(out / "design_report.json", reports)
-    return EXIT_OK
+        lines.append(f"designed {ctrl.name} ({ctrl.designer.family})"
+                     + (": " + ", ".join(extras) if extras else ""))
+    return EXIT_OK, {"design_report.json": _json(reports)}, lines
 
 
-def cmd_simulate(cfg: ExperimentConfig, args) -> int:
+def cmd_simulate(cfg: ExperimentConfig, args) -> tuple:
     built = _build_all(cfg)
-    out = _out_dir(args)
 
     # A replay of one Monte Carlo run of a study with the same seed.
     x0, trace = run_conditions(cfg.plant, cfg.horizon, cfg.T, cfg.seed,
@@ -330,29 +312,30 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
         payload["controllers"][ctrl.name] = {
             key: _listify(getattr(sim, key))
             for key in ("states", "inputs", "norms", "sparsity")}
-    _write_json(out / "simulate.json", payload)
-    print(f"simulated {cfg.T} steps for {len(built)} controller(s) "
-          f"(seed {cfg.seed}, run {args.run_index})")
-    return EXIT_OK
+    return EXIT_OK, {"simulate.json": _json(payload)}, [
+        f"simulated {cfg.T} steps for {len(built)} controller(s) "
+        f"(seed {cfg.seed}, run {args.run_index})"]
 
 
-def cmd_montecarlo(cfg: ExperimentConfig, args) -> int:
-    built = _build_all(cfg)
-    designers = {ctrl.name: ctrl.designer for ctrl in built}
-    out = _out_dir(args)
-
+def cmd_montecarlo(cfg: ExperimentConfig, args) -> tuple:
+    designers = {ctrl.name: ctrl.designer for ctrl in _build_all(cfg)}
     start = time.perf_counter()
     result = monte_carlo(cfg.plant, designers, cfg.horizon, cfg.runs,
                          T=cfg.T, seed=cfg.seed,
                          receptions_between_bursts=cfg.channel_gap)
     wall = time.perf_counter() - start
 
-    _write_csv(out / "avg_norm.csv", result.steps, result.avg_norm)
-    _write_csv(out / "avg_sparsity.csv", result.steps, result.avg_sparsity)
-    _write_json(out / "meta.json", _meta("montecarlo", cfg, wall))
-    for name in designers:
-        print(f"{name}: avg ||x(T-1)|| = {result.avg_norm[name][-1]:.6g}")
-    return EXIT_OK
+    meta = {"command": "montecarlo", "seed": cfg.seed, "runs": cfg.runs,
+            "T": cfg.T, "horizon": cfg.horizon,
+            "controllers": [spec["name"] for spec in cfg.controllers],
+            "versions": {"sparseppc": __version__, "numpy": np.__version__},
+            "wall_time_s": wall}
+    lines = [f"{name}: avg ||x(T-1)|| = {result.avg_norm[name][-1]:.6g}"
+             for name in designers]
+    return EXIT_OK, {"avg_norm.csv": _csv(result.steps, result.avg_norm),
+                     "avg_sparsity.csv": _csv(result.steps,
+                                              result.avg_sparsity),
+                     "meta.json": _json(meta)}, lines
 
 
 AUDITED = ("l1l2", "l0")
@@ -398,14 +381,13 @@ def _audit_check(audit, design, *draws: np.ndarray) -> tuple:
     return failures, worst, errors[:3]
 
 
-def cmd_audit(cfg: ExperimentConfig, args) -> int:
+def cmd_audit(cfg: ExperimentConfig, args) -> tuple:
     draws = cfg.runs
     designs = {spec["name"]: build_controller(cfg, spec).design
                for spec in cfg.controllers if spec["family"] in AUDITED}
-    out = _out_dir(args)
 
     summary = {"seed": cfg.seed, "draws": draws, "controllers": []}
-    failures_total = 0
+    failures_total, lines = 0, []
     rng = _generator(cfg.seed)
     X = np.empty((draws, cfg.plant.n))
     dropouts = np.empty(draws, dtype=int)
@@ -428,11 +410,12 @@ def cmd_audit(cfg: ExperimentConfig, args) -> int:
                 "name": check_name, "draws": draws, "failures": n_fail,
                 "worst_slack": worst, "errors": errors})
             status = "ok" if n_fail == 0 else f"{n_fail} FAILURES"
-            print(f"audit {name}/{check_name}: {status} over {draws} draws")
+            lines.append(f"audit {name}/{check_name}: {status} over "
+                         f"{draws} draws")
 
     summary["failures_total"] = failures_total
-    _write_json(out / "audit.json", summary)
-    return EXIT_OK if failures_total == 0 else EXIT_AUDIT
+    code = EXIT_OK if failures_total == 0 else EXIT_AUDIT
+    return code, {"audit.json": _json(summary)}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +476,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _with_overrides(load_config(args.config), args)
-        return args.handler(cfg, args)
+        code, files, lines = args.handler(cfg, args)
+        _write(Path(args.out), files)
+        for line in lines:
+            print(line)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -508,7 +495,8 @@ def main(argv=None) -> int:
         return EXIT_DESIGN
     except OSError as exc:
         # The config is read by now: an output path under --out is refused
-        # (a file where the directory goes, or a directory where a file does).
+        # (a file where the directory goes, or a directory where a file
+        # does), and nothing was written.
         print(f"config error: --out {args.out}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import DegeneracyError, DesignError, ParameterError, SolverError
 from .plant import (HorizonMatrices, PlantModel, _finite, _frozen,
-                    _horizon_matrices, _integer, _positive, _real, _square,
-                    _state_vector, require_spd, row_dot, row_matmul)
+                    _horizon_matrices, _integer, _positive, _real, _replay,
+                    _square, _state_vector, require_spd, row_dot, row_matmul)
 from .riccati import solve_dare
 from .solvers import LassoLaw, LinearLaw, OmpLaw, PacketLaw
 
@@ -300,8 +300,10 @@ def design_l0(plant: PlantModel, Q, N: int, beta: float,
 # whose fields hold one value per row; a single state is the batch's
 # one-row case and gets plain Python scalars.  All state products are
 # row-independent (``plant.row_matmul``), so every row has the same bits
-# alone or in a batch.  A row that fails a solver check raises for the
-# whole batch; ``errors.each_row`` pins such a failure on its rows.
+# alone or in a batch.  The contraction audits replay each packet with the
+# closed loop's own ``plant._replay``, so an end state has the closed loop's
+# bits after the same dropouts.  A row that fails a solver check raises for
+# the whole batch; ``errors.each_row`` pins such a failure on its rows.
 
 
 @dataclass(frozen=True)
@@ -377,13 +379,14 @@ def _quad(X: np.ndarray, M: np.ndarray) -> np.ndarray:
     return row_dot(X, row_matmul(X, M))
 
 
-def _open_loop(plant: PlantModel, X: np.ndarray, U: np.ndarray,
-               dropouts: np.ndarray) -> np.ndarray:
+def _end_states(plant: PlantModel, X: np.ndarray, U: np.ndarray,
+                dropouts: np.ndarray) -> np.ndarray:
     # Row r after replaying the first dropouts[r] entries of its packet.
-    Z = X
-    for step in range(int(dropouts.max(initial=0))):
-        moved = row_matmul(Z, plant.A) + U[:, step, None] * plant.B[:, 0]
-        Z = np.where((step < dropouts)[:, None], moved, Z)
+    # The replay takes its rows longest first; they go back in their order.
+    order = np.argsort(-dropouts, kind="stable")
+    path = _replay(plant, X[order], U[order], dropouts[order])
+    Z = np.empty_like(X)
+    Z[order] = path[np.arange(X.shape[0]), dropouts[order]]
     return Z
 
 
@@ -418,7 +421,7 @@ def audit_contraction_l1l2(design: L1L2Design, x,
     X, single = _states(x)
     i = _check_dropouts(dropouts, design.N, X.shape[0])
     start, U = _values(design.law, design.Q, X)
-    end, _ = _values(design.law, design.Q, _open_loop(design.plant, X, U, i))
+    end, _ = _values(design.law, design.Q, _end_states(design.plant, X, U, i))
     bound = design.rho * start + design.epsilon + design.lam_min_q / 4.0
     passed = end <= bound * (1.0 + AUDIT_REL_SLACK)
     return _record(ContractionAuditL1L2, single, dropouts=i,
@@ -439,7 +442,7 @@ def audit_contraction_l0(design: L0Design, x,
     X, single = _states(x)
     i = _check_dropouts(dropouts, design.N, X.shape[0])
     U, _, _ = design.law.solve(X)
-    Z = _open_loop(design.plant, X, U, i)
+    Z = _end_states(design.plant, X, U, i)
     start = _quad(X, design.P)
     end = _quad(Z, design.P)
     x_eps = _quad(X, design.Eps)

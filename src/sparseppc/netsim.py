@@ -9,8 +9,10 @@ A run's reception steps are fixed by its dropout trace, and they cut its
 steps into segments: from one reception to the next, or to the end.  A
 batch of runs is rolled out reception-major.  Round ``j`` computes the
 ``j``-th packet of every run that has one in a single packet-law call, and
-each of those runs then replays its packet through its own segment.  No
-packet is computed during a dropout burst.
+each of those runs then replays its packet through its own segment with
+``plant._replay``, the one place the plant is stepped (the contraction
+audits and ``plant.propagate`` use it too).  No packet is computed during a
+dropout burst.
 
 A study keeps what it reports.  The reception schedule depends on the
 dropout flags alone, so a study computes it once for all its laws.  Each
@@ -38,7 +40,7 @@ import numpy as np
 
 from .errors import (ParameterError, ProtocolError, SimulationRunError,
                      each_row)
-from .plant import PlantModel, _integer, _state_vector, row_matmul
+from .plant import PlantModel, _integer, _replay, _state_vector
 
 
 @dataclass(frozen=True)
@@ -315,29 +317,21 @@ def _schedule(D: np.ndarray) -> tuple:
 def _rollout(plant: PlantModel, law, X0: np.ndarray, D: np.ndarray,
              keep_states: bool = True, schedule: tuple | None = None) -> tuple:
     """Advance a batch of runs through the buffered protocol, reception by
-    reception.
+    reception, as the module docstring describes.
 
     Row ``r`` starts at ``X0[r]`` and follows the dropout flags ``D[r]``,
-    whose first step is a delivery for every run (see
-    :class:`DropoutTrace`).  A run's receptions cut its steps into
-    segments, each from one reception to the next or to ``T``.  Round ``j``
-    makes one ``law.packets`` call on the ``j``-th reception state of every
-    run that has one; each of those runs then applies its packet's entries
-    through its own segment, and carries the state it ends at to its next
-    round.  ``schedule`` is :func:`_schedule` of ``D``, computed here if not
-    given.  A segment longer than the packet is a :class:`ProtocolError` at
-    step ``start + width``.
+    whose first step is a delivery (see :class:`DropoutTrace`).  Each round
+    replays its runs' packets through their segments and carries the state
+    each run ends at to its next round.  ``schedule`` is :func:`_schedule`
+    of ``D``, computed here if not given.  A segment longer than the packet
+    is a :class:`ProtocolError` at step ``start + width``.
 
     Returns ``(states, inputs, sparsity, norms)`` of shapes ``(runs, T + 1,
-    n)``, ``(runs, T)``, ``(runs, T)`` and ``(runs, T + 1)``.  Each round
-    writes the norms and sparsity of its own steps; only ``keep_states``
-    also writes the states and inputs, which are ``None`` without it.  At
-    ``n = 4`` that is 56 against 16 bytes per run-step.  Every state
-    product is row-independent (``plant.row_matmul``), so a run computes
-    the same bits alone or inside any batch.  Each run stops at its own
-    first failure; the rollout then raises :class:`_RunFailure` for the
-    earliest failing step, a law failure before a protocol failure at the
-    same step, and the lowest-indexed run.
+    n)``, ``(runs, T)``, ``(runs, T)`` and ``(runs, T + 1)``; the states and
+    inputs only with ``keep_states``, ``None`` without it.  Each run stops
+    at its own first failure; the rollout then raises :class:`_RunFailure`
+    for the earliest failing step, a law failure before a protocol failure
+    at the same step, and the lowest-indexed run.
     """
     runs, T = D.shape
     run_of, start, length, bounds = (_schedule(D) if schedule is None
@@ -351,7 +345,6 @@ def _rollout(plant: PlantModel, law, X0: np.ndarray, D: np.ndarray,
         states = np.empty((runs, T + 1, plant.n))
         inputs = np.empty((runs, T))
         states[:, 0] = current
-    b = plant.B[:, 0]
     alive = np.ones(runs, dtype=bool)
     failures = []  # (step, law 0 / protocol 1, run, error)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -377,16 +370,11 @@ def _rollout(plant: PlantModel, law, X0: np.ndarray, D: np.ndarray,
                 f"packet horizon ({width})")))
         alive[rows[span > width]] = False
         span = np.minimum(span, width)
-        # Rows are sorted by segment length, so each step's rows are a prefix.
-        steps = np.arange(span[0]) < span[:, None]
-        path = np.empty((rows.size, span[0] + 1, plant.n))
-        path[:, 0] = X
-        for i, active in enumerate(steps.sum(axis=0)):
-            path[:active, i + 1] = (row_matmul(path[:active, i], plant.A)
-                                    + U[:active, i, None] * b)
+        # Rows are sorted by segment length, as the replay takes them.
+        path = _replay(plant, X, U, span)
         current[rows] = path[np.arange(rows.size), span]
         # Only the written entries of the path: the rest is uninitialized.
-        r, i = np.nonzero(steps)
+        r, i = np.nonzero(np.arange(span[0]) < span[:, None])
         visited = path[r, i + 1]
         norms[rows[r], at[r] + i + 1] = np.linalg.norm(visited, axis=1)
         if keep_states:

@@ -181,14 +181,33 @@ def row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", X, Y)
 
 
+def _replay(plant: PlantModel, X: np.ndarray, U: np.ndarray,
+            steps: np.ndarray) -> np.ndarray:
+    # The buffered actuator's replay, the one place the plant is stepped:
+    # ``path[r, k]`` is row ``r`` of ``X`` after the first ``k`` entries of
+    # ``U[r]``, for ``k <= steps[r]``; later entries are uninitialized.  The
+    # rows come longest replay first, so each step's rows are a prefix.
+    width = int(steps.max(initial=0))
+    path = np.empty((X.shape[0], width + 1, plant.n))
+    path[:, 0] = X
+    b = plant.B[:, 0]
+    active = (np.arange(width) < steps[:, None]).sum(axis=0)
+    for i, rows in enumerate(active):
+        path[:rows, i + 1] = (row_matmul(path[:rows, i], plant.A)
+                              + U[:rows, i, None] * b)
+    return path
+
+
 def propagate(plant: PlantModel, x: np.ndarray, u: float) -> np.ndarray:
     """One step of the plant recursion, ``A x + B u``.
 
-    The one-row case of the batched step in ``netsim``: the same bits as a
-    state advanced inside a batch of runs.
+    The one-row, one-step case of the buffered replay that the closed loop
+    and the contraction audits share: the same bits as a state advanced
+    inside a batch of runs.
     """
     x = _state_vector(x, plant.n)[None]
-    return row_matmul(x, plant.A)[0] + plant.B[:, 0] * _finite(u, "u")
+    u = np.array([[_finite(u, "u")]])
+    return _replay(plant, x, u, np.ones(1, dtype=int))[0, 1]
 
 
 def controllability_matrix(plant: PlantModel) -> np.ndarray:

@@ -347,10 +347,13 @@ def test_unreadable_config_text_exits_2(tmp_path, capsys, content):
     ("design", "notes.txt", None),                  # an existing file
     ("montecarlo", "notes.txt/out", None),          # a path under a file
     ("simulate", "out", "out/simulate.json"),       # an output name taken
-], ids=["existing-file", "under-a-file", "output-is-a-directory"])
+    ("montecarlo", "out", "out/avg_sparsity.csv"),  # its second name taken
+], ids=["existing-file", "under-a-file", "output-is-a-directory",
+        "second-output-is-a-directory"])
 def test_bad_out_exits_2(tmp_path, capsys, command, out, made_dir):
     # A path the output cannot be written to is a bad flag: one line that
-    # names it, no traceback, and nothing written or created.
+    # names it, no traceback, and nothing written, created or reported, not
+    # even the outputs whose own names are free.
     path = write_config(tmp_path, variant())
     (tmp_path / "notes.txt").write_text("kept\n")
     if made_dir:
@@ -358,7 +361,8 @@ def test_bad_out_exits_2(tmp_path, capsys, command, out, made_dir):
     before = sorted(tmp_path.rglob("*"))
     out = tmp_path / out
     assert main([command, "--config", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
+    printed, err = capsys.readouterr()
+    assert printed == ""
     assert err.startswith(f"config error: --out {out}: "), err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert sorted(tmp_path.rglob("*")) == before
@@ -843,10 +847,14 @@ def test_failed_run_exits_as_its_cause(tmp_path, capsys, monkeypatch,
                                        command):
     # A weight far below the least-squares weight makes OMP infeasible:
     # a design error in a single simulation and in a Monte Carlo run alike.
+    # The outputs are written only once a command has finished, so the
+    # failed one does not even make --out.
     corrupt_omp_weight(monkeypatch)
     cfg = variant(controllers=[{"name": "bad", "family": "l0", "beta": 0.5}])
     path = write_config(tmp_path, cfg)
-    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 3
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 3
+    assert not out.exists()
     stderr = capsys.readouterr().err
     assert stderr.startswith("design error:")
     assert "Traceback" not in stderr

@@ -424,3 +424,26 @@ class TestBatchedAudits:
         with pytest.raises(DesignError):
             sp.audit_residual_l0(bad, X)
 
+
+
+@pytest.mark.parametrize("family", ["l1l2", "l0"])
+def test_contraction_audit_replays_the_closed_loop(bench_l1l2, bench_l0,
+                                                   family):
+    # The contraction audits and the closed loop share one buffered replay:
+    # after a reception at step 0 and i - 1 losses, the audit's end value at
+    # x has the bits of the value at the closed loop's state at step i.
+    design = bench_l1l2 if family == "l1l2" else bench_l0
+    rng = np.random.default_rng(97)
+    for x in rng.standard_normal((3, 4)) * [[0.1], [1.0], [10.0]]:
+        for i in range(1, BENCH_N + 1):
+            trace = sp.DropoutTrace(d=[False] + [True] * (i - 1),
+                                    N_bound=BENCH_N)
+            sim = sp.run_closed_loop(design.plant, design.law, trace, x, i)
+            if family == "l1l2":
+                got = sp.audit_contraction_l1l2(design, x, i).value_end
+                want = sp.audit_value_sandwich(design, sim.states[i]).value
+            else:
+                got = sp.audit_contraction_l0(design, x, i).value_end
+                want = sp.audit_contraction_l0(design, sim.states[i],
+                                               1).value_start
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), i

@@ -149,3 +149,22 @@ def test_public_surface_is_pinned():
         "monte_carlo",
     ]
     assert all(hasattr(sparseppc, name) for name in sparseppc.__all__)
+
+
+def test_readme_quick_start_runs_and_prints_what_it_claims(capsys):
+    # The README's quick start is run as written.  Each print commented
+    # "-> ~v" must print a value within 5% of v.
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md quick start", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(prints)
+    claims = 0
+    for line, out in zip(prints, printed):
+        claim = re.search(r"# -> ~(\S+?),?(\s|$)", line)
+        if claim:
+            claims += 1
+            assert float(out) == pytest.approx(float(claim[1]), rel=0.05), line
+    assert claims == len(prints)
