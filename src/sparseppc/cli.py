@@ -230,9 +230,10 @@ def build_controller(cfg: ExperimentConfig, spec: dict) -> BuiltController:
         # weight (zero for plain least squares).
         design = design_linear(plant, Q, N, spec.get("r", 0.0))
 
-    P, K, r = design.P, design.K, design.r
+    P, K, r, s = design.P, design.K, design.r, design.hm.svd[1]
     closed = plant.A + plant.B @ K
-    report = {"r": r, "P": _listify(P), "K": _listify(K), "residuals": {
+    report = {"r": r, "P": _listify(P), "K": _listify(K),
+              "cond_G": float(s[0] / s[-1]), "residuals": {
         "dare_fixed_point": design.residual,
         "closed_loop_identity": float(np.linalg.norm(
             closed.T @ P @ closed - P + design.Q + r * (K.T @ K), "fro"))}}

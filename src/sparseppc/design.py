@@ -48,20 +48,22 @@ def _cholesky(M: np.ndarray, name: str) -> np.ndarray:
 
 
 def _whitened(L: np.ndarray, M: np.ndarray) -> np.ndarray:
-    # L^(-1) M L^(-T) for symmetric M (or a stack of them), symmetrized: its
-    # eigenvalues are the generalized eigenvalues of the pencil (M, L L').
-    Z = np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, M), -1, -2))
-    return 0.5 * (Z + np.swapaxes(Z, -1, -2))
+    # L^(-1) M L^(-T) for symmetric M, symmetrized: its eigenvalues are the
+    # generalized eigenvalues of the pencil (M, L L').
+    Z = np.linalg.solve(L, np.linalg.solve(L, M).T)
+    return 0.5 * (Z + Z.T)
 
 
 def compute_wstar(hm: HorizonMatrices) -> np.ndarray:
     """Weight of the least-squares residual: ``min_u ||G u - H x||^2 = x' W* x``.
 
-    Computed as ``H'H - Y'Y`` with ``Y = L^(-1) G'H`` for the Cholesky factor
-    ``G'G = L L'``, and symmetrized.
+    Computed as ``H_perp' H_perp``, symmetrized, from ``H_perp = H - U (U'H)``
+    with ``U`` of ``hm.svd``: the projection keeps the digits that forming
+    ``H'H - H'G (G'G)^(-1) G'H`` loses to cancellation.
     """
-    Y = np.linalg.solve(_cholesky(hm.GtG, "G'G"), hm.GtH)
-    W = hm.H.T @ hm.H - Y.T @ Y
+    U = hm.svd[0]
+    H_perp = hm.H - U @ (U.T @ hm.H)
+    W = H_perp.T @ H_perp
     return _frozen(0.5 * (W + W.T))
 
 
@@ -203,9 +205,8 @@ def design_l1l2(plant: PlantModel, Q, mu: float, N: int,
     N = _integer(N, "N", 1)
     base = design_linear(plant, Q, N, mu * mu * N / (4.0 * epsilon))
 
-    L = _cholesky(base.hm.GtG, "G'G")
-    pseudo = np.linalg.solve(L.T, np.linalg.solve(L, base.hm.GtH))  # Gdag H
-    sigma_max = float(np.linalg.norm(pseudo, 2))
+    U, s, _ = base.hm.svd              # Gdag H = V diag(1/s) U'H, V orthogonal
+    sigma_max = float(np.linalg.norm((U.T @ base.hm.H) / s[:, None], 2))
 
     a1 = mu * np.sqrt(plant.n) * sigma_max
     a2 = max(float(np.linalg.eigvalsh(base.Wstar)[-1]), 0.0)
@@ -247,10 +248,11 @@ def design_l0(plant: PlantModel, Q, N: int, beta: float,
     n, N, Q, P, hm, Wstar = plant.n, base.N, base.Q, base.P, base.hm, base.Wstar
 
     # c1 = max_i lambda_max(Phi_i' P Phi_i, G'G) over the row blocks Phi_i
-    # of Phi, all N pencils whitened by the Cholesky factor of G'G at once.
-    blocks = hm.Phi.reshape(N, n, N)
+    # of Phi, all N pencils whitened at once by V diag(1/s) (G'G = V s^2 V').
+    _, s, Vt = hm.svd
+    blocks = hm.Phi.reshape(N, n, N) @ (Vt.T / s)
     M = np.swapaxes(blocks, 1, 2) @ P @ blocks
-    c1 = float(np.linalg.eigvalsh(_whitened(_cholesky(hm.GtG, "G'G"), M)).max())
+    c1 = float(np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, 1, 2))).max())
 
     lam_min_qp = float(np.linalg.eigvalsh(_whitened(_cholesky(P, "P"), Q))[0])
     rho = 1.0 - lam_min_qp

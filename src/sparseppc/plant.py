@@ -247,7 +247,8 @@ class HorizonMatrices:
     ``S`` is the block diagonal of ``N - 1`` copies of ``Q^(1/2)`` followed
     by the terminal ``P^(1/2)``.
 
-    ``GtG`` and ``GtH`` are computed on first use and kept.
+    ``GtG``, ``GtH`` and ``svd``, the one factorization of ``G``, are
+    computed on first use and kept.
     """
 
     N: int
@@ -265,6 +266,18 @@ class HorizonMatrices:
     def GtH(self) -> np.ndarray:
         """``(N, n)`` map ``G'H``; ``G'H x`` correlates a state with each input."""
         return _frozen(self.G.T @ self.H)
+
+    @cached_property
+    def svd(self) -> tuple:
+        """Thin SVD ``(U, s, Vt)``, ``G = U diag(s) Vt``, read by ``W*``,
+        ``G†H``, ``c1`` and the linear gains; DegeneracyError if
+        ``s[-1] <= 1e-12 s[0]``, where ``G'G`` is numerically singular."""
+        U, s, Vt = np.linalg.svd(self.G, full_matrices=False)
+        if not s[-1] > 1e-12 * s[0]:
+            raise DegeneracyError(
+                "G'G is numerically singular (singular value ratio "
+                f"{s[-1] / max(s[0], 1e-300):.3e})")
+        return _frozen(U), _frozen(s), _frozen(Vt)
 
 
 def build_horizon_matrices(plant: PlantModel, N: int, Q, P) -> HorizonMatrices:
@@ -285,7 +298,7 @@ def build_horizon_matrices(plant: PlantModel, N: int, Q, P) -> HorizonMatrices:
         For a non-reachable plant, an invalid horizon, or non-SPD weights.
     DegeneracyError
         If the weighted input map has numerically dependent columns, which
-        would make ``G^T G`` singular.
+        would make ``G'G`` singular.
     """
     N = _integer(N, "N", 1)
     n = plant.n
@@ -309,9 +322,8 @@ def _horizon_matrices(plant: PlantModel, N: int, Q: np.ndarray,
         powers.append(plant.A @ powers[-1])
 
     Phi = np.zeros((N * n, N))
-    for i in range(N):
-        for j in range(i + 1):
-            Phi[i * n:(i + 1) * n, j] = powers[i - j]
+    for j in range(N):
+        Phi[j * n:, j] = np.concatenate(powers[:N - j])
 
     Upsilon = np.empty((N * n, n))
     Apow = np.eye(n)
@@ -319,21 +331,10 @@ def _horizon_matrices(plant: PlantModel, N: int, Q: np.ndarray,
         Apow = plant.A @ Apow
         Upsilon[i * n:(i + 1) * n, :] = Apow
 
-    S = np.zeros((N * n, N * n))
-    Q_half = spd_sqrt(Q)
-    for i in range(N - 1):
-        S[i * n:(i + 1) * n, i * n:(i + 1) * n] = Q_half
+    S = np.kron(np.eye(N), spd_sqrt(Q))
     S[-n:, -n:] = spd_sqrt(P)
 
-    G = S @ Phi
-    H = -S @ Upsilon
-
-    s = np.linalg.svd(G, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
-        raise DegeneracyError(
-            "G^T G is numerically singular: weighted input map has dependent "
-            f"columns (singular value ratio {s[-1] / max(s[0], 1e-300):.3e})"
-        )
-
-    return HorizonMatrices(N=N, G=_frozen(G), H=_frozen(H), Phi=_frozen(Phi),
-                           Upsilon=_frozen(Upsilon))
+    hm = HorizonMatrices(N=N, G=_frozen(S @ Phi), H=_frozen(-S @ Upsilon),
+                         Phi=_frozen(Phi), Upsilon=_frozen(Upsilon))
+    hm.svd                          # refuses a singular G'G here, eagerly
+    return hm

@@ -2,15 +2,15 @@
 
 Each family has one packet law, built once from the horizon matrices: it
 works from their Gram matrix ``G'G`` and correlation map ``G'H`` (the
-quadratic families fold both into a constant gain), so no per-packet work
-rebuilds them or repeats a factorization.  ``law.solve(X)`` maps a batch
-of states, one per row, to their packets, iteration counts and solver
-certificates; ``law.packets(X)`` keeps the packets and their sparsity, and
-``law(x)`` returns the :class:`Packet` of one state.  Each law and each
-packet names its ``family`` as the config does: ``l1l2``, ``l0``, ``ridge``
-or ``ls``.  The module-level
-functions ``least_squares_packet``, ``ridge_packet``, ``fista_l1l2`` and
-``omp_l0`` are one-row views of the same laws.
+quadratic families from a constant gain read off the SVD of ``G``), so no
+per-packet work rebuilds them or repeats a factorization.  ``law.solve(X)``
+maps a batch of states, one per row, to their packets, iteration counts and
+solver certificates; ``law.packets(X)`` keeps the packets and their
+sparsity, and ``law(x)`` returns the :class:`Packet` of one state.  Each law
+and each packet names its ``family`` as the config does: ``l1l2``, ``l0``,
+``ridge`` or ``ls``.  The module-level functions ``least_squares_packet``,
+``ridge_packet``, ``fista_l1l2`` and ``omp_l0`` are one-row views of the
+same laws.
 
 Every product with a state goes through :func:`plant.row_matmul`, so a
 state's packet has the same bits alone or inside a batch of runs.  The one
@@ -122,9 +122,10 @@ class LinearLaw(PacketLaw):
     """The quadratic packet ``u = (G'G + r I)^(-1) G'H x`` as a constant gain.
 
     ``r = 0`` is least squares and ``r > 0`` ridge, the minimizers of
-    ``||G u - H x||^2 + r ||u||^2``.  Each packet carries the residual of its
-    normal equations; one above ``1e-8 (1 + ||G'Hx||_inf)`` raises
-    :class:`DegeneracyError`.
+    ``||G u - H x||^2 + r ||u||^2``, with the gain
+    ``K = V diag(s / (s^2 + r)) U'H`` read from ``hm.svd``.  Each packet
+    carries the residual of its normal equations in ``M = G'G + r I``; one
+    above ``1e-8 (1 + ||G'Hx||_inf)`` raises :class:`DegeneracyError`.
     """
 
     def __init__(self, hm: HorizonMatrices, r: float = 0.0):
@@ -133,14 +134,9 @@ class LinearLaw(PacketLaw):
             raise ParameterError(f"r must be nonnegative and finite, got {r}")
         self.hm, self.r = hm, r
         self.family = "ridge" if r > 0.0 else "ls"
+        U, s, Vt = hm.svd
         self.M = hm.GtG + r * np.eye(hm.N)
-        try:
-            K = np.linalg.solve(self.M, hm.GtH)
-            # One refinement pass keeps the normal-equation residual at
-            # rounding level.
-            self.K = K + np.linalg.solve(self.M, hm.GtH - self.M @ K)
-        except np.linalg.LinAlgError as exc:
-            raise DegeneracyError("G'G is numerically singular") from exc
+        self.K = Vt.T @ ((s / (s * s + r))[:, None] * (U.T @ hm.H))
 
     def _solve(self, X):
         rhs = row_matmul(X, self.hm.GtH)

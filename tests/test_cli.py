@@ -15,6 +15,7 @@ from sparseppc import (ConfigError, LassoLaw, OmpLaw, PacketLaw,
                        fixed_point_residual)
 from sparseppc import cli, netsim, plant, riccati
 from sparseppc.cli import build_controller, load_config, main
+from sparseppc.design import WSTAR_IDENTITY_RTOL
 from sparseppc.netsim import _generator
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -431,6 +432,19 @@ class TestDesignCommand:
             assert built.report["residuals"]["dare_fixed_point"] == (
                 fixed_point_residual(cfg.plant, design.Q, design.r, design.P))
 
+    def test_cond_g_is_reported_for_every_controller(self, tmp_path):
+        # cond(G) = s[0] / s[-1] from the horizon matrices' one SVD.
+        path = ROOT / "configs" / "benchmark.json"
+        assert main(["design", "--config", str(path),
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "design_report.json").read_text())
+        cfg = load_config(path)
+        assert len(report) == len(cfg.controllers)
+        for entry, spec in zip(report, cfg.controllers):
+            hm = build_controller(cfg, spec).design.hm
+            assert entry["cond_G"] == pytest.approx(np.linalg.cond(hm.G),
+                                                    rel=1e-10)
+
     def test_dominating_w_override_is_used(self, tmp_path):
         cfg = variant(controllers=[{"name": "greedy", "family": "l0",
                                     "beta": 0.5}])
@@ -737,6 +751,34 @@ class TestAuditCommand:
         for name, calls in per_check.items():
             assert len(calls) == 1 and 1 <= calls[0] <= 2, (name, calls)
         assert solves and all(rows == 7 for rows in solves)
+
+
+@pytest.mark.parametrize("horizon", [21, 30])
+def test_long_horizon_passes_every_command(tmp_path, capsys, horizon):
+    # The benchmark plant at a long horizon, where cond(G) reaches 4e5: W*
+    # formed through G'G lost the digits of its P - Q identity from N = 21
+    # on, and the l0 design refused itself.
+    cfg = json.loads((ROOT / "configs" / "benchmark.json").read_text())
+    cfg["horizon"] = horizon
+    path = write_config(tmp_path, cfg)
+    for command in (["design"], ["audit", "--runs", "200"], ["simulate"],
+                    ["montecarlo", "--runs", "100"]):
+        out = tmp_path / command[0]
+        code = main([*command, "--config", str(path), "--out", str(out)])
+        assert code == 0, (command, capsys.readouterr())
+    report = json.loads(
+        (tmp_path / "design" / "design_report.json").read_text())
+    assert [e["name"] for e in report] == [
+        c["name"] for c in cfg["controllers"]]
+    (l0,) = [e for e in report if e["family"] == "l0"]
+    limit = WSTAR_IDENTITY_RTOL * (1.0 + np.linalg.norm(l0["P"]))
+    assert l0["residuals"]["wstar_identity"] <= limit
+
+
+def test_long_horizon_config_is_the_benchmark_at_n_30():
+    bench = json.loads((ROOT / "configs" / "benchmark.json").read_text())
+    long = json.loads((ROOT / "configs" / "long_horizon.json").read_text())
+    assert long == {**bench, "horizon": 30}
 
 
 def test_console_script_is_installed(tmp_path):

@@ -44,11 +44,12 @@ class TestWstar:
         np.testing.assert_array_equal(W, W.T)
         assert np.linalg.eigvalsh(W)[0] >= -1e-10
 
-    @pytest.mark.parametrize("rule", ["wstar", "l1l2", "l0"])
+    @pytest.mark.parametrize("rule", ["wstar", "l1l2", "l0", "ls", "ridge"])
     def test_singular_gram_is_a_degeneracy_error(self, monkeypatch, rule):
         # Building the horizon matrices refuses a singular G'G itself, so a
-        # zero column is put into G after it: every factorization of G'G
-        # must then raise the package's error, not numpy's.
+        # zero column is put into G after it: every reader of the SVD of G
+        # must then raise the package's error, not numpy's, and divide by no
+        # zero singular value (a RuntimeWarning fails the suite).
         build = sp.plant._horizon_matrices
 
         def degenerate(*args):
@@ -64,8 +65,11 @@ class TestWstar:
                 sp.compute_wstar(degenerate(plant, 3, np.eye(2), np.eye(2)))
             elif rule == "l1l2":
                 sp.design_l1l2(plant, np.eye(2), 1.0, 3, 1.0)
-            else:
+            elif rule == "l0":
                 sp.design_l0(plant, np.eye(2), 3, 0.5)
+            else:
+                sp.LinearLaw(degenerate(plant, 3, np.eye(2), np.eye(2)),
+                             0.3 if rule == "ridge" else 0.0)
 
 
 class TestOmegaAndValue:
