@@ -28,7 +28,8 @@ from .design import (LinearDesign, audit_contraction_l0,
 from .errors import (ConfigError, DesignError, ParameterError, ProtocolError,
                      SimulationRunError, SolverError, SparsePpcError, each_row)
 from .netsim import _generator, monte_carlo, run_closed_loop, run_conditions
-from .plant import PlantModel, _finite, _integer, _positive, _square
+from .plant import (PlantModel, _finite, _integer, _positive, _square,
+                    require_spd)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -132,8 +133,12 @@ def load_config(path) -> ExperimentConfig:
     def weight(value, name):
         return _square(_no_bools(value, name), n, name)
 
-    check = {"positive": _positive, "finite": _finite, "matrix": weight}
-    Q = weight(raw["Q"], "Q") if "Q" in raw else np.eye(n)
+    def spd(value, name):
+        return require_spd(_no_bools(value, name), n, name)
+
+    check = {"positive": _positive, "finite": _finite, "matrix": weight,
+             "spd": spd}
+    Q = spd(raw["Q"], "Q") if "Q" in raw else np.eye(n)
 
     ctrl_raw = raw["controllers"]
     _require(isinstance(ctrl_raw, list) and ctrl_raw,
@@ -148,7 +153,7 @@ def load_config(path) -> ExperimentConfig:
         _require(family in tuple(FAMILIES), f"{where}.family must be one of "
                  f"{tuple(FAMILIES)}, got {family!r}")
         checks, required, _ = FAMILIES[family]
-        checks = {"Q": "matrix", **checks}
+        checks = {"Q": "spd", **checks}
         _object(item, where, ("name", "family", *checks), ("name", *required))
         name = item["name"]
         _require(isinstance(name, str) and name and "," not in name
@@ -165,9 +170,9 @@ def load_config(path) -> ExperimentConfig:
             _require(("epsilon" in spec) != ("r" in spec),
                      f"{where} (l1l2) needs exactly one of 'epsilon' or 'r'")
             if "r" in spec:
-                mu, r = spec["mu"], spec.pop("r")
-                spec["epsilon"] = _finite(mu * mu * horizon / (4.0 * r),
-                                          f"{where}.epsilon = mu^2 N / (4 r)")
+                mu, r = spec["mu"], spec["r"]
+                _positive(mu * mu * horizon / (4.0 * r),
+                          f"{where}.epsilon = mu^2 N / (4 r)")
         elif family == "l0":
             _require(0.0 < spec["beta"] < 1.0,
                      f"{where}.beta must lie strictly in (0, 1)")
@@ -218,17 +223,18 @@ def build_controller(cfg: ExperimentConfig, spec: dict) -> BuiltController:
     Q = spec.get("Q", cfg.Q)
     name, family = spec["name"], spec["family"]
 
-    if family == "l1l2":
-        design = design_l1l2(plant, Q, spec["mu"], N, spec["epsilon"])
-    elif family == "l0":
-        try:
+    try:
+        if family == "l1l2":
+            design = design_l1l2(plant, Q, spec["mu"], N, spec.get("epsilon"),
+                                 r=spec.get("r"))
+        elif family == "l0":
             design = design_l0(plant, Q, N, spec["beta"], W=spec.get("W"))
-        except DesignError as exc:
-            raise DesignError(f"{name}: {exc}") from exc
-    else:
-        # The quadratic baselines use the regulator at their own input
-        # weight (zero for plain least squares).
-        design = design_linear(plant, Q, N, spec.get("r", 0.0))
+        else:
+            # The quadratic baselines use the regulator at their own input
+            # weight (zero for plain least squares).
+            design = design_linear(plant, Q, N, spec.get("r", 0.0))
+    except SparsePpcError as exc:
+        raise type(exc)(f"{name}: {exc}") from exc     # keeps its exit code
 
     P, K, r, s = design.P, design.K, design.r, design.hm.svd[1]
     closed = plant.A + plant.B @ K

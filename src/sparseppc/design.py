@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegeneracyError, DesignError, ParameterError, SolverError
+from .errors import DesignError, ParameterError, SolverError
 from .plant import (HorizonMatrices, PlantModel, _finite, _frozen,
                     _horizon_matrices, _integer, _positive, _real, _replay,
                     _square, _state_vector, require_spd, row_dot, row_matmul)
@@ -37,21 +37,6 @@ WSTAR_IDENTITY_RTOL = 1e-8
 # or Lyapunov bound, absolute on the residual bound, which is exact.
 AUDIT_REL_SLACK = 1e-6
 RESIDUAL_ABS_SLACK = 1e-9
-
-
-def _cholesky(M: np.ndarray, name: str) -> np.ndarray:
-    # Lower Cholesky factor of an SPD matrix; DegeneracyError if it has none.
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise DegeneracyError(f"{name} is numerically singular") from exc
-
-
-def _whitened(L: np.ndarray, M: np.ndarray) -> np.ndarray:
-    # L^(-1) M L^(-T) for symmetric M, symmetrized: its eigenvalues are the
-    # generalized eigenvalues of the pencil (M, L L').
-    Z = np.linalg.solve(L, np.linalg.solve(L, M).T)
-    return 0.5 * (Z + Z.T)
 
 
 def compute_wstar(hm: HorizonMatrices) -> np.ndarray:
@@ -192,18 +177,27 @@ class L0Design(LinearDesign):
 
 
 def design_l1l2(plant: PlantModel, Q, mu: float, N: int,
-                epsilon: float) -> L1L2Design:
+                epsilon: float | None = None, *,
+                r: float | None = None) -> L1L2Design:
     """Practical-stability design for the l1-regularized packet controller.
 
-    Picks ``r = mu^2 N / (4 epsilon)``, builds the regulator at that weight
-    with :func:`design_linear`, and derives the contraction factor ``rho``
-    and ultimate bound ``R`` from the value-function sandwich constants
+    Builds the regulator with :func:`design_linear` at the given ``r`` or at
+    ``r = mu^2 N / (4 epsilon)`` (exactly one of the two is given), and
+    derives the contraction factor ``rho`` and ultimate bound ``R`` from the
+    value-function sandwich constants
 
         a1 = mu sqrt(n) sigma_max(Gdag H),   a2 = lambda_max(W*).
     """
-    mu, epsilon = _positive(mu, "mu"), _positive(epsilon, "epsilon")
-    N = _integer(N, "N", 1)
-    base = design_linear(plant, Q, N, mu * mu * N / (4.0 * epsilon))
+    mu, N = _positive(mu, "mu"), _integer(N, "N", 1)
+    if (epsilon is None) == (r is None):
+        raise ParameterError("design_l1l2 takes exactly one of epsilon or r")
+    if r is None:
+        epsilon = _positive(epsilon, "epsilon")
+        r = mu * mu * N / (4.0 * epsilon)
+    else:
+        r = _positive(r, "r")
+        epsilon = _positive(mu * mu * N / (4.0 * r), "epsilon = mu^2 N / (4 r)")
+    base = design_linear(plant, Q, N, r)
 
     U, s, _ = base.hm.svd              # Gdag H = V diag(1/s) U'H, V orthogonal
     sigma_max = float(np.linalg.norm((U.T @ base.hm.H) / s[:, None], 2))
@@ -254,7 +248,9 @@ def design_l0(plant: PlantModel, Q, N: int, beta: float,
     M = np.swapaxes(blocks, 1, 2) @ P @ blocks
     c1 = float(np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, 1, 2))).max())
 
-    lam_min_qp = float(np.linalg.eigvalsh(_whitened(_cholesky(P, "P"), Q))[0])
+    w, V = np.linalg.eigh(P)           # P = V diag(w) V', w > 0 (SPD checked)
+    Z = V / np.sqrt(w)                 # whitens the pencil (Q, P)
+    lam_min_qp = float(np.linalg.eigvalsh(Z.T @ Q @ Z)[0])  # of Q P^(-1)
     rho = 1.0 - lam_min_qp
     if rho < 0.0:
         if rho < -1e-10:

@@ -201,7 +201,6 @@ def solve_dare(plant: PlantModel, Q, r: float = 0.0) -> DareSolution:
             f"{steps} steps, above the tolerance {limit:.3e}"
         )
 
-    K = gain(plant, P, r)
     radius = _spectral_radius(A + B @ K)
     if not radius < 1.0:
         raise SolverError(

@@ -350,11 +350,7 @@ class LassoLaw(PacketLaw):
                 first.append(r)
         table = tuple(np.concatenate(pair) for pair in
                       zip(self._cache, self._regions(signs[first])))
-        # The signs, K and off are kept with the slot axis second in memory,
-        # the order in which the region test multiplies by them.
-        self._cache = tuple(
-            a[:self.REGIONS].swapaxes(0, 1).copy().swapaxes(0, 1) if a.ndim > 1
-            else a[:self.REGIONS] for a in table)
+        self._cache = tuple(a[:self.REGIONS] for a in table)
         self._keys = {k: v for k, v in slots.items() if v < self.REGIONS}
         return np.array([slots[key] for key in keys]), table
 
@@ -366,8 +362,7 @@ class LassoLaw(PacketLaw):
         rounding may depend on the other rows; that is safe because a row
         takes a region only with a relative margin of ``MARGIN``, far above
         rounding.  Both are laid out ``(N, regions, rows)``, so each test
-        reduces over the leading axis, one elementwise pass per entry; the
-        cache is kept in that order, so its maps are views, not copies.
+        reduces over the leading axis, one elementwise pass per entry.
         """
         signs, K, off, scale = self._cache
         (rows, N), count = B.shape, len(signs)

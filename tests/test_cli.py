@@ -18,6 +18,8 @@ from sparseppc.cli import build_controller, load_config, main
 from sparseppc.design import WSTAR_IDENTITY_RTOL
 from sparseppc.netsim import _generator
 
+from conftest import random_reachable_plant
+
 ROOT = Path(__file__).resolve().parents[1]
 
 BASE = {
@@ -89,8 +91,9 @@ class TestLoadConfig:
         cfg = variant(controllers=[
             {"name": "a", "family": "l1l2", "mu": 2.0, "r": 0.5}])
         loaded = load_config(write_config(tmp_path, cfg))
+        design = build_controller(loaded, loaded.controllers[0]).design
         # epsilon = mu^2 N / (4 r) = 4 * 4 / 2 = 8
-        assert loaded.controllers[0]["epsilon"] == pytest.approx(8.0)
+        assert design.epsilon == pytest.approx(8.0)
 
     def test_per_controller_q(self, tmp_path):
         cfg = variant(controllers=[
@@ -175,6 +178,25 @@ class TestExitCodes:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["design", "--config", str(tmp_path / "no.json")]) == 2
+
+    def test_every_design_error_names_its_controller(self, tmp_path,
+                                                     capsys):
+        # LS's cheap-control Riccati solve stalls on this ill-conditioned
+        # draw; the error says which of the two controllers failed.
+        plant = random_reachable_plant(np.random.default_rng(2435), 6,
+                                       rho=1.44)
+        cfg = variant(plant={"A": plant.A.tolist(),
+                             "B": plant.B[:, 0].tolist()},
+                      controllers=[{"name": "LS", "family": "ls"},
+                                   {"name": "ridge", "family": "ridge",
+                                    "r": 10}])
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("design error: LS: Newton's method"), err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_unreachable_plant_exits_3(self, tmp_path):
         # The plant parses fine; unreachability only surfaces once the design
@@ -326,6 +348,31 @@ def test_out_of_range_number_exits_2(tmp_path, capsys, change):
     cfg = benchmark_variant()
     change(cfg)
     assert_config_error(tmp_path, capsys, cfg, command="design")
+
+
+def test_derived_epsilon_must_be_positive(tmp_path, capsys):
+    # mu^2 underflows, so an r-form entry's epsilon = mu^2 N / (4 r) is 0.
+    cfg = benchmark_variant()
+    cfg["controllers"][0].update(mu=1e-200, r=1)
+    err = assert_config_error(tmp_path, capsys, cfg)
+    assert err.startswith("config error: controllers[0].epsilon = "
+                          "mu^2 N / (4 r) must be positive"), err
+
+
+@pytest.mark.parametrize("key, Q, message", [
+    ("Q", np.triu(np.ones((4, 4))), "must be symmetric"),
+    ("controllers[3].Q", np.zeros((4, 4)), "is not positive definite"),
+], ids=["asymmetric", "zero"])
+def test_q_that_is_not_spd_exits_2(tmp_path, capsys, key, Q, message):
+    # The library's SPD check, run under the key's name when the config
+    # loads rather than as a design error naming no key.
+    cfg = json.loads((ROOT / "configs" / "benchmark.json").read_text())
+    if key == "Q":
+        cfg["Q"] = Q.tolist()
+    else:
+        cfg["controllers"][3]["Q"] = Q.tolist()
+    err = assert_config_error(tmp_path, capsys, cfg)
+    assert err.startswith(f"config error: {key} {message}"), err
 
 
 @pytest.mark.parametrize("content", [
@@ -517,6 +564,22 @@ class TestOneSolvePerRegulator:
         assert (first.designer.mu, second.designer.mu) == (10.7167, 3.3)
         assert first.report["R"] != second.report["R"]
 
+    def test_an_r_form_l1l2_is_designed_at_its_own_r(self, tmp_path,
+                                                     monkeypatch):
+        # r -> epsilon = mu^2 N / (4 r) -> r is inexact for these numbers
+        # (3.9252999999999996), which cost the ridge a second solve.
+        payload = json.loads(self.BENCH.read_text())
+        payload["controllers"] = [
+            {"name": "lasso", "family": "l1l2", "mu": 14.7283, "r": 3.9253},
+            {"name": "ridge", "family": "ridge", "r": 3.9253}]
+        cfg = load_config(write_config(tmp_path, payload))
+        solves = count_calls(monkeypatch, riccati, "solve_dare")
+        built = self.build(cfg)
+        assert len(solves) == 1
+        assert [c.report["r"] for c in built.values()] == [3.9253, 3.9253]
+        assert built["lasso"].report["epsilon"] == (
+            14.7283 * 14.7283 * 10 / (4.0 * 3.9253))
+
     def test_own_q_gets_its_own_solve(self, tmp_path, monkeypatch):
         payload = json.loads(self.BENCH.read_text())
         payload["controllers"][3]["Q"] = (2.0 * np.eye(4)).tolist()
@@ -604,6 +667,18 @@ class TestMonteCarloCommand:
                      str(ROOT / "configs" / "benchmark.json"),
                      "--out", str(tmp_path)]) == 0
         expected = ROOT / "tests" / "fixtures" / "benchmark_avg_sparsity.csv"
+        assert ((tmp_path / "avg_sparsity.csv").read_bytes()
+                == expected.read_bytes())
+
+    def test_long_horizon_study_keeps_its_sparsity(self, tmp_path):
+        # The same pin at N = 30.  Its avg_norm is not pinned tightly: up to
+        # 29 open-loop steps on a plant of spectral radius 1.53 amplify a
+        # rounding-level change to a region's map into percent-level norms.
+        assert main(["montecarlo", "--config",
+                     str(ROOT / "configs" / "long_horizon.json"),
+                     "--out", str(tmp_path)]) == 0
+        expected = (ROOT / "tests" / "fixtures"
+                    / "long_horizon_avg_sparsity.csv")
         assert ((tmp_path / "avg_sparsity.csv").read_bytes()
                 == expected.read_bytes())
 

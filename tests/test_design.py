@@ -163,6 +163,21 @@ class TestL1L2Design:
         with pytest.raises(ParameterError):
             sp.design_l1l2(plant, [[1.0]], 1.0, 2, -1.0)
 
+    @pytest.mark.parametrize("weights", [{}, {"epsilon": 1.0, "r": 1.0}])
+    def test_takes_exactly_one_of_epsilon_and_r(self, weights):
+        plant = sp.PlantModel(A=[[0.5]], B=[1.0])
+        with pytest.raises(ParameterError, match="exactly one of epsilon or r"):
+            sp.design_l1l2(plant, [[1.0]], 1.0, 2, **weights)
+
+    def test_r_form_designs_at_the_given_r(self):
+        # r -> epsilon -> r would give 3.9252999999999996.
+        plant = sp.PlantModel(A=[[0.5]], B=[1.0])
+        des = sp.design_l1l2(plant, [[1.0]], 14.7283, 10, r=3.9253)
+        assert des.r == 3.9253
+        assert des.epsilon == 14.7283 * 14.7283 * 10 / (4.0 * 3.9253)
+        with pytest.raises(ParameterError, match="epsilon = mu"):
+            sp.design_l1l2(plant, [[1.0]], 1e-200, 10, r=1.0)
+
     @pytest.mark.parametrize("N", ["3", -1, 0, 2.0, True])
     def test_rejects_a_bad_horizon_before_using_it(self, N):
         # r = mu^2 N / (4 epsilon) comes after the check, so a string is

@@ -658,19 +658,6 @@ def test_new_regions_are_cached_in_order_of_first_appearance(bench_laws):
             assert got[slot].tobytes() == want.tobytes()
 
 
-def test_the_region_test_multiplies_by_the_cache_without_copying_it(
-        bench_laws):
-    # The cache keeps the slot axis second in memory, so the test's
-    # (N regions, N) map and its signs and offsets are views of it.
-    law = fresh_lasso(bench_laws, "L1L2(ii)")
-    law.packets(lasso_states(law, 2000, 7))
-    signs, K, off, _ = law._cache
-    assert len(law._keys) > 1
-    maps = K.transpose(1, 0, 2).reshape(-1, law.hm.N)
-    assert np.shares_memory(maps, K)
-    assert signs.T.flags.c_contiguous and off.T.flags.c_contiguous
-
-
 def test_region_test_chunks_stay_below_the_blas_threading_threshold(
         bench_plant, monkeypatch):
     # At N = 20 a region-test chunk sized by elements alone reaches 2^18
