@@ -15,7 +15,7 @@ from .errors import (ConfigError, DegeneracyError, DesignError,
 from .plant import (HorizonMatrices, PlantModel, build_horizon_matrices,
                     check_reachability, controllability_matrix, propagate,
                     require_spd, spd_sqrt)
-from .riccati import DareSolution, fixed_point_residual, gain, solve_dare
+from .riccati import DareSolution, fixed_point_residual, solve_dare
 from .solvers import (LassoLaw, LinearLaw, OmpLaw, Packet, PacketLaw,
                       count_nonzero, fista_l1l2, least_squares_packet,
                       omp_l0, ridge_packet)
@@ -37,7 +37,7 @@ __all__ = [
     "PlantModel", "HorizonMatrices", "build_horizon_matrices", "propagate",
     "check_reachability", "controllability_matrix", "require_spd", "spd_sqrt",
     # riccati
-    "DareSolution", "solve_dare", "gain", "fixed_point_residual",
+    "DareSolution", "solve_dare", "fixed_point_residual",
     # solvers
     "Packet", "count_nonzero", "PacketLaw", "LinearLaw",
     "OmpLaw", "LassoLaw", "least_squares_packet", "ridge_packet",

@@ -21,15 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .design import (LinearDesign, audit_contraction_l0,
-                     audit_contraction_l1l2, audit_residual_l0,
-                     audit_value_sandwich, design_l0, design_l1l2,
-                     design_linear)
+from .design import (LinearDesign, _fraction, _l1l2_weights,
+                     audit_contraction_l0, audit_contraction_l1l2,
+                     audit_residual_l0, audit_value_sandwich, design_l0,
+                     design_l1l2, design_linear)
 from .errors import (ConfigError, DesignError, ParameterError, ProtocolError,
                      SimulationRunError, SolverError, SparsePpcError, each_row)
 from .netsim import _generator, monte_carlo, run_closed_loop, run_conditions
-from .plant import (PlantModel, _finite, _integer, _positive, _square,
-                    require_spd)
+from .plant import PlantModel, _integer, _positive, _square, require_spd
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,7 +44,7 @@ EXIT_PROTOCOL = 5
 FAMILIES = {
     "l1l2": ({"mu": "positive", "epsilon": "positive", "r": "positive"},
              ("mu",), ("mu", "epsilon", "a1", "a2", "rho", "R", "Wstar")),
-    "l0": ({"beta": "finite", "W": "matrix"},
+    "l0": ({"beta": "fraction", "W": "matrix"},
            ("beta",), ("beta", "c1", "rho", "c", "Eps", "W", "Wstar")),
     "ridge": ({"r": "positive"}, ("r",), ("Wstar",)),
     "ls": ({}, (), ("Wstar",)),
@@ -136,7 +135,7 @@ def load_config(path) -> ExperimentConfig:
     def spd(value, name):
         return require_spd(_no_bools(value, name), n, name)
 
-    check = {"positive": _positive, "finite": _finite, "matrix": weight,
+    check = {"positive": _positive, "fraction": _fraction, "matrix": weight,
              "spd": spd}
     Q = spd(raw["Q"], "Q") if "Q" in raw else np.eye(n)
 
@@ -165,17 +164,14 @@ def load_config(path) -> ExperimentConfig:
         spec: dict = {"name": name, "family": family}
         spec.update((key, check[kind](item[key], f"{where}.{key}"))
                     for key, kind in checks.items() if key in item)
-        # The two rules that are more than one key's own check.
+        # An l1l2 entry gives one weight; the design's check of the weight
+        # it derives from it runs here under the entry's name.
         if family == "l1l2":
             _require(("epsilon" in spec) != ("r" in spec),
                      f"{where} (l1l2) needs exactly one of 'epsilon' or 'r'")
-            if "r" in spec:
-                mu, r = spec["mu"], spec["r"]
-                _positive(mu * mu * horizon / (4.0 * r),
-                          f"{where}.epsilon = mu^2 N / (4 r)")
-        elif family == "l0":
-            _require(0.0 < spec["beta"] < 1.0,
-                     f"{where}.beta must lie strictly in (0, 1)")
+            with _config_checks(f"{where}."):
+                _l1l2_weights(spec["mu"], horizon, spec.get("epsilon"),
+                              spec.get("r"))
         controllers.append(spec)
 
     chan = _object(raw.get("channel", {}), "channel",

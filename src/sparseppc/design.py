@@ -64,6 +64,27 @@ def omega_contains(hm: HorizonMatrices, mu: float, x) -> bool:
     return bool(np.abs(b).max() <= 0.5 * mu)
 
 
+def _l1l2_weights(mu: float, N: int, epsilon=None, r=None) -> tuple:
+    # (epsilon, r) of the rule r = mu^2 N / (4 epsilon) from exactly one of
+    # them; the given weight and the derived one must both be positive.
+    if (epsilon is None) == (r is None):
+        raise ParameterError("design_l1l2 takes exactly one of epsilon or r")
+    if r is None:
+        epsilon = _positive(epsilon, "epsilon")
+        return epsilon, _positive(mu * mu * N / (4.0 * epsilon),
+                                  "r = mu^2 N / (4 epsilon)")
+    r = _positive(r, "r")
+    return _positive(mu * mu * N / (4.0 * r), "epsilon = mu^2 N / (4 r)"), r
+
+
+def _fraction(value, name: str) -> float:
+    # ``value`` as a float strictly inside (0, 1), or ParameterError.
+    value = _finite(value, name)
+    if not 0.0 < value < 1.0:
+        raise ParameterError(f"{name} must lie strictly in (0, 1), got {value}")
+    return value
+
+
 def _values(law: LassoLaw, Q: np.ndarray, X: np.ndarray) -> tuple:
     # (V, U): V(x) = ||G u - H x||^2 + mu ||u||_1 + x'Qx at the law's packet
     # u, for each row x of X and its row u of U; SolverError unless every
@@ -75,7 +96,9 @@ def _values(law: LassoLaw, Q: np.ndarray, X: np.ndarray) -> tuple:
             "the l1l2 packet is not exact at the value-function state "
             f"(kkt residual {certificate['kkt_residual'][inexact.argmax()]:.3e})"
         )
-    return certificate["objective"] + _quad(X, Q), U
+    resid = row_matmul(U, law.hm.G) - row_matmul(X, law.hm.H)
+    return (row_dot(resid, resid) + law.mu * np.abs(U).sum(axis=1)
+            + _quad(X, Q)), U
 
 
 @dataclass(frozen=True)
@@ -189,14 +212,7 @@ def design_l1l2(plant: PlantModel, Q, mu: float, N: int,
         a1 = mu sqrt(n) sigma_max(Gdag H),   a2 = lambda_max(W*).
     """
     mu, N = _positive(mu, "mu"), _integer(N, "N", 1)
-    if (epsilon is None) == (r is None):
-        raise ParameterError("design_l1l2 takes exactly one of epsilon or r")
-    if r is None:
-        epsilon = _positive(epsilon, "epsilon")
-        r = mu * mu * N / (4.0 * epsilon)
-    else:
-        r = _positive(r, "r")
-        epsilon = _positive(mu * mu * N / (4.0 * r), "epsilon = mu^2 N / (4 r)")
+    epsilon, r = _l1l2_weights(mu, N, epsilon, r)
     base = design_linear(plant, Q, N, r)
 
     U, s, _ = base.hm.svd              # Gdag H = V diag(1/s) U'H, V orthogonal
@@ -235,9 +251,7 @@ def design_l0(plant: PlantModel, Q, N: int, beta: float,
     ``rho`` still come from ``beta``.  Whichever ``W`` results must
     strictly dominate ``W*``, or :class:`DesignError` is raised.
     """
-    beta = _finite(beta, "beta")
-    if not 0.0 < beta < 1.0:
-        raise ParameterError(f"beta must lie strictly in (0, 1), got {beta}")
+    beta = _fraction(beta, "beta")
     base = design_linear(plant, Q, N)
     n, N, Q, P, hm, Wstar = plant.n, base.N, base.Q, base.P, base.hm, base.Wstar
 

@@ -118,23 +118,6 @@ def fixed_point_residual(plant: PlantModel, Q, r: float, P) -> float:
     return _norm(P_next - P)
 
 
-def gain(plant: PlantModel, P, r: float = 0.0) -> np.ndarray:
-    """Feedback row ``K = -(B' P B + r)^(-1) B' P A`` for a given ``P``.
-
-    ``P`` must be a finite real ``n x n`` array and ``r`` a finite real
-    number, or :class:`ParameterError` is raised.
-    """
-    P = _square(P, plant.n, "P")
-    B = plant.B
-    S = (B.T @ P @ B).item() + _finite(r, "r")
-    if S <= 0.0:
-        raise ParameterError(
-            f"B' P B + r must be positive, got {S:.3e}; P is not a valid "
-            "Riccati solution for this plant"
-        )
-    return -(B.T @ P @ plant.A) / S
-
-
 def solve_dare(plant: PlantModel, Q, r: float = 0.0) -> DareSolution:
     """Solve the Riccati equation: map iteration from ``P = Q``, then
     Newton steps.

@@ -280,8 +280,8 @@ class LassoLaw(PacketLaw):
 
     States in the dead zone ``||b||_inf <= mu / 2``, tested on the bits
     ``design.omega_contains`` tests, get the exact zero packet.  ``u``,
-    ``sparsity`` and the certificate's ``kkt_residual``, ``objective`` and
-    ``converged`` depend on the state alone; ``iterations``
+    ``sparsity`` and the certificate's ``kkt_residual`` and ``converged``
+    depend on the state alone; ``iterations``
     and the certificate's ``path_walked`` record the route.  A walked row's
     ``iterations`` counts its own path's breakpoints, the first entry
     included, up to a cap of ``10 N``, whatever the rows it walked beside; a
@@ -411,10 +411,8 @@ class LassoLaw(PacketLaw):
             U[active] = self._refit(*(a[slot] for a in table[:3]), B)
 
         kkt = _kkt_residual(U, 2.0 * (row_matmul(U, GtG) - b), mu)
-        resid = row_matmul(U, hm.G) - row_matmul(X, hm.H)
         certificate = {
             "kkt_residual": kkt,
-            "objective": row_dot(resid, resid) + mu * np.abs(U).sum(axis=1),
             "converged": kkt <= 1e-9 * np.maximum(mu, corr),
             "path_walked": walked,
         }

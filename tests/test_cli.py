@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from sparseppc import (ConfigError, LassoLaw, OmpLaw, PacketLaw,
+                       ParameterError, PlantModel, design_l1l2,
                        fixed_point_residual)
 from sparseppc import cli, netsim, plant, riccati
 from sparseppc.cli import build_controller, load_config, main
@@ -357,6 +358,59 @@ def test_derived_epsilon_must_be_positive(tmp_path, capsys):
     err = assert_config_error(tmp_path, capsys, cfg)
     assert err.startswith("config error: controllers[0].epsilon = "
                           "mu^2 N / (4 r) must be positive"), err
+
+
+def only_l1l2(**weights):
+    """``configs/benchmark.json`` with one ``l1l2`` controller, ``X``."""
+    cfg = json.loads((ROOT / "configs" / "benchmark.json").read_text())
+    cfg["controllers"] = [{"name": "X", "family": "l1l2", **weights}]
+    return cfg
+
+
+@pytest.mark.parametrize("mu, epsilon, message", [
+    (3.3, 1e-308, "must be finite"), (1e-200, 1.0, "must be positive"),
+], ids=["r-overflows", "r-underflows"])
+def test_derived_r_out_of_range_exits_2(tmp_path, capsys, mu, epsilon,
+                                        message):
+    # An epsilon-form entry's r = mu^2 N / (4 epsilon) past the float range
+    # exited 3 naming "r", a key the entry does not have; one that
+    # underflowed to 0 was designed at r = 0.
+    cfg = only_l1l2(mu=mu, epsilon=epsilon)
+    err = assert_config_error(tmp_path, capsys, cfg, command="design")
+    assert err.startswith("config error: controllers[0].r = mu^2 N / "
+                          f"(4 epsilon) {message}"), err
+    assert err.count("\n") == 1, err
+
+
+# One l1l2 weight, given in either form with mu = 3.3 at N = 10, and
+# whether the design takes it.
+L1L2_WEIGHTS = {"in-range": (2.0, True), "derived-overflows": (1e-308, False),
+                "derived-underflows": (1e308, False), "zero": (0.0, False),
+                "negative": (-1.0, False)}
+
+
+@pytest.mark.parametrize("value, taken", L1L2_WEIGHTS.values(),
+                         ids=L1L2_WEIGHTS)
+@pytest.mark.parametrize("form", ["epsilon", "r"])
+def test_config_and_library_refuse_the_same_l1l2_weights(tmp_path, capsys,
+                                                         form, value, taken):
+    # The config exits 2 exactly when design_l1l2 raises, naming the same
+    # weight under the entry's name.
+    cfg = only_l1l2(mu=3.3, **{form: value})
+    out = tmp_path / "out"
+    code = main(["design", "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    plant = PlantModel(**cfg["plant"])
+    if taken:
+        design_l1l2(plant, np.eye(4), 3.3, cfg["horizon"], **{form: value})
+        assert code == 0, err
+        return
+    with pytest.raises(ParameterError) as exc:
+        design_l1l2(plant, np.eye(4), 3.3, cfg["horizon"], **{form: value})
+    assert code == 2
+    assert err == f"config error: controllers[0].{exc.value}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, Q, message", [

@@ -178,6 +178,18 @@ class TestL1L2Design:
         with pytest.raises(ParameterError, match="epsilon = mu"):
             sp.design_l1l2(plant, [[1.0]], 1e-200, 10, r=1.0)
 
+    @pytest.mark.parametrize("mu, epsilon, message", [
+        (1e-200, 1.0, "must be positive"), (3.3, 1e-308, "must be finite"),
+    ], ids=["r-underflows", "r-overflows"])
+    def test_epsilon_form_refuses_a_derived_r_out_of_range(
+            self, bench_plant, mu, epsilon, message):
+        # Unchecked, mu = 1e-200 was designed at r = 0.0, and an r past the
+        # float range was refused under the name "r" alone.
+        with pytest.raises(ParameterError) as err:
+            sp.design_l1l2(bench_plant, np.eye(4), mu, 10, epsilon)
+        assert str(err.value).startswith(
+            f"r = mu^2 N / (4 epsilon) {message}"), err.value
+
     @pytest.mark.parametrize("N", ["3", -1, 0, 2.0, True])
     def test_rejects_a_bad_horizon_before_using_it(self, N):
         # r = mu^2 N / (4 epsilon) comes after the check, so a string is

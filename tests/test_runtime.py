@@ -136,7 +136,7 @@ def test_public_surface_is_pinned():
         "PlantModel", "HorizonMatrices", "build_horizon_matrices", "propagate",
         "check_reachability", "controllability_matrix", "require_spd",
         "spd_sqrt",
-        "DareSolution", "solve_dare", "gain", "fixed_point_residual",
+        "DareSolution", "solve_dare", "fixed_point_residual",
         "Packet", "count_nonzero", "PacketLaw", "LinearLaw", "OmpLaw",
         "LassoLaw", "least_squares_packet", "ridge_packet", "fista_l1l2",
         "omp_l0",
