@@ -8,7 +8,7 @@ length, so the buffer never runs dry for traces that respect their bound.
 A run's reception steps are fixed by its dropout trace, and they cut its
 steps into segments: from one reception to the next, or to the end.  A
 batch of runs is rolled out reception-major.  Round ``j`` computes the
-``j``-th packet of every run that has one in a single packet-law call, and
+``j``-th packet of every run that has one in a single ``law.solve`` call, and
 each of those runs then replays its packet through its own segment with
 ``plant._replay``, the one place the plant is stepped (the contraction
 audits and ``plant.propagate`` use it too).  No packet is computed during a
@@ -41,6 +41,7 @@ import numpy as np
 from .errors import (ParameterError, ProtocolError, SimulationRunError,
                      each_row)
 from .plant import PlantModel, _integer, _replay, _state_vector
+from .solvers import _row_nonzeros
 
 
 @dataclass(frozen=True)
@@ -112,9 +113,12 @@ def _generator(seed) -> np.random.Generator:
 
 
 def _trace_shape(N, T, receptions_between_bursts) -> tuple:
-    """``(N, T, gap)`` of a bounded-uniform trace, checked."""
-    return (_integer(N, "N", 2), _integer(T, "T", 1),
-            _integer(receptions_between_bursts, "receptions_between_bursts", 1))
+    """``(N, T, gap)`` of a bounded-uniform trace, checked.  A gap of ``T``
+    or more draws one burst and loses no step before ``T``, as ``T`` does,
+    so it is taken as ``T``; the trace's arrays then grow with ``T`` alone."""
+    N, T = _integer(N, "N", 2), _integer(T, "T", 1)
+    gap = _integer(receptions_between_bursts, "receptions_between_bursts", 1)
+    return N, T, min(gap, T)
 
 
 def _bursts(T: int, gap: int) -> int:
@@ -257,42 +261,31 @@ def _conditions(plant: PlantModel, N: int, T: int, seed: int,
     return X0, D
 
 
-class _RunFailure(Exception):
-    """Run ``row`` of a batched rollout failed with ``cause``."""
-
-    def __init__(self, row: int, cause: BaseException):
-        super().__init__(row, cause)
-        self.row = int(row)
-        self.cause = cause
-
-
 def _packets(law, X: np.ndarray, keys: np.ndarray) -> tuple:
-    """``law.packets(X)`` as ``(U, sparsity, failed)``.
+    """The packets ``law.solve(X)[0]`` as ``(U, failed)``.
 
     A failed batch is retried row by row: ``failed`` maps each row that
-    fails alone to its error, and ``U`` and ``sparsity`` hold the other
-    rows in order (``None`` if there are none).  If no row fails alone, the
-    batch's error is pinned on the row with the smallest ``keys`` entry.
+    fails alone to its error, and ``U`` holds the other rows in order
+    (``None`` if there are none).  If no row fails alone, the batch's error
+    is pinned on the row with the smallest ``keys`` entry.
     """
     try:
-        return (*law.packets(X), {})
+        return law.solve(X)[0], {}
     except Exception as exc:
-        tried = list(each_row(lambda s: law.packets(X[s]), len(X)))
+        tried = list(each_row(lambda s: law.solve(X[s])[0], len(X)))
         failed = {i: row_exc for i, _, row_exc in tried if row_exc is not None}
         if not failed:
             failed = {int(np.argmin(keys)): exc}
-        done = [result for i, result, _ in tried if i not in failed]
-        if not done:
-            return None, None, failed
-        return (*map(np.concatenate, zip(*done)), failed)
+        done = [U for i, U, _ in tried if i not in failed]
+        return (np.concatenate(done) if done else None), failed
 
 
 def _require_law(designer) -> None:
     # The closed loop takes packet laws only (``solvers.PacketLaw`` or any
-    # object with ``packets(X)``); anything else is refused before a run.
-    if not callable(getattr(designer, "packets", None)):
+    # object with ``solve(X)``); anything else is refused before a run.
+    if not callable(getattr(designer, "solve", None)):
         raise ParameterError("a designer must be a packet law with "
-                             f"packets(X), got {type(designer).__name__}")
+                             f"solve(X), got {type(designer).__name__}")
 
 
 def _schedule(D: np.ndarray) -> tuple:
@@ -326,12 +319,14 @@ def _rollout(plant: PlantModel, law, X0: np.ndarray, D: np.ndarray,
     of ``D``, computed here if not given.  A segment longer than the packet
     is a :class:`ProtocolError` at step ``start + width``.
 
-    Returns ``(states, inputs, sparsity, norms)`` of shapes ``(runs, T + 1,
-    n)``, ``(runs, T)``, ``(runs, T)`` and ``(runs, T + 1)``; the states and
-    inputs only with ``keep_states``, ``None`` without it.  Each run stops
-    at its own first failure; the rollout then raises :class:`_RunFailure`
-    for the earliest failing step, a law failure before a protocol failure
-    at the same step, and the lowest-indexed run.
+    Returns ``(states, inputs, sparsity, norms, failure)``.  The arrays have
+    shapes ``(runs, T + 1, n)``, ``(runs, T)``, ``(runs, T)`` and ``(runs,
+    T + 1)``; the states and inputs only with ``keep_states``, ``None``
+    without it.  ``sparsity`` counts each packet's nonzeros as
+    :func:`solvers.count_nonzero` does.  Each run stops at its own first
+    failure, and ``failure`` is ``(run, error)`` of the earliest failing
+    step, a law failure before a protocol failure at the same step, and the
+    lowest-indexed run; ``None`` if no run failed.
     """
     runs, T = D.shape
     run_of, start, length, bounds = (_schedule(D) if schedule is None
@@ -353,19 +348,19 @@ def _rollout(plant: PlantModel, law, X0: np.ndarray, D: np.ndarray,
             break
         rows, at, span = run_of[live], start[live], length[live]
         X = current[rows]
-        U, sparsity_j, failed = _packets(law, X, at * runs + rows)
+        U, failed = _packets(law, X, at * runs + rows)
         if failed:
             for i, exc in failed.items():
-                failures.append((at[i], 0, rows[i], exc))
+                failures.append((at[i], 0, int(rows[i]), exc))
             alive[rows[list(failed)]] = False
             ok = alive[rows]
             rows, at, span, X = rows[ok], at[ok], span[ok], X[ok]
             if not rows.size:
                 continue
-        sparsity[rows, at] = sparsity_j
+        sparsity[rows, at] = _row_nonzeros(U)
         width = U.shape[1]
         for i in np.flatnonzero(span > width):
-            failures.append((at[i] + width, 1, rows[i], ProtocolError(
+            failures.append((at[i] + width, 1, int(rows[i]), ProtocolError(
                 f"dropout run at step {at[i] + width} exceeds the buffered "
                 f"packet horizon ({width})")))
         alive[rows[span > width]] = False
@@ -380,10 +375,9 @@ def _rollout(plant: PlantModel, law, X0: np.ndarray, D: np.ndarray,
         if keep_states:
             states[rows[r], at[r] + i + 1] = visited
             inputs[rows[r], at[r] + i] = U[r, i]
-    if failures:
-        _, _, row, cause = min(failures, key=lambda f: f[:3])
-        raise _RunFailure(row, cause)
-    return states, inputs, sparsity, norms
+    first = min(failures, key=lambda f: f[:3], default=None)
+    return (states, inputs, sparsity, norms,
+            None if first is None else first[2:])
 
 
 def run_closed_loop(plant: PlantModel, designer, trace: DropoutTrace, x0,
@@ -394,7 +388,7 @@ def run_closed_loop(plant: PlantModel, designer, trace: DropoutTrace, x0,
     state and its first entry is applied; on each dropped step after it the
     next entry of that packet is applied.  A dropout run that outlives the
     buffered packet raises :class:`ProtocolError`.  The designer must be a
-    packet law (``solvers.PacketLaw``, or any object with ``packets(X)``);
+    packet law (``solvers.PacketLaw``, or any object with ``solve(X)``);
     anything else raises :class:`ParameterError`.  This is the one-run case
     of the batched Monte Carlo rollout and gives the same bits as that run
     there.
@@ -404,11 +398,11 @@ def run_closed_loop(plant: PlantModel, designer, trace: DropoutTrace, x0,
     if len(trace) < T:
         raise ParameterError(f"trace length {len(trace)} is shorter than T = {T}")
     x0 = _state_vector(x0, plant.n)[None]
-    try:
-        rollout = _rollout(plant, designer, x0, trace.d[None, :T])
-    except _RunFailure as failure:
+    *rollout, failure = _rollout(plant, designer, x0, trace.d[None, :T])
+    if failure is not None:
         # Raise the run's own error, keeping what it was raised from.
-        raise failure.cause from failure.cause.__cause__
+        error = failure[1]
+        raise error from error.__cause__
     for arr in rollout:
         arr.setflags(write=False)
     states, inputs, sparsity, norms = (arr[0] for arr in rollout)
@@ -480,12 +474,11 @@ def monte_carlo(plant: PlantModel, designers: Mapping[str, object],
 
     avg_norm, avg_sparsity = {}, {}
     for name, law in designers.items():
-        try:
-            _, _, spars_mat, norms = _rollout(
-                plant, law, X0, D, keep_states=False, schedule=schedule)
-        except _RunFailure as failure:
-            raise SimulationRunError(failure.row, seed,
-                                     failure.cause) from failure.cause
+        _, _, spars_mat, norms, failure = _rollout(
+            plant, law, X0, D, keep_states=False, schedule=schedule)
+        if failure is not None:
+            run, error = failure
+            raise SimulationRunError(run, seed, error) from error
         avg_norm[name] = norms[:, :T].mean(axis=0)
         # NaN marks steps without a freshly computed packet; average over the
         # runs that did compute one, NaN if none did.

@@ -225,9 +225,16 @@ def check_reachability(plant: PlantModel) -> bool:
     """Numerical full-rank test of the controllability matrix.
 
     Singular values below ``REACHABILITY_RTOL`` times the largest are treated
-    as zero.
+    as zero.  A plant with some ``A^k B`` past the float range raises
+    :class:`ParameterError`.
     """
-    s = np.linalg.svd(controllability_matrix(plant), compute_uv=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = controllability_matrix(plant)
+    finite = np.isfinite(C).all(axis=0)
+    if not finite.all():
+        raise ParameterError(f"plant (A, B) overflows: A^{finite.argmin()} B "
+                             "is not finite")
+    s = np.linalg.svd(C, compute_uv=False)
     return bool((s > REACHABILITY_RTOL * s[0]).all())
 
 

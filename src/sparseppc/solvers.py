@@ -5,12 +5,11 @@ works from their Gram matrix ``G'G`` and correlation map ``G'H`` (the
 quadratic families from a constant gain read off the SVD of ``G``), so no
 per-packet work rebuilds them or repeats a factorization.  ``law.solve(X)``
 maps a batch of states, one per row, to their packets, iteration counts and
-solver certificates; ``law.packets(X)`` keeps the packets and their
-sparsity, and ``law(x)`` returns the :class:`Packet` of one state.  Each law
-and each packet names its ``family`` as the config does: ``l1l2``, ``l0``,
-``ridge`` or ``ls``.  The module-level functions ``least_squares_packet``,
-``ridge_packet``, ``fista_l1l2`` and ``omp_l0`` are one-row views of the
-same laws.
+solver certificates, and ``law(x)`` returns the :class:`Packet` of one
+state.  Each law and each packet names its ``family`` as the config does:
+``l1l2``, ``l0``, ``ridge`` or ``ls``.  The module-level functions
+``least_squares_packet``, ``ridge_packet``, ``fista_l1l2`` and ``omp_l0``
+are one-row views of the same laws.
 
 Every product with a state goes through :func:`plant.row_matmul`, so a
 state's packet has the same bits alone or inside a batch of runs.  The one
@@ -73,10 +72,10 @@ def count_nonzero(u: np.ndarray) -> int:
 class PacketLaw:
     """The packet law of one solver family, built once from its design.
 
-    ``solve(X)`` is the one entry to a law: ``packets``, ``law(x)``, the
-    closed loop and the design audits all go through it.  Subclasses
-    implement ``_solve`` for a checked batch and raise on the first row
-    that fails a check.
+    ``solve(X)`` is the one entry to a law: ``law(x)``, the closed loop
+    and the design audits all go through it.  Subclasses implement
+    ``_solve`` for a checked batch and raise on the first row that fails a
+    check.
     """
 
     hm: HorizonMatrices
@@ -101,11 +100,6 @@ class PacketLaw:
             row = (~np.isfinite(X)).any(axis=1).argmax()
             raise ParameterError(f"X must be finite; row {row} is not")
         return self._solve(X)
-
-    def packets(self, X) -> tuple:
-        """Packets of the states in the rows of ``X`` and their sparsity."""
-        U, _, _ = self.solve(X)
-        return U, _row_nonzeros(U)
 
     def __call__(self, x) -> Packet:
         x = _state_vector(x, self.hm.H.shape[1])

@@ -207,6 +207,23 @@ class TestExitCodes:
         assert main(["design", "--config", str(path),
                      "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("command",
+                             ["design", "simulate", "montecarlo", "audit"])
+    def test_a_plant_whose_powers_overflow_exits_3(self, tmp_path, capfd,
+                                                   command):
+        # A^1 B overflows.  The SVD of the reachability test used to fail
+        # with a LinAlgError after numpy's overflow warnings and a LAPACK
+        # message on the C-level stderr, which capfd also reads.
+        cfg = json.loads((ROOT / "configs" / "benchmark.json").read_text())
+        cfg["plant"]["A"][0][0] = 1e308
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 3
+        err = capfd.readouterr().err
+        assert err == ("design error: L1L2(i): plant (A, B) overflows: "
+                       "A^1 B is not finite\n"), err
+        assert not out.exists()
+
     @pytest.mark.parametrize("override", ["tiny", "wstar"])
     @pytest.mark.parametrize("command",
                              ["design", "simulate", "montecarlo", "audit"])
@@ -1032,6 +1049,30 @@ def test_failed_run_exits_as_its_cause(tmp_path, capsys, monkeypatch,
     if command == "montecarlo":
         assert "run 0 failed" in stderr
         assert "spawn key (0,)" in stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+def test_a_burst_gap_of_t_or_more_runs_as_t(tmp_path, command):
+    # Every gap of at least T draws one burst per run and loses no step
+    # before T.  A gap of 2**63 used to raise OverflowError in the flags.
+    outputs = {}
+    runs = ["--runs", "5"] if command == "montecarlo" else []
+    for gap in (8, 2 ** 63):
+        cfg = variant(channel={"model": "bounded_uniform",
+                               "receptions_between_bursts": gap})
+        assert cfg["run"]["T"] == 8
+        path = write_config(tmp_path, cfg, f"gap-{gap}.json")
+        out = tmp_path / f"out-{gap}"
+        assert main([command, "--config", str(path), "--out", str(out),
+                     *runs]) == 0
+        files = {f.name: f.read_text() for f in out.iterdir()}
+        if command == "montecarlo":
+            meta = json.loads(files.pop("meta.json"))
+            assert meta["runs"] == 5
+            del meta["wall_time_s"]
+            files["meta.json"] = meta
+        outputs[gap] = files
+    assert outputs[8] == outputs[2 ** 63]
 
 
 def study_runs(path, runs, run_index):

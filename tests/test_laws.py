@@ -138,7 +138,8 @@ def oracle_packet(family, law, x):
 @pytest.mark.parametrize("name", ["L1L2(i)", "L1L2(ii)", "OMP", "RIDGE", "LS"])
 def test_law_matches_per_state_solver(bench_laws, bench_states, name):
     family, law = bench_laws[name]
-    U, sparsity = law.packets(bench_states)
+    U = law.solve(bench_states)[0]
+    sparsity = [sp.count_nonzero(u) for u in U]
     for x, u, s in zip(bench_states, U, sparsity):
         ref = oracle_packet(family, law, x)
         scale = float(np.max(np.abs(ref)))
@@ -164,7 +165,8 @@ def test_omp_law_picks_the_same_support_in_order(bench_laws, bench_states):
 def test_one_row_view_is_a_row_of_the_batch(bench_laws, bench_states, name):
     _, law = bench_laws[name]
     X = bench_states[::30]
-    U, sparsity = law.packets(X)
+    U = law.solve(X)[0]
+    sparsity = [sp.count_nonzero(u) for u in U]
     for x, u, s in zip(X, U, sparsity):
         pkt = law(x)
         np.testing.assert_array_equal(pkt.u, u)
@@ -240,13 +242,13 @@ def test_omp_singular_support_is_a_degeneracy_error():
     with pytest.raises(DegeneracyError):
         sp.omp_l0(hm, np.array([[0.25]]), np.array([1.0]))
     with pytest.raises(DegeneracyError):
-        sp.OmpLaw(hm, np.array([[0.25]])).packets(np.array([[1.0], [2.0]]))
+        sp.OmpLaw(hm, np.array([[0.25]])).solve(np.array([[1.0], [2.0]]))
 
 
 def test_omp_law_rejects_an_infeasible_weight(bench_l0):
     law = sp.OmpLaw(bench_l0.hm, 1e-9 * np.eye(4))
     with pytest.raises(DesignError):
-        law.packets(np.ones((3, 4)))
+        law.solve(np.ones((3, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +260,9 @@ def test_monte_carlo_run_equals_its_one_run_rollout(bench_cfg, bench_laws, name)
     designer = bench_laws[name][1]
     N, T, seed = bench_cfg.horizon, 60, 7
     X0, D = sp.netsim._conditions(bench_cfg.plant, N, T, seed, np.arange(40), 1)
-    states, inputs, sparsity, norms = sp.netsim._rollout(bench_cfg.plant,
-                                                         designer, X0, D)
+    states, inputs, sparsity, norms, failure = sp.netsim._rollout(
+        bench_cfg.plant, designer, X0, D)
+    assert failure is None
     for k in range(40):
         x0, trace = sp.run_conditions(bench_cfg.plant, N, T, seed, k)
         alone = sp.run_closed_loop(bench_cfg.plant, designer, trace, x0, T)
@@ -309,11 +312,11 @@ def test_failure_is_pinned_on_the_earliest_step_then_lowest_run(bench_cfg,
     class Fussy:
         """The LS law, refusing a batch that holds either chosen state."""
 
-        def packets(self, X):
+        def solve(self, X):
             for x in X:
                 if np.array_equal(x, bad2) or np.array_equal(x, bad1):
                     raise DesignError("refused state")
-            return law.packets(X)
+            return law.solve(X)
 
     fussy = Fussy()
 
@@ -378,7 +381,7 @@ def fresh_lasso(bench_laws, name):
 @pytest.mark.parametrize("name", ["L1L2(i)", "L1L2(ii)"])
 def test_lasso_packets_do_not_depend_on_the_cache(bench_laws, name):
     cold, warm = fresh_lasso(bench_laws, name), fresh_lasso(bench_laws, name)
-    warm.packets(lasso_states(warm, 2000, 7))
+    warm.solve(lasso_states(warm, 2000, 7))
     X = lasso_states(cold, 3000, 8)
     ref = cold.solve(X)
     solved = warm.solve(X)
@@ -517,7 +520,7 @@ def test_a_matched_row_is_in_the_region_the_path_reaches(bench_laws, name,
     # The region test checks each cached region's own KKT conditions; the
     # oracle is the homotopy, which knows nothing of the cache.
     law = fresh_lasso(bench_laws, name)
-    law.packets(lasso_states(law, 2000, 7))
+    law.solve(lasso_states(law, 2000, 7))
     rng = np.random.default_rng(16)
     while full and len(law._keys) < law.REGIONS:
         law._learn(random_signs(rng, law.hm.N, rng.integers(1, law.hm.N + 1),

@@ -23,14 +23,13 @@ class ConstantLaw:
         self.u = np.asarray(u, dtype=float)
         self.states = 0
 
-    def packets(self, X):
+    def solve(self, X):
         self.states += len(X)
-        return (np.tile(self.u, (len(X), 1)),
-                np.full(len(X), sp.count_nonzero(self.u)))
+        return np.tile(self.u, (len(X), 1)), np.zeros(len(X), dtype=int), {}
 
 
 class BrokenLaw:
-    def packets(self, X):
+    def solve(self, X):
         raise ValueError("boom")
 
 
@@ -230,6 +229,26 @@ class TestClosedLoop:
         with pytest.raises(ParameterError, match="packet law"):
             sp.run_closed_loop(plant, lambda x: 3, trace, [0.0], 2)
 
+    def test_a_law_error_keeps_its_cause(self, small_plant):
+        root = ZeroDivisionError("root")
+
+        class Chained:
+            def solve(self, X):
+                raise sp.SolverError("chained") from root
+
+        _, trace = sp.run_conditions(small_plant, 3, 5, 0, 0)
+        with pytest.raises(sp.SolverError, match="^chained$") as err:
+            sp.run_closed_loop(small_plant, Chained(), trace, [1.0, 0.0], 5)
+        assert err.value.__cause__ is root
+        with pytest.raises(SimulationRunError) as err:
+            sp.monte_carlo(small_plant, {"chained": Chained()}, 3, runs=2,
+                           T=5, seed=4)
+        assert (err.value.run_index, err.value.seed) == (0, 4)
+        assert str(err.value) == ("run 0 failed (replay with master seed 4, "
+                                  "spawn key (0,)): chained")
+        assert type(err.value.__cause__) is sp.SolverError
+        assert err.value.__cause__.__cause__ is root
+
     def test_rejects_short_trace(self):
         plant = sp.PlantModel(A=[[1.0]], B=[1.0])
         trace = sp.DropoutTrace(d=np.array([False, True]), N_bound=3)
@@ -344,6 +363,27 @@ class TestMonteCarlo:
             sp.monte_carlo(small_plant, {"law": law}, **args)
         assert law.states == 0
 
+    @pytest.mark.parametrize("gap", [10, 11, 1000, 10 ** 6, 2 ** 63, 2 ** 70])
+    def test_a_gap_of_t_or_more_is_t(self, small_plant, small_designers,
+                                     gap):
+        # One burst per run, none of it before T: the flags hold no loss
+        # and the draws are those of gap T.  A gap of 2**63 used to raise
+        # OverflowError, and one of 10**6 allocated with the gap, not T.
+        T = 10
+        x0, trace = sp.run_conditions(small_plant, 3, T, 7, 4, gap)
+        x0_t, trace_t = sp.run_conditions(small_plant, 3, T, 7, 4, T)
+        assert x0.tobytes() == x0_t.tobytes()
+        np.testing.assert_array_equal(trace.d, trace_t.d)
+        assert not trace.d.any()
+        a = sp.monte_carlo(small_plant, small_designers, 3, runs=50, T=T,
+                           seed=7, receptions_between_bursts=gap)
+        b = sp.monte_carlo(small_plant, small_designers, 3, runs=50, T=T,
+                           seed=7, receptions_between_bursts=T)
+        for name in small_designers:
+            np.testing.assert_array_equal(a.avg_norm[name], b.avg_norm[name])
+            np.testing.assert_array_equal(a.avg_sparsity[name],
+                                          b.avg_sparsity[name])
+
     def test_a_designer_that_is_no_law_is_rejected_before_any_run(
             self, small_plant):
         law = ConstantLaw([1.0, 0.0, 0.0])
@@ -375,9 +415,9 @@ class CountingLaw:
         self.law = law
         self.rows = []
 
-    def packets(self, X):
+    def solve(self, X):
         self.rows.append(len(X))
-        return self.law.packets(X)
+        return self.law.solve(X)
 
 
 def step_major_rollout(plant, law, X0, D):
@@ -395,14 +435,15 @@ def step_major_rollout(plant, law, X0, D):
         recv = np.flatnonzero(~D[:, k])
         if recv.size:
             try:
-                U, sparsity[recv, k] = law.packets(X[recv])
+                U = law.solve(X[recv])[0]
             except sp.SparsePpcError:
                 for r in recv:
                     try:
-                        law.packets(X[r:r + 1])
+                        law.solve(X[r:r + 1])
                     except sp.SparsePpcError as exc:
                         return r, exc
                 raise
+            sparsity[recv, k] = [sp.count_nonzero(u) for u in U]
             if k == 0:
                 buffer = np.empty((runs, U.shape[1]))
             buffer[recv] = U
@@ -427,7 +468,8 @@ class TestReceptionRounds:
         X0 = np.array([x0 for x0, _ in conditions])
         D = np.array([trace.d for _, trace in conditions])
         for name, law in small_designers.items():
-            got = sp.netsim._rollout(small_plant, law, X0, D)
+            *got, failure = sp.netsim._rollout(small_plant, law, X0, D)
+            assert failure is None
             for a, b in zip(got, step_major_rollout(small_plant, law, X0, D)):
                 np.testing.assert_array_equal(a, b, name)
 
@@ -442,11 +484,11 @@ class TestReceptionRounds:
         law = sp.LinearLaw(hm)
 
         class Fussy:
-            def packets(self, X):
+            def solve(self, X):
                 norms = np.linalg.norm(X, axis=1)
                 if np.any((norms > 0.2) & (norms < 0.4)):
                     raise sp.DesignError("state in the refused band")
-                return law.packets(X)
+                return law.solve(X)
 
         N, T, runs = 5, 30, 6
         conditions = [sp.run_conditions(small_plant, N, T, seed, k, gap)
@@ -454,12 +496,12 @@ class TestReceptionRounds:
         X0 = np.array([x0 for x0, _ in conditions])
         D = np.array([trace.d for _, trace in conditions])
         run, exc = step_major_rollout(small_plant, Fussy(), X0, D)
-        with pytest.raises(sp.netsim._RunFailure) as err:
-            sp.netsim._rollout(small_plant, Fussy(), X0, D)
-        assert err.value.row == run
-        assert type(err.value.cause) is type(exc)
+        *_, failure = sp.netsim._rollout(small_plant, Fussy(), X0, D)
+        row, cause = failure
+        assert row == run
+        assert type(cause) is type(exc)
         if isinstance(exc, ProtocolError):
-            assert str(exc) in str(err.value.cause)
+            assert str(exc) in str(cause)
 
     def test_batched_equals_alone_with_back_to_back_receptions(
             self, small_plant, small_designers):
@@ -470,7 +512,8 @@ class TestReceptionRounds:
         assert np.any(~D[:, 1:] & ~D[:, :-1])
         fields = ("states", "inputs", "sparsity", "norms")
         for name, law in small_designers.items():
-            batched = sp.netsim._rollout(small_plant, law, X0, D)
+            *batched, failure = sp.netsim._rollout(small_plant, law, X0, D)
+            assert failure is None
             for k in range(runs):
                 sim = alone(small_plant, law, N, T, seed, k, gap)
                 for field, rows in zip(fields, batched):
@@ -506,10 +549,10 @@ class TestReceptionRounds:
         refused = sp.run_closed_loop(small_plant, law, trace, x0, 5).states[5]
 
         class Refusing:
-            def packets(self, X):
+            def solve(self, X):
                 if np.any(np.all(X == refused, axis=1)):
                     raise sp.DesignError("refused state")
-                return law.packets(X)
+                return law.solve(X)
 
         errors = [alone(small_plant, Refusing(), N, T, seed, k)
                   for k in range(runs)]
@@ -526,10 +569,10 @@ class TestReceptionRounds:
         law = ConstantLaw([1.0, 0.0, 0.0])
 
         class BatchShy:
-            def packets(self, X):
+            def solve(self, X):
                 if len(X) > 1:
                     raise sp.SolverError("batch refused")
-                return law.packets(X)
+                return law.solve(X)
 
         with pytest.raises(SimulationRunError) as err:
             sp.monte_carlo(small_plant, {"shy": BatchShy()}, 3, runs=3, T=8,

@@ -265,3 +265,18 @@ def test_plant_entry_past_the_float_range_is_a_parameter_error():
     # The float cast overflows; that is a bad argument, not an OverflowError.
     with pytest.raises(ParameterError, match="A must be an array of real"):
         sp.PlantModel(A=[[10 ** 400]], B=[1.0])
+
+
+def test_a_plant_whose_powers_overflow_is_a_parameter_error(bench_plant):
+    # Every entry is finite, but A^1 B is not: the reachability test once
+    # warned of the overflow and then raised numpy's LinAlgError.
+    A = bench_plant.A.copy()
+    A[0, 0] = 1e308
+    plant = sp.PlantModel(A=A, B=bench_plant.B)
+    for call in (sp.check_reachability,
+                 lambda p: sp.solve_dare(p, np.eye(4), 1.0),
+                 lambda p: sp.build_horizon_matrices(p, 3, np.eye(4),
+                                                     np.eye(4))):
+        with pytest.raises(ParameterError,
+                           match=r"plant \(A, B\) overflows: A\^1 B"):
+            call(plant)
