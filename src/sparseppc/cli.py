@@ -36,6 +36,10 @@ EXIT_DESIGN = 3
 EXIT_AUDIT = 4
 EXIT_PROTOCOL = 5
 
+# The largest array one command may allocate, in bytes.  A config whose
+# command needs more is a config error before anything is allocated.
+MEMORY_BUDGET = 1 << 30
+
 # Each controller family's own config keys with the check on each value, the
 # keys it requires, and the design fields it reports after its regulator and
 # residuals; every controller also takes "name", "family" and a "Q" weight.
@@ -472,7 +476,43 @@ def _with_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.command == "simulate":
         _require(_integer(args.run_index, "--run-index", 0) >> 64 == 0,
                  f"--run-index must be below 2**64, got {args.run_index}")
-    return dataclasses.replace(cfg, **changes)
+    cfg = dataclasses.replace(cfg, **changes)
+    _require_budget(cfg, args.command,
+                    "--runs" if "runs" in changes else "run.runs")
+    return cfg
+
+
+def _require_budget(cfg: ExperimentConfig, command: str, runs_key: str):
+    """ConfigError naming the keys and the bytes of the command's largest
+    array if it exceeds ``MEMORY_BUDGET``.
+
+    Every command builds the ``(N n) x (N n)`` stage-weight block of its
+    horizon matrices.  ``simulate`` holds one run's ``(T + 1, n)`` states,
+    ``montecarlo`` a call group's ``(runs x group size, T + 1)`` rollout
+    arrays (larger than its ``(runs, T)`` dropout conditions), the group
+    size taken as the number of l1l2 controllers, and ``audit`` about
+    ``horizon^2`` numbers per draw for its region maps and path systems.
+    """
+    n, N, runs, T = cfg.plant.n, cfg.horizon, cfg.runs, cfg.T
+    arrays = [("horizon", "the (N n) x (N n) stage-weight block",
+               8 * (N * n) ** 2)]
+    if command == "simulate":
+        arrays.append(("run.T", "the (T + 1, n) states of the run",
+                       8 * (T + 1) * n))
+    elif command == "montecarlo":
+        # Only l1l2 controllers share a call group, at most all of them.
+        group = max(1, sum(spec["family"] == "l1l2"
+                           for spec in cfg.controllers))
+        arrays.append((f"{runs_key} and run.T",
+                       f"the (runs x {group}, T + 1) rollout arrays of a "
+                       "call group", 8 * runs * group * (T + 1)))
+    elif command == "audit":
+        arrays.append((runs_key, "the (draws, horizon, horizon) region maps",
+                       8 * runs * max(N * N, n)))
+    key, what, size = max(arrays, key=lambda a: a[2])
+    _require(size <= MEMORY_BUDGET,
+             f"{key}: {what} would take {size:.3e} bytes, above the budget "
+             f"of {MEMORY_BUDGET} bytes")
 
 
 def main(argv=None) -> int:

@@ -7,8 +7,11 @@ length, so the buffer never runs dry for traces that respect their bound.
 
 A run's reception steps are fixed by its dropout trace, and they cut its
 steps into segments: from one reception to the next, or to the end.  A
-batch of runs is rolled out reception-major.  Round ``j`` computes the
-``j``-th packet of every run that has one in a single ``law.solve`` call, and
+batch of runs is rolled out reception-major, under one call group of laws
+(``solvers.call_groups``): the lasso laws built on one ``hm`` object share
+a group, and every other law rolls alone.  Round ``j`` computes the ``j``-th
+packet of every run that has one, under every law of the group, in a
+single ``solvers.solve_group`` call (``law.solve`` for a group of one), and
 each of those runs then replays its packet through its own segment with
 ``plant._replay``, the one place the plant is stepped (the contraction
 audits and ``plant.propagate`` use it too).  No packet is computed during a
@@ -16,9 +19,11 @@ dropout burst.
 
 A study keeps what it reports.  The reception schedule depends on the
 dropout flags alone, so a study computes it once for all its laws.  Each
-rollout carries every run's current state ``(runs, n)`` from one round to
-the next and writes the per-step norms ``(runs, T + 1)`` and packet
-sparsity ``(runs, T)``: 16 bytes per run-step.  The state history and
+rollout carries every run's current state under each law of its group
+``(group size x runs, n)`` from one round to the next and writes the
+per-step norms ``(group size x runs, T + 1)`` and packet sparsity
+``(group size x runs, T)``: 16 bytes per run-step and law.  A study
+averages each rollout's arrays before the next rollout starts.  The state history and
 inputs of a :class:`SimTrace` are written only for :func:`run_closed_loop`,
 which replays one run of a study: ``8 (n + 3)`` bytes per run-step in all
 (56 at ``n = 4``).
@@ -41,7 +46,7 @@ import numpy as np
 from .errors import (ParameterError, ProtocolError, SimulationRunError,
                      each_row)
 from .plant import PlantModel, _integer, _replay, _state_vector
-from .solvers import _row_nonzeros
+from .solvers import _row_nonzeros, call_groups, solve_group
 
 
 @dataclass(frozen=True)
@@ -261,18 +266,21 @@ def _conditions(plant: PlantModel, N: int, T: int, seed: int,
     return X0, D
 
 
-def _packets(law, X: np.ndarray, keys: np.ndarray) -> tuple:
-    """The packets ``law.solve(X)[0]`` as ``(U, failed)``.
+def _packets(laws, X: np.ndarray, owner: np.ndarray,
+             keys: np.ndarray) -> tuple:
+    """The packets ``solve_group(laws, X, owner)[0]`` as ``(U, failed)``;
+    ``owner`` is ``None`` for a group of one.
 
-    A failed batch is retried row by row: ``failed`` maps each row that
+    A failed call is retried row by row: ``failed`` maps each row that
     fails alone to its error, and ``U`` holds the other rows in order
-    (``None`` if there are none).  If no row fails alone, the batch's error
+    (``None`` if there are none).  If no row fails alone, the call's error
     is pinned on the row with the smallest ``keys`` entry.
     """
     try:
-        return law.solve(X)[0], {}
+        return solve_group(laws, X, owner)[0], {}
     except Exception as exc:
-        tried = list(each_row(lambda s: law.solve(X[s])[0], len(X)))
+        tried = list(each_row(lambda s: solve_group(
+            laws, X[s], None if owner is None else owner[s])[0], len(X)))
         failed = {i: row_exc for i, _, row_exc in tried if row_exc is not None}
         if not failed:
             failed = {int(np.argmin(keys)): exc}
@@ -307,48 +315,62 @@ def _schedule(D: np.ndarray) -> tuple:
     return run_of[order], start[order], (end - start)[order], bounds
 
 
-def _rollout(plant: PlantModel, law, X0: np.ndarray, D: np.ndarray,
+def _rollout(plant: PlantModel, laws, X0: np.ndarray, D: np.ndarray,
              keep_states: bool = True, schedule: tuple | None = None) -> tuple:
-    """Advance a batch of runs through the buffered protocol, reception by
-    reception, as the module docstring describes.
+    """Advance a batch of runs under each law of one call group through the
+    buffered protocol, reception by reception, as the module docstring
+    describes.
 
-    Row ``r`` starts at ``X0[r]`` and follows the dropout flags ``D[r]``,
-    whose first step is a delivery (see :class:`DropoutTrace`).  Each round
-    replays its runs' packets through their segments and carries the state
-    each run ends at to its next round.  ``schedule`` is :func:`_schedule`
-    of ``D``, computed here if not given.  A segment longer than the packet
-    is a :class:`ProtocolError` at step ``start + width``.
+    ``laws`` is one group of :func:`solvers.call_groups`.  Row
+    ``i * runs + r`` of the rollout is run ``r`` under ``laws[i]``: it
+    starts at ``X0[r]`` and follows the dropout flags ``D[r]``, whose first
+    step is a delivery (see :class:`DropoutTrace`).  Each round makes one
+    packet call for every row that receives, each reception repeated once
+    per law, replays the packets through their segments and carries the
+    state each row ends at to its next round.  ``schedule`` is
+    :func:`_schedule` of ``D``, computed here if not given.  A segment
+    longer than the packet is a :class:`ProtocolError` at step
+    ``start + width``.
 
-    Returns ``(states, inputs, sparsity, norms, failure)``.  The arrays have
-    shapes ``(runs, T + 1, n)``, ``(runs, T)``, ``(runs, T)`` and ``(runs,
-    T + 1)``; the states and inputs only with ``keep_states``, ``None``
-    without it.  ``sparsity`` counts each packet's nonzeros as
-    :func:`solvers.count_nonzero` does.  Each run stops at its own first
-    failure, and ``failure`` is ``(run, error)`` of the earliest failing
-    step, a law failure before a protocol failure at the same step, and the
-    lowest-indexed run; ``None`` if no run failed.
+    Returns ``(states, inputs, sparsity, norms, failures)``.  The arrays
+    have shapes ``(rows, T + 1, n)``, ``(rows, T)``, ``(rows, T)`` and
+    ``(rows, T + 1)`` for ``rows = len(laws) * runs``; the states and inputs
+    only with ``keep_states``, ``None`` without it.  ``sparsity`` counts
+    each packet's nonzeros as :func:`solvers.count_nonzero` does.  Each row
+    stops at its own first failure, and ``failures[i]`` is ``(run, error)``
+    of law ``i``'s earliest failing step, a law failure before a protocol
+    failure at the same step, and its lowest-indexed run; ``None`` if no
+    run of the law failed.
     """
-    runs, T = D.shape
+    (runs, T), group = D.shape, len(laws)
     run_of, start, length, bounds = (_schedule(D) if schedule is None
                                      else schedule)
-    current = X0.copy()  # each run's state at its next reception
-    norms = np.empty((runs, T + 1))
+    if group > 1:
+        # Each reception once per law, the laws innermost, so a round keeps
+        # its longest segments first.
+        run_of = (run_of[:, None] + runs * np.arange(group)).ravel()
+        start, length = np.repeat(start, group), np.repeat(length, group)
+        bounds = group * bounds
+    rows_total = group * runs
+    current = np.tile(X0, (group, 1))  # each row's state at its next reception
+    norms = np.empty((rows_total, T + 1))
     norms[:, 0] = np.linalg.norm(current, axis=1)
-    sparsity = np.full((runs, T), np.nan)
+    sparsity = np.full((rows_total, T), np.nan)
     states = inputs = None
     if keep_states:
-        states = np.empty((runs, T + 1, plant.n))
-        inputs = np.empty((runs, T))
+        states = np.empty((rows_total, T + 1, plant.n))
+        inputs = np.empty((rows_total, T))
         states[:, 0] = current
-    alive = np.ones(runs, dtype=bool)
-    failures = []  # (step, law 0 / protocol 1, run, error)
+    alive = np.ones(rows_total, dtype=bool)
+    failures = []  # (step, law 0 / protocol 1, row, error)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         live = lo + np.flatnonzero(alive[run_of[lo:hi]])
-        if not live.size:  # later rounds hold a subset of these runs
+        if not live.size:  # later rounds hold a subset of these rows
             break
         rows, at, span = run_of[live], start[live], length[live]
         X = current[rows]
-        U, failed = _packets(law, X, at * runs + rows)
+        U, failed = _packets(laws, X, None if group == 1 else rows // runs,
+                             at * rows_total + rows)
         if failed:
             for i, exc in failed.items():
                 failures.append((at[i], 0, int(rows[i]), exc))
@@ -375,9 +397,10 @@ def _rollout(plant: PlantModel, law, X0: np.ndarray, D: np.ndarray,
         if keep_states:
             states[rows[r], at[r] + i + 1] = visited
             inputs[rows[r], at[r] + i] = U[r, i]
-    first = min(failures, key=lambda f: f[:3], default=None)
+    firsts = [min((f for f in failures if f[2] // runs == i),
+                  key=lambda f: f[:3], default=None) for i in range(group)]
     return (states, inputs, sparsity, norms,
-            None if first is None else first[2:])
+            [None if f is None else (f[2] % runs, f[3]) for f in firsts])
 
 
 def run_closed_loop(plant: PlantModel, designer, trace: DropoutTrace, x0,
@@ -398,7 +421,7 @@ def run_closed_loop(plant: PlantModel, designer, trace: DropoutTrace, x0,
     if len(trace) < T:
         raise ParameterError(f"trace length {len(trace)} is shorter than T = {T}")
     x0 = _state_vector(x0, plant.n)[None]
-    *rollout, failure = _rollout(plant, designer, x0, trace.d[None, :T])
+    *rollout, (failure,) = _rollout(plant, (designer,), x0, trace.d[None, :T])
     if failure is not None:
         # Raise the run's own error, keeping what it was raised from.
         error = failure[1]
@@ -451,16 +474,22 @@ def monte_carlo(plant: PlantModel, designers: Mapping[str, object],
     Each designer is a packet law, as for :func:`run_closed_loop`; anything
     else, or a bad ``runs``, ``N``, ``T`` or ``receptions_between_bursts``,
     raises :class:`ParameterError` before a run starts.  Run ``k`` starts
-    from the conditions of :func:`run_conditions`; each designer advances
-    all runs together, one law call per reception round, and run ``k`` of
-    the study has the same bits as :func:`run_closed_loop` on those
-    conditions.  A failing run aborts the study with its index and seed
-    attached for replay: the lowest-indexed run failing at the earliest
-    step (a law failure before a protocol failure there), designers taken
-    in order.  A study holds each run's per-step norms and sparsity, 16
-    bytes per run-step, and averages them over the runs; a run's states
-    and inputs come from replaying it with :func:`run_closed_loop`.  A
-    ``seed`` that is not an integer ``>= 0`` raises :class:`ParameterError`.
+    from the conditions of :func:`run_conditions`.  The designers that one
+    packet call can serve (:func:`solvers.call_groups`: the lasso laws on
+    one ``hm`` object, such as ``L1L2(i)`` and ``L1L2(ii)`` of the benchmark
+    config) advance all runs together, one call per reception round for
+    the whole group; every other designer advances alone the same way.
+    Run ``k`` of each designer has the same bits as :func:`run_closed_loop`
+    on those conditions, whichever designers share its calls.  A failing
+    run aborts the study with its index and seed attached for replay: the
+    first designer in mapping order that failed, at its earliest failing
+    step, its lowest-indexed run there (a law failure before a protocol
+    failure).  A rollout holds each run's per-step norms and sparsity
+    under each law of its group, 16 bytes per run-step and law, and the
+    study averages them over the runs before the next rollout starts; a
+    run's states and inputs come from replaying it with
+    :func:`run_closed_loop`.  A ``seed`` that is not an integer ``>= 0``
+    raises :class:`ParameterError`.
     """
     if not designers:
         raise ParameterError("at least one designer is required")
@@ -472,22 +501,39 @@ def monte_carlo(plant: PlantModel, designers: Mapping[str, object],
     X0, D = _conditions(plant, N, T, seed, np.arange(runs), gap)
     schedule = _schedule(D)
 
-    avg_norm, avg_sparsity = {}, {}
-    for name, law in designers.items():
-        _, _, spars_mat, norms, failure = _rollout(
-            plant, law, X0, D, keep_states=False, schedule=schedule)
-        if failure is not None:
-            run, error = failure
+    names, laws = list(designers), list(designers.values())
+    groups = call_groups(laws)
+    avg_norm, avg_sparsity, failed = {}, {}, {}
+    for g, group in enumerate(groups):
+        _, _, spars_mat, norms, failures = _rollout(
+            plant, [laws[i] for i in group], X0, D, keep_states=False,
+            schedule=schedule)
+        for k, i in enumerate(group):
+            if failures[k] is not None:
+                failed[i] = failures[k]
+            rows = slice(k * runs, (k + 1) * runs)
+            avg_norm[names[i]] = norms[rows, :T].mean(axis=0)
+            avg_sparsity[names[i]] = _average_sparsity(spars_mat[rows])
+        del spars_mat, norms
+        # Every designer before the next group's first is rolled out.
+        if failed and min(failed) < (groups[g + 1][0] if g + 1 < len(groups)
+                                     else len(laws)):
+            run, error = failed[min(failed)]
             raise SimulationRunError(run, seed, error) from error
-        avg_norm[name] = norms[:, :T].mean(axis=0)
-        # NaN marks steps without a freshly computed packet; average over the
-        # runs that did compute one, NaN if none did.
-        counts = np.sum(~np.isnan(spars_mat), axis=0)
-        sums = np.nansum(spars_mat, axis=0)
-        avg = np.full(T, np.nan)
-        nz = counts > 0
-        avg[nz] = sums[nz] / counts[nz]
-        avg_sparsity[name] = avg
 
-    return MonteCarloResult(steps=np.arange(T), avg_norm=avg_norm,
-                            avg_sparsity=avg_sparsity, runs=runs, seed=seed)
+    return MonteCarloResult(steps=np.arange(T),
+                            avg_norm={name: avg_norm[name] for name in names},
+                            avg_sparsity={name: avg_sparsity[name]
+                                          for name in names},
+                            runs=runs, seed=seed)
+
+
+def _average_sparsity(spars_mat: np.ndarray) -> np.ndarray:
+    # NaN marks steps without a freshly computed packet; average over the
+    # runs that did compute one, NaN if none did.
+    counts = np.sum(~np.isnan(spars_mat), axis=0)
+    sums = np.nansum(spars_mat, axis=0)
+    avg = np.full(spars_mat.shape[1], np.nan)
+    nz = counts > 0
+    avg[nz] = sums[nz] / counts[nz]
+    return avg

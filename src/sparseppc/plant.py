@@ -221,6 +221,18 @@ def controllability_matrix(plant: PlantModel) -> np.ndarray:
     return cols
 
 
+def _controllability_values(plant: PlantModel) -> np.ndarray:
+    # Singular values of the controllability matrix, largest first;
+    # ParameterError if some A^k B is past the float range.
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = controllability_matrix(plant)
+    finite = np.isfinite(C).all(axis=0)
+    if not finite.all():
+        raise ParameterError(f"plant (A, B) overflows: A^{finite.argmin()} B "
+                             "is not finite")
+    return np.linalg.svd(C, compute_uv=False)
+
+
 def check_reachability(plant: PlantModel) -> bool:
     """Numerical full-rank test of the controllability matrix.
 
@@ -228,14 +240,20 @@ def check_reachability(plant: PlantModel) -> bool:
     as zero.  A plant with some ``A^k B`` past the float range raises
     :class:`ParameterError`.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        C = controllability_matrix(plant)
-    finite = np.isfinite(C).all(axis=0)
-    if not finite.all():
-        raise ParameterError(f"plant (A, B) overflows: A^{finite.argmin()} B "
-                             "is not finite")
-    s = np.linalg.svd(C, compute_uv=False)
+    s = _controllability_values(plant)
     return bool((s > REACHABILITY_RTOL * s[0]).all())
+
+
+def _require_reachable(plant: PlantModel) -> None:
+    # ParameterError unless check_reachability passes, naming the
+    # controllability matrix's smallest over largest singular value.
+    if not check_reachability(plant):
+        s = _controllability_values(plant)
+        ratio = s[-1] / s[0] if s[0] > 0.0 else 0.0
+        raise ParameterError(
+            "plant (A, B) is not reachable: the controllability matrix's "
+            f"singular-value ratio {ratio:.3e} is not above "
+            f"REACHABILITY_RTOL = {REACHABILITY_RTOL:g}")
 
 
 @dataclass(frozen=True)
@@ -311,8 +329,7 @@ def build_horizon_matrices(plant: PlantModel, N: int, Q, P) -> HorizonMatrices:
     n = plant.n
     Q = require_spd(Q, n, "Q")
     P = require_spd(P, n, "P")
-    if not check_reachability(plant):
-        raise ParameterError("plant (A, B) is not reachable")
+    _require_reachable(plant)
     return _horizon_matrices(plant, N, Q, P)
 
 

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SolverError
-from .plant import (PlantModel, _finite, _frozen, _square,
-                    check_reachability, require_spd)
+from .plant import (PlantModel, _finite, _frozen, _require_reachable,
+                    _square, require_spd)
 
 # A solution's Frobenius defect under the map must be at most
 # DARE_TOL (1 + ||P||_F), or SolverError is raised.
@@ -142,8 +142,7 @@ def solve_dare(plant: PlantModel, Q, r: float = 0.0) -> DareSolution:
     r = _finite(r, "r")
     if not 0.0 <= r:
         raise ParameterError(f"r must be nonnegative and finite, got {r}")
-    if not check_reachability(plant):
-        raise ParameterError("plant (A, B) is not reachable")
+    _require_reachable(plant)
 
     A, B = plant.A, plant.B
     P = Q.copy()
@@ -179,9 +178,13 @@ def solve_dare(plant: PlantModel, Q, r: float = 0.0) -> DareSolution:
         P, K, defect, residual = P_new, K_new, defect_new, residual_new
     limit = DARE_TOL * (1.0 + _norm(P))
     if not residual <= limit:
+        # An ill-conditioned P can sit this far off in float64 at best.
+        w = np.linalg.eigvalsh(P)
+        spread = w[-1] / w[0] if w[0] > 0.0 else np.inf
         raise SolverError(
             f"Newton's method stopped at residual {residual:.3e} after "
-            f"{steps} steps, above the tolerance {limit:.3e}"
+            f"{steps} steps, above the tolerance {limit:.3e}; P's eigenvalue "
+            f"spread lambda_max / lambda_min is {spread:.3e}"
         )
 
     radius = _spectral_radius(A + B @ K)

@@ -7,7 +7,10 @@ per-packet work rebuilds them or repeats a factorization.  ``law.solve(X)``
 maps a batch of states, one per row, to their packets, iteration counts and
 solver certificates, and ``law(x)`` returns the :class:`Packet` of one
 state.  Each law and each packet names its ``family`` as the config does:
-``l1l2``, ``l0``, ``ridge`` or ``ls``.  The module-level functions
+``l1l2``, ``l0``, ``ridge`` or ``ls``.  :func:`call_groups` says which
+laws one call can serve, and :func:`solve_group` makes that call: the lasso
+laws on one ``hm`` object form one group, and every other law stands
+alone.  The module-level functions
 ``least_squares_packet``, ``ridge_packet``, ``fista_l1l2`` and ``omp_l0``
 are one-row views of the same laws.
 
@@ -84,6 +87,18 @@ class PacketLaw:
     def _solve(self, X: np.ndarray):
         raise NotImplementedError
 
+    def _checked(self, X) -> np.ndarray:
+        # ``X`` as a contiguous float ``(rows, n)`` array, or ParameterError
+        # unless it holds real, finite numbers in that shape.
+        n = self.hm.H.shape[1]
+        X = np.ascontiguousarray(_real(X, "X"))
+        if X.ndim != 2 or X.shape[1] != n:
+            raise ParameterError(f"X must have shape (rows, {n}), got {X.shape}")
+        if not np.isfinite(X).all():
+            row = (~np.isfinite(X)).any(axis=1).argmax()
+            raise ParameterError(f"X must be finite; row {row} is not")
+        return X
+
     def solve(self, X) -> tuple:
         """``(U, iterations, certificate)`` for the states in the rows of ``X``.
 
@@ -92,14 +107,7 @@ class PacketLaw:
         whose first ``iterations`` entries count.  ``X`` must hold real,
         finite numbers, or :class:`ParameterError` is raised.
         """
-        n = self.hm.H.shape[1]
-        X = np.ascontiguousarray(_real(X, "X"))
-        if X.ndim != 2 or X.shape[1] != n:
-            raise ParameterError(f"X must have shape (rows, {n}), got {X.shape}")
-        if not np.isfinite(X).all():
-            row = (~np.isfinite(X)).any(axis=1).argmax()
-            raise ParameterError(f"X must be finite; row {row} is not")
-        return self._solve(X)
+        return self._solve(self._checked(X))
 
     def __call__(self, x) -> Packet:
         x = _state_vector(x, self.hm.H.shape[1])
@@ -164,12 +172,13 @@ def _ratio(num: np.ndarray, den: np.ndarray, valid: np.ndarray) -> np.ndarray:
 _SIDES = np.array([[1.0], [-1.0]])
 
 
-def _lasso_path(GtG: np.ndarray, B: np.ndarray, target: float,
+def _lasso_path(GtG: np.ndarray, B: np.ndarray, target,
                 max_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Signs and breakpoint counts of the lasso paths of the rows of ``B``.
 
     Row ``b`` of ``B`` follows ``min u'G'Gu - 2 b'u + 2 lam ||u||_1`` from
-    ``lam = ||b||_inf`` (which must exceed ``target``) down to ``target``,
+    ``lam = ||b||_inf`` (which must exceed its target) down to its target,
+    ``target`` itself or, when that is an array, its entry for the row,
     taking at most ``max_steps`` breakpoints, the first included.  Returns
     the signs of each row's support at ``target``, 0 off it, and each row's
     own breakpoint count.  The rows walk in lockstep: each breakpoint is one
@@ -179,6 +188,7 @@ def _lasso_path(GtG: np.ndarray, B: np.ndarray, target: float,
     alone or in a batch.
     """
     rows, N = B.shape
+    target = np.broadcast_to(target, rows)
     signs = np.zeros((rows, N))
     steps = np.full(rows, max_steps)
     # The rows still walking, with their own copies of b, lam and the
@@ -223,8 +233,9 @@ def _lasso_path(GtG: np.ndarray, B: np.ndarray, target: float,
             signs[walk[stop]], steps[walk[stop]] = s[stop], step
             if not go.any():
                 return signs, steps
-            walk, b, lam, s, m, j, k, tj, tk, t, hit = (
-                a[go] for a in (walk, b, lam, s, m, j, k, tj, tk, t, hit))
+            walk, b, lam, target, s, m, j, k, tj, tk, t, hit = (
+                a[go] for a in (walk, b, lam, target, s, m, j, k, tj, tk, t,
+                                hit))
             i = i[:walk.size]
         lam -= t
         entered = tj <= tk
@@ -283,6 +294,13 @@ class LassoLaw(PacketLaw):
     means exact: the KKT residual of the returned packet is at most
     ``1e-9 max(mu, ||b||_inf)``; a packet whose path hits the cap is judged
     by that certificate alone.
+
+    Lasso laws built on one ``hm`` object, such as two sparsity weights on
+    one regulator, share a call (:func:`call_groups`, :func:`solve_group`):
+    one ``G'Hx`` product, each law's own cache test on its own rows, one
+    lockstep walk for all their misses, each row down to its own law's
+    ``mu / 2``, and one refit.  Each law keeps its own cache, and each row
+    gets the bits it gets from its own law alone.
     """
 
     family = "l1l2"
@@ -377,40 +395,108 @@ class LassoLaw(PacketLaw):
         ok = np.concatenate(ok, axis=1)
         return np.where(ok.sum(axis=0) == 1, ok.argmax(axis=0), -1)
 
-    def _refit(self, signs, K, off, B) -> np.ndarray:
-        # The region map of each row, one refinement pass on the normal
-        # equations, and the boundary's wrong-signed rounding set to zero.
-        U = _row_maps(K, B) + off
-        U += _row_maps(K, B - row_matmul(U, self.hm.GtG)) + off
-        return np.where(signs * U < 0.0, 0.0, U)
-
     def _solve(self, X):
-        hm, mu, GtG = self.hm, self.mu, self.hm.GtG
+        return self._joint((self,), X, np.zeros(X.shape[0], dtype=int))
+
+    @staticmethod
+    def _joint(laws, X, owner) -> tuple:
+        """``solve`` of the checked states ``X``, row ``r`` by the law
+        ``laws[owner[r]]``; the laws share one ``hm`` object.
+
+        One ``G'Hx`` product serves every row.  Each law tests its own rows
+        against its own cache, and the rows that no law's cache serves walk
+        one lockstep path, each down to its own law's ``mu / 2``; each law
+        then learns the regions its rows reached, and one refit and one
+        certificate, with one ``mu`` per row, give every packet.  Every
+        operation on a row is the one it gets alone, so a row has the same
+        bits whichever laws share its call.
+        """
+        hm = laws[0].hm
+        rows, N = X.shape[0], hm.N
+        mu = np.array([law.mu for law in laws])[owner]
         b = row_matmul(X, hm.GtH)
         corr = np.abs(b).max(axis=1, initial=0.0)
-        U = np.zeros((X.shape[0], hm.N))
-        steps = np.zeros(X.shape[0], dtype=int)
-        walked = np.zeros(X.shape[0], dtype=bool)
+        U = np.zeros((rows, N))
+        steps = np.zeros(rows, dtype=int)
+        walked = np.zeros(rows, dtype=bool)
         active = np.flatnonzero(corr > 0.5 * mu)
-        B = b[active]
-        slot = self._match(B, corr[active])
+        B, own = b[active], owner[active]
+        members = [np.flatnonzero(own == i) for i in range(len(laws))]
+        slot = np.empty(active.size, dtype=int)
+        for law, mine in zip(laws, members):
+            slot[mine] = law._match(B[mine], corr[active[mine]])
         miss = np.flatnonzero(slot < 0)
-        table = self._cache
         if miss.size:
-            signs, steps[active[miss]] = _lasso_path(GtG, B[miss], 0.5 * mu,
-                                                     10 * hm.N)
+            signs, steps[active[miss]] = _lasso_path(
+                hm.GtG, B[miss], 0.5 * mu[active[miss]], 10 * N)
             walked[active[miss]] = True
-            slot[miss], table = self._learn(signs)
+        tables = []
+        for i, law in enumerate(laws):
+            table, learnt = law._cache, own[miss] == i
+            if learnt.any():
+                slot[miss[learnt]], table = law._learn(signs[learnt])
+            tables.append(table[:3])
         if active.size:
-            U[active] = self._refit(*(a[slot] for a in table[:3]), B)
+            # Each law's regions, copied once into its block of the rows
+            # ("clip" skips take's buffered copy; every slot is in range).
+            regions = [np.empty((active.size,) + a.shape[1:])
+                       for a in tables[0]]
+            hi = 0
+            for mine, table in zip(members, tables):
+                lo, hi = hi, hi + mine.size
+                for a, out in zip(table, regions):
+                    np.take(a, slot[mine], axis=0, out=out[lo:hi], mode="clip")
+            order = np.concatenate(members)
+            U[active[order]] = _refit(hm.GtG, *regions, B[order])
 
-        kkt = _kkt_residual(U, 2.0 * (row_matmul(U, GtG) - b), mu)
+        kkt = _kkt_residual(U, 2.0 * (row_matmul(U, hm.GtG) - b), mu[:, None])
         certificate = {
             "kkt_residual": kkt,
             "converged": kkt <= 1e-9 * np.maximum(mu, corr),
             "path_walked": walked,
         }
         return U, steps, certificate
+
+
+def _refit(GtG, signs, K, off, B) -> np.ndarray:
+    # The region map of each row, one refinement pass on the normal
+    # equations, and the boundary's wrong-signed rounding set to zero.
+    U = _row_maps(K, B) + off
+    U += _row_maps(K, B - row_matmul(U, GtG)) + off
+    return np.where(signs * U < 0.0, 0.0, U)
+
+
+def call_groups(laws) -> list:
+    """The laws one packet call can serve, as lists of indices into
+    ``laws``, ordered by their first member.
+
+    The :class:`LassoLaw` objects built on one ``hm`` object form one group,
+    which :func:`solve_group` solves in one call; every other law, whatever
+    its type, stands alone.
+    """
+    groups, shared = [], {}
+    for i, law in enumerate(laws):
+        if type(law) is LassoLaw:
+            if id(law.hm) in shared:
+                groups[shared[id(law.hm)]].append(i)
+                continue
+            shared[id(law.hm)] = len(groups)
+        groups.append([i])
+    return groups
+
+
+def solve_group(laws, X, owner) -> tuple:
+    """``(U, iterations, certificate)`` of the states in the rows of ``X``,
+    row ``r`` solved by ``laws[owner[r]]``, in one call.
+
+    ``laws`` is one group of :func:`call_groups`.  A group of one is its
+    law's ``solve(X)``, whatever ``owner`` holds (``None`` included); a
+    larger one is checked as ``solve`` checks ``X`` and gives each row the
+    bits of its own law's ``solve``.
+    """
+    if len(laws) == 1:
+        return laws[0].solve(X)
+    return LassoLaw._joint(laws, laws[0]._checked(X), np.asarray(owner))
 
 
 class OmpLaw(PacketLaw):

@@ -14,7 +14,7 @@ import pytest
 from sparseppc import (ConfigError, LassoLaw, OmpLaw, PacketLaw,
                        ParameterError, PlantModel, design_l1l2,
                        fixed_point_residual)
-from sparseppc import cli, netsim, plant, riccati
+from sparseppc import cli, netsim, plant, riccati, solvers
 from sparseppc.cli import build_controller, load_config, main
 from sparseppc.design import WSTAR_IDENTITY_RTOL
 from sparseppc.netsim import _generator
@@ -222,6 +222,70 @@ class TestExitCodes:
         err = capfd.readouterr().err
         assert err == ("design error: L1L2(i): plant (A, B) overflows: "
                        "A^1 B is not finite\n"), err
+        assert not out.exists()
+
+    def test_an_unreachable_plant_names_its_ratio_and_exits_3(self, tmp_path,
+                                                              capfd):
+        cfg = json.loads((ROOT / "configs" / "benchmark.json").read_text())
+        cfg["plant"]["A"][0][0] = 1000
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 3
+        err = capfd.readouterr().err
+        assert err == ("design error: L1L2(i): plant (A, B) is not reachable: "
+                       "the controllability matrix's singular-value ratio "
+                       "5.603e-11 is not above REACHABILITY_RTOL = 1e-10\n"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where, value, commands, message", [
+        (("run", "runs"), 10 ** 30, ("montecarlo", "audit"), "run.runs"),
+        (("run", "T"), 10 ** 30, ("simulate", "montecarlo"), "run.T"),
+        (("horizon",), 5000, ("design", "simulate", "montecarlo"),
+         "horizon: the (N n) x (N n) stage-weight block would take "
+         "3.200e+09 bytes"),
+    ], ids=["runs", "T", "horizon"])
+    def test_a_study_too_large_for_memory_exits_2(self, tmp_path, capfd,
+                                                  where, value, commands,
+                                                  message):
+        # Each of these sizes numpy refuses outright, so an allocation that
+        # slipped past the budget would raise at once, not page.
+        cfg = json.loads((ROOT / "configs" / "benchmark.json").read_text())
+        set_at(cfg, where, value)
+        path = write_config(tmp_path, cfg)
+        for command in commands:
+            out = tmp_path / command
+            assert main([command, "--config", str(path),
+                         "--out", str(out)]) == 2
+            err = capfd.readouterr().err
+            assert err.startswith("config error: ") and message in err, err
+            assert f"above the budget of {cli.MEMORY_BUDGET} bytes" in err
+            assert err.count("\n") == 1, err
+            assert not out.exists()
+
+    def test_a_runs_override_too_large_for_memory_names_the_flag(
+            self, tmp_path, capfd):
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--config",
+                     str(ROOT / "configs" / "benchmark.json"),
+                     "--runs", str(10 ** 30), "--out", str(out)]) == 2
+        err = capfd.readouterr().err
+        assert err == ("config error: --runs and run.T: the (runs x 2, T + 1) "
+                       "rollout arrays of a call group would take 1.616e+33 "
+                       f"bytes, above the budget of {cli.MEMORY_BUDGET} "
+                       "bytes\n"), err
+        assert not out.exists()
+
+    def test_a_horizon_of_1000_is_within_budget_and_exits_3(self, tmp_path,
+                                                            capfd):
+        cfg = json.loads((ROOT / "configs" / "benchmark.json").read_text())
+        cfg["horizon"] = 1000
+        cfg["controllers"] = cfg["controllers"][-1:]
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 3
+        err = capfd.readouterr().err
+        assert err.startswith("design error: LS: G'G is numerically "
+                              "singular"), err
         assert not out.exists()
 
     @pytest.mark.parametrize("override", ["tiny", "wstar"])
@@ -1082,10 +1146,13 @@ def study_runs(path, runs, run_index):
     cfg = load_config(path)
     X0, D = netsim._conditions(cfg.plant, cfg.horizon, cfg.T, cfg.seed,
                                np.arange(runs), cfg.channel_gap)
-    for spec in cfg.controllers:
-        law = build_controller(cfg, spec).designer
-        states = netsim._rollout(cfg.plant, law, X0, D)[0]
-        yield spec["name"], states[run_index], D[run_index]
+    laws = [build_controller(cfg, spec).designer for spec in cfg.controllers]
+    for group in solvers.call_groups(laws):
+        states = netsim._rollout(cfg.plant, [laws[i] for i in group], X0,
+                                 D)[0]
+        for k, i in enumerate(group):
+            yield (cfg.controllers[i]["name"], states[k * runs + run_index],
+                   D[run_index])
 
 
 def test_simulate_replays_monte_carlo_run_zero(tmp_path):

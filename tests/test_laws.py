@@ -260,8 +260,8 @@ def test_monte_carlo_run_equals_its_one_run_rollout(bench_cfg, bench_laws, name)
     designer = bench_laws[name][1]
     N, T, seed = bench_cfg.horizon, 60, 7
     X0, D = sp.netsim._conditions(bench_cfg.plant, N, T, seed, np.arange(40), 1)
-    states, inputs, sparsity, norms, failure = sp.netsim._rollout(
-        bench_cfg.plant, designer, X0, D)
+    states, inputs, sparsity, norms, (failure,) = sp.netsim._rollout(
+        bench_cfg.plant, (designer,), X0, D)
     assert failure is None
     for k in range(40):
         x0, trace = sp.run_conditions(bench_cfg.plant, N, T, seed, k)
@@ -692,3 +692,199 @@ def test_region_test_chunks_stay_below_the_blas_threading_threshold(
     assert len(gemms) % 2 == 0 and len(gemms) > 2
     for shape in gemms:
         assert np.prod(shape) < 1 << 18, shape
+
+
+# ---------------------------------------------------------------------------
+# One packet call per round for the lasso laws on one regulator
+
+
+def fresh_laws(bench_cfg, names):
+    """Freshly designed laws of the named benchmark controllers, with empty
+    region caches; the two l1l2 controllers share one ``hm`` object."""
+    specs = {spec["name"]: spec for spec in bench_cfg.controllers}
+    return {name: build_controller(bench_cfg, specs[name]).designer
+            for name in names}
+
+
+def test_the_lasso_laws_on_one_regulator_form_one_call_group(bench_cfg):
+    laws = fresh_laws(bench_cfg, ["L1L2(i)", "OMP", "L1L2(ii)", "RIDGE", "LS"])
+    assert sp.solvers.call_groups(list(laws.values())) == [[0, 2], [1], [3],
+                                                           [4]]
+    # A lasso law on another regulator, a linear law given twice and a
+    # duck-typed law stand alone; one lasso law given twice is a group of two.
+    other = sp.LassoLaw(laws["OMP"].hm, 3.3)
+
+    class Duck:
+        hm = laws["L1L2(i)"].hm
+
+        def solve(self, X):
+            return laws["L1L2(i)"].solve(X)
+
+    assert sp.solvers.call_groups([laws["L1L2(i)"], other, laws["LS"],
+                                   laws["LS"], Duck()]) == [[0], [1], [2],
+                                                            [3], [4]]
+    assert sp.solvers.call_groups([laws["L1L2(ii)"]] * 2) == [[0, 1]]
+
+
+@pytest.mark.parametrize("names", [("L1L2(i)", "OMP", "L1L2(ii)"),
+                                   ("L1L2(ii)", "L1L2(i)")])
+def test_a_joint_study_equals_each_designer_studied_alone(bench_cfg, names):
+    N, T, runs, seed = bench_cfg.horizon, 100, 60, 3
+    joint = sp.monte_carlo(bench_cfg.plant, fresh_laws(bench_cfg, names), N,
+                           runs=runs, T=T, seed=seed)
+    assert list(joint.avg_norm) == list(joint.avg_sparsity) == list(names)
+    for name in names:
+        alone = sp.monte_carlo(bench_cfg.plant, fresh_laws(bench_cfg, [name]),
+                               N, runs=runs, T=T, seed=seed)
+        assert joint.avg_norm[name].tobytes() == alone.avg_norm[name].tobytes()
+        assert (joint.avg_sparsity[name].tobytes()
+                == alone.avg_sparsity[name].tobytes())
+
+
+def test_one_law_under_two_names_equals_that_law_alone(bench_cfg):
+    N, T, runs, seed = bench_cfg.horizon, 100, 40, 5
+    law = fresh_laws(bench_cfg, ["L1L2(ii)"])["L1L2(ii)"]
+    twice = sp.monte_carlo(bench_cfg.plant, {"a": law, "b": law}, N,
+                           runs=runs, T=T, seed=seed)
+    alone = sp.monte_carlo(bench_cfg.plant, fresh_laws(bench_cfg, ["L1L2(ii)"]),
+                           N, runs=runs, T=T, seed=seed)
+    for name in ("a", "b"):
+        assert (twice.avg_norm[name].tobytes()
+                == alone.avg_norm["L1L2(ii)"].tobytes())
+        assert (twice.avg_sparsity[name].tobytes()
+                == alone.avg_sparsity["L1L2(ii)"].tobytes())
+
+
+def test_run_closed_loop_replays_a_run_of_the_joint_rollout(bench_cfg):
+    laws = list(fresh_laws(bench_cfg, ["L1L2(i)", "L1L2(ii)"]).values())
+    N, T, runs, seed = bench_cfg.horizon, 60, 30, 7
+    X0, D = sp.netsim._conditions(bench_cfg.plant, N, T, seed,
+                                  np.arange(runs), 1)
+    *joint, failures = sp.netsim._rollout(bench_cfg.plant, laws, X0, D)
+    assert failures == [None, None]
+    for i, law in enumerate(laws):
+        for k in range(runs):
+            x0, trace = sp.run_conditions(bench_cfg.plant, N, T, seed, k)
+            sim = sp.run_closed_loop(bench_cfg.plant, law, trace, x0, T)
+            for got, field in zip(joint, ("states", "inputs", "sparsity",
+                                          "norms")):
+                assert (got[i * runs + k].tobytes()
+                        == getattr(sim, field).tobytes()), (i, k, field)
+
+
+def test_a_joint_call_gives_each_row_its_own_laws_bits(bench_laws):
+    laws = [fresh_lasso(bench_laws, name) for name in ("L1L2(i)", "L1L2(ii)")]
+    X = np.vstack([lasso_states(law, 600, 30 + i) for i, law in enumerate(laws)])
+    owner = np.random.default_rng(31).integers(0, 2, len(X))
+    U, steps, cert = sp.solvers.solve_group(laws, X, owner)
+    for i, name in enumerate(("L1L2(i)", "L1L2(ii)")):
+        mine, alone = owner == i, fresh_lasso(bench_laws, name)
+        ref = alone.solve(X[mine])
+        assert U[mine].tobytes() == ref[0].tobytes()
+        assert steps[mine].tobytes() == ref[1].tobytes()
+        for key, value in ref[2].items():
+            assert cert[key][mine].tobytes() == value.tobytes(), key
+        # Each law learnt the regions of its own rows, in the same slots.
+        assert list(laws[i]._keys.items()) == list(alone._keys.items())
+
+
+@pytest.mark.parametrize("cap", [100, 3])
+def test_per_row_targets_walk_each_row_as_its_scalar_walk(bench_laws, cap):
+    laws = [fresh_lasso(bench_laws, name) for name in ("L1L2(i)", "L1L2(ii)")]
+    hm = laws[0].hm
+    X = np.vstack([lasso_states(law, 300, 40 + i) for i, law in enumerate(laws)])
+    target = 0.5 * np.where(np.arange(len(X)) % 3 == 0, laws[0].mu, laws[1].mu)
+    B = X @ hm.GtH.T
+    inside = np.abs(B).max(axis=1) > target
+    B, target = B[inside], target[inside]
+    signs, steps = sp.solvers._lasso_path(hm.GtG, B, target, cap)
+    assert len(set(target)) == 2
+    for b, t, s, k in zip(B, target, signs, steps):
+        (s_alone,), (k_alone,) = sp.solvers._lasso_path(hm.GtG, b[None],
+                                                        float(t), cap)
+        assert s_alone.tobytes() == s.tobytes()
+        assert k_alone == k
+    if cap == 3:
+        assert (steps == cap).any() and (steps < cap).any()
+
+
+def refusing(law, refused):
+    """``law`` with a cache test that raises DesignError on a row whose
+    ``G'Hx`` is one of the ``refused`` rows, bit for bit."""
+    match = law._match
+
+    def _match(B, bmax):
+        if any((B == row).all(axis=1).any() for row in refused):
+            raise DesignError(f"state refused by the law with mu {law.mu}")
+        return match(B, bmax)
+
+    law._match = _match
+    return law
+
+
+def test_a_joint_study_raises_for_the_first_failing_designer(bench_cfg):
+    # The first designer refuses one run's state late, the second another
+    # run's state early: the study still raises for the first, at its step.
+    N, T, runs, seed = bench_cfg.horizon, 100, 20, 11
+    plant = bench_cfg.plant
+    names = ("L1L2(ii)", "L1L2(i)")
+    refused_at = {}
+    for name, (k, late) in zip(names, ((13, True), (4, False))):
+        law = fresh_laws(bench_cfg, [name])[name]
+        x0, trace = sp.run_conditions(plant, N, T, seed, k)
+        sim = sp.run_closed_loop(plant, law, trace, x0, T)
+        b = sim.states[:T] @ law.hm.GtH.T
+        # The receptions outside the dead zone, where the cache is tested.
+        steps = np.flatnonzero(~trace.d[:T]
+                               & (np.abs(b).max(axis=1) > 0.5 * law.mu))
+        step = steps[-1] if late else steps[1]
+        refused_at[name] = (k, step, sp.plant.row_matmul(
+            sim.states[step][None], law.hm.GtH)[0])
+    assert refused_at[names[1]][1] < refused_at[names[0]][1]
+
+    def study(chosen):
+        laws = fresh_laws(bench_cfg, chosen)
+        assert sp.solvers.call_groups(list(laws.values())) == [
+            list(range(len(chosen)))]
+        for name, law in laws.items():
+            refusing(law, [refused_at[name][2]])
+        with pytest.raises(SimulationRunError) as err:
+            sp.monte_carlo(plant, laws, N, runs=runs, T=T, seed=seed)
+        return err.value
+
+    for name in names:
+        alone = study([name])
+        assert alone.run_index == refused_at[name][0]
+    joint, first = study(names), study(names[:1])
+    assert joint.run_index == first.run_index == refused_at[names[0]][0]
+    assert str(joint.cause) == str(first.cause)
+    assert f"mu {bench_cfg.controllers[1]['mu']}" in str(joint.cause)
+
+
+def test_a_group_makes_one_packet_call_per_reception_round(bench_cfg,
+                                                           monkeypatch):
+    N, T, runs, seed = bench_cfg.horizon, 100, 10, 0
+    calls = {"solve_group": [], "_replay": [], "_match": []}
+    for module, name in ((sp.netsim, "solve_group"), (sp.netsim, "_replay")):
+        def counting(*args, _orig=getattr(module, name), _name=name):
+            calls[_name].append(len(args[1]))
+            return _orig(*args)
+        monkeypatch.setattr(module, name, counting)
+    match = sp.LassoLaw._match
+
+    def counting_match(self, B, bmax):
+        calls["_match"].append(len(B))
+        return match(self, B, bmax)
+
+    monkeypatch.setattr(sp.LassoLaw, "_match", counting_match)
+    _, D = sp.netsim._conditions(bench_cfg.plant, N, T, seed,
+                                 np.arange(runs), 1)
+    rounds = len(sp.netsim._schedule(D)[3]) - 1
+    names = ("L1L2(i)", "L1L2(ii)")
+    sp.monte_carlo(bench_cfg.plant, fresh_laws(bench_cfg, names), N,
+                   runs=runs, T=T, seed=seed)
+    receptions = int((~D).sum())
+    assert len(calls["solve_group"]) == len(calls["_replay"]) == rounds
+    assert sum(calls["solve_group"]) == 2 * receptions
+    # Each law still tests its own rows once per round.
+    assert len(calls["_match"]) == 2 * rounds

@@ -468,7 +468,7 @@ class TestReceptionRounds:
         X0 = np.array([x0 for x0, _ in conditions])
         D = np.array([trace.d for _, trace in conditions])
         for name, law in small_designers.items():
-            *got, failure = sp.netsim._rollout(small_plant, law, X0, D)
+            *got, (failure,) = sp.netsim._rollout(small_plant, (law,), X0, D)
             assert failure is None
             for a, b in zip(got, step_major_rollout(small_plant, law, X0, D)):
                 np.testing.assert_array_equal(a, b, name)
@@ -496,7 +496,7 @@ class TestReceptionRounds:
         X0 = np.array([x0 for x0, _ in conditions])
         D = np.array([trace.d for _, trace in conditions])
         run, exc = step_major_rollout(small_plant, Fussy(), X0, D)
-        *_, failure = sp.netsim._rollout(small_plant, Fussy(), X0, D)
+        *_, (failure,) = sp.netsim._rollout(small_plant, (Fussy(),), X0, D)
         row, cause = failure
         assert row == run
         assert type(cause) is type(exc)
@@ -512,7 +512,7 @@ class TestReceptionRounds:
         assert np.any(~D[:, 1:] & ~D[:, :-1])
         fields = ("states", "inputs", "sparsity", "norms")
         for name, law in small_designers.items():
-            *batched, failure = sp.netsim._rollout(small_plant, law, X0, D)
+            *batched, (failure,) = sp.netsim._rollout(small_plant, (law,), X0, D)
             assert failure is None
             for k in range(runs):
                 sim = alone(small_plant, law, N, T, seed, k, gap)

@@ -280,3 +280,20 @@ def test_a_plant_whose_powers_overflow_is_a_parameter_error(bench_plant):
         with pytest.raises(ParameterError,
                            match=r"plant \(A, B\) overflows: A\^1 B"):
             call(plant)
+
+
+def test_an_unreachable_refusal_names_its_singular_value_ratio(bench_plant):
+    # A reachable plant whose controllability columns scale as 1, 1e3, 1e6
+    # and 1e9: the ratio falls below the tolerance, and the refusal says so.
+    A = bench_plant.A.copy()
+    A[0, 0] = 1000.0
+    plant = sp.PlantModel(A=A, B=bench_plant.B)
+    assert not sp.check_reachability(plant)
+    for call in (lambda p: sp.solve_dare(p, np.eye(4), 1.0),
+                 lambda p: sp.build_horizon_matrices(p, 3, np.eye(4),
+                                                     np.eye(4))):
+        with pytest.raises(ParameterError, match=(
+                r"^plant \(A, B\) is not reachable: the controllability "
+                r"matrix's singular-value ratio 5\.603e-11 is not above "
+                r"REACHABILITY_RTOL = 1e-10$")):
+            call(plant)

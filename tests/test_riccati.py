@@ -201,3 +201,17 @@ def test_newton_reaches_the_rounding_floor_in_few_steps(bench_plant):
         sol = sp.solve_dare(bench_plant, np.eye(4), r=r)
         assert sol.iterations <= 20
         assert sol.residual <= 1e-13 * (1.0 + np.linalg.norm(sol.P, "fro"))
+
+
+def test_a_stalled_newton_refusal_names_the_spread_of_p():
+    # P's eigenvalues span about 1.05 to 1.36e10 on this draw, so float64
+    # cannot tell the iterates near the solution apart (ROADMAP item 3).
+    plant = random_reachable_plant(np.random.default_rng(2435), 6, rho=1.44)
+    with pytest.raises(SolverError) as err:
+        sp.solve_dare(plant, np.eye(6), 10.0)
+    message = str(err.value)
+    assert message.startswith(
+        "Newton's method stopped at residual 8.084e+00 after 4 steps, above "
+        "the tolerance 1.356e+00; P's eigenvalue spread lambda_max / "
+        "lambda_min is "), message
+    assert 1.2e10 < float(message.rsplit(" ", 1)[1]) < 1.4e10
