@@ -490,7 +490,7 @@ def _require_budget(cfg: ExperimentConfig, command: str, runs_key: str):
     horizon matrices.  ``simulate`` holds one run's ``(T + 1, n)`` states,
     ``montecarlo`` a call group's ``(runs x group size, T + 1)`` rollout
     arrays (larger than its ``(runs, T)`` dropout conditions), the group
-    size taken as the number of l1l2 controllers, and ``audit`` about
+    size bounded by the number of controllers, and ``audit`` about
     ``horizon^2`` numbers per draw for its region maps and path systems.
     """
     n, N, runs, T = cfg.plant.n, cfg.horizon, cfg.runs, cfg.T
@@ -500,9 +500,7 @@ def _require_budget(cfg: ExperimentConfig, command: str, runs_key: str):
         arrays.append(("run.T", "the (T + 1, n) states of the run",
                        8 * (T + 1) * n))
     elif command == "montecarlo":
-        # Only l1l2 controllers share a call group, at most all of them.
-        group = max(1, sum(spec["family"] == "l1l2"
-                           for spec in cfg.controllers))
+        group = len(cfg.controllers)
         arrays.append((f"{runs_key} and run.T",
                        f"the (runs x {group}, T + 1) rollout arrays of a "
                        "call group", 8 * runs * group * (T + 1)))

@@ -268,8 +268,7 @@ def _conditions(plant: PlantModel, N: int, T: int, seed: int,
 
 def _packets(laws, X: np.ndarray, owner: np.ndarray,
              keys: np.ndarray) -> tuple:
-    """The packets ``solve_group(laws, X, owner)[0]`` as ``(U, failed)``;
-    ``owner`` is ``None`` for a group of one.
+    """The packets ``solve_group(laws, X, owner)[0]`` as ``(U, failed)``.
 
     A failed call is retried row by row: ``failed`` maps each row that
     fails alone to its error, and ``U`` holds the other rows in order
@@ -279,8 +278,8 @@ def _packets(laws, X: np.ndarray, owner: np.ndarray,
     try:
         return solve_group(laws, X, owner)[0], {}
     except Exception as exc:
-        tried = list(each_row(lambda s: solve_group(
-            laws, X[s], None if owner is None else owner[s])[0], len(X)))
+        tried = list(each_row(lambda s: solve_group(laws, X[s], owner[s])[0],
+                              len(X)))
         failed = {i: row_exc for i, _, row_exc in tried if row_exc is not None}
         if not failed:
             failed = {int(np.argmin(keys)): exc}
@@ -345,12 +344,11 @@ def _rollout(plant: PlantModel, laws, X0: np.ndarray, D: np.ndarray,
     (runs, T), group = D.shape, len(laws)
     run_of, start, length, bounds = (_schedule(D) if schedule is None
                                      else schedule)
-    if group > 1:
-        # Each reception once per law, the laws innermost, so a round keeps
-        # its longest segments first.
-        run_of = (run_of[:, None] + runs * np.arange(group)).ravel()
-        start, length = np.repeat(start, group), np.repeat(length, group)
-        bounds = group * bounds
+    # Each reception once per law, the laws innermost, so a round keeps its
+    # longest segments first.
+    run_of = (run_of[:, None] + runs * np.arange(group)).ravel()
+    start, length = np.repeat(start, group), np.repeat(length, group)
+    bounds = group * bounds
     rows_total = group * runs
     current = np.tile(X0, (group, 1))  # each row's state at its next reception
     norms = np.empty((rows_total, T + 1))
@@ -369,8 +367,7 @@ def _rollout(plant: PlantModel, laws, X0: np.ndarray, D: np.ndarray,
             break
         rows, at, span = run_of[live], start[live], length[live]
         X = current[rows]
-        U, failed = _packets(laws, X, None if group == 1 else rows // runs,
-                             at * rows_total + rows)
+        U, failed = _packets(laws, X, rows // runs, at * rows_total + rows)
         if failed:
             for i, exc in failed.items():
                 failures.append((at[i], 0, int(rows[i]), exc))

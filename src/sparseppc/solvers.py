@@ -26,6 +26,7 @@ rounding, and its packet then comes from the region's map on
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -396,12 +397,13 @@ class LassoLaw(PacketLaw):
         return np.where(ok.sum(axis=0) == 1, ok.argmax(axis=0), -1)
 
     def _solve(self, X):
-        return self._joint((self,), X, np.zeros(X.shape[0], dtype=int))
+        return self._joint((self,), X, [X.shape[0]])
 
     @staticmethod
-    def _joint(laws, X, owner) -> tuple:
-        """``solve`` of the checked states ``X``, row ``r`` by the law
-        ``laws[owner[r]]``; the laws share one ``hm`` object.
+    def _joint(laws, X, counts) -> tuple:
+        """``solve`` of the checked states ``X``, whose rows are ``counts[0]``
+        states of ``laws[0]``, then ``counts[1]`` of ``laws[1]``, and so on;
+        the laws share one ``hm`` object.
 
         One ``G'Hx`` product serves every row.  Each law tests its own rows
         against its own cache, and the rows that no law's cache serves walk
@@ -413,41 +415,44 @@ class LassoLaw(PacketLaw):
         """
         hm = laws[0].hm
         rows, N = X.shape[0], hm.N
-        mu = np.array([law.mu for law in laws])[owner]
+        mu = np.array([law.mu for law in laws]).repeat(counts)
         b = row_matmul(X, hm.GtH)
         corr = np.abs(b).max(axis=1, initial=0.0)
         U = np.zeros((rows, N))
         steps = np.zeros(rows, dtype=int)
         walked = np.zeros(rows, dtype=bool)
         active = np.flatnonzero(corr > 0.5 * mu)
-        B, own = b[active], owner[active]
-        members = [np.flatnonzero(own == i) for i in range(len(laws))]
+        B = b[active]
+        # Law i's rows are block cut[i]:cut[i + 1] of ``active`` and block
+        # cut_miss[i]:cut_miss[i + 1] of ``miss``.
+        cut = active.searchsorted(list(accumulate(counts, initial=0))).tolist()
         slot = np.empty(active.size, dtype=int)
-        for law, mine in zip(laws, members):
-            slot[mine] = law._match(B[mine], corr[active[mine]])
+        for law, lo, hi in zip(laws, cut[:-1], cut[1:]):
+            slot[lo:hi] = law._match(B[lo:hi], corr[active[lo:hi]])
         miss = np.flatnonzero(slot < 0)
         if miss.size:
             signs, steps[active[miss]] = _lasso_path(
                 hm.GtG, B[miss], 0.5 * mu[active[miss]], 10 * N)
             walked[active[miss]] = True
+        cut_miss = miss.searchsorted(cut).tolist()
         tables = []
-        for i, law in enumerate(laws):
-            table, learnt = law._cache, own[miss] == i
-            if learnt.any():
-                slot[miss[learnt]], table = law._learn(signs[learnt])
+        for law, lo, hi in zip(laws, cut_miss[:-1], cut_miss[1:]):
+            table = law._cache
+            if hi > lo:
+                slot[miss[lo:hi]], table = law._learn(signs[lo:hi])
             tables.append(table[:3])
         if active.size:
-            # Each law's regions, copied once into its block of the rows
-            # ("clip" skips take's buffered copy; every slot is in range).
+            # Each law's regions, copied once into its block of the rows;
+            # "clip" skips take's buffered copy, so a row left without a
+            # region must fail here.
+            if slot.min() < 0:
+                raise IndexError("a row outside the dead zone has no region")
             regions = [np.empty((active.size,) + a.shape[1:])
                        for a in tables[0]]
-            hi = 0
-            for mine, table in zip(members, tables):
-                lo, hi = hi, hi + mine.size
+            for lo, hi, table in zip(cut[:-1], cut[1:], tables):
                 for a, out in zip(table, regions):
-                    np.take(a, slot[mine], axis=0, out=out[lo:hi], mode="clip")
-            order = np.concatenate(members)
-            U[active[order]] = _refit(hm.GtG, *regions, B[order])
+                    a.take(slot[lo:hi], axis=0, out=out[lo:hi], mode="clip")
+            U[active] = _refit(hm.GtG, *regions, B)
 
         kkt = _kkt_residual(U, 2.0 * (row_matmul(U, hm.GtG) - b), mu[:, None])
         certificate = {
@@ -490,13 +495,18 @@ def solve_group(laws, X, owner) -> tuple:
     row ``r`` solved by ``laws[owner[r]]``, in one call.
 
     ``laws`` is one group of :func:`call_groups`.  A group of one is its
-    law's ``solve(X)``, whatever ``owner`` holds (``None`` included); a
-    larger one is checked as ``solve`` checks ``X`` and gives each row the
-    bits of its own law's ``solve``.
+    law's ``solve(X)``, whatever ``owner`` holds; a larger one is checked as
+    ``solve`` checks ``X``, solved with each law's rows in one block, and
+    gives each row the bits of its own law's ``solve``.
     """
     if len(laws) == 1:
         return laws[0].solve(X)
-    return LassoLaw._joint(laws, laws[0]._checked(X), np.asarray(owner))
+    X, owner = laws[0]._checked(X), np.asarray(owner)
+    order = np.argsort(owner, kind="stable")
+    U, steps, certificate = LassoLaw._joint(
+        laws, X[order], np.bincount(owner, minlength=len(laws)))
+    back = np.argsort(order)
+    return U[back], steps[back], {k: v[back] for k, v in certificate.items()}
 
 
 class OmpLaw(PacketLaw):

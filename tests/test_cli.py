@@ -269,8 +269,8 @@ class TestExitCodes:
                      str(ROOT / "configs" / "benchmark.json"),
                      "--runs", str(10 ** 30), "--out", str(out)]) == 2
         err = capfd.readouterr().err
-        assert err == ("config error: --runs and run.T: the (runs x 2, T + 1) "
-                       "rollout arrays of a call group would take 1.616e+33 "
+        assert err == ("config error: --runs and run.T: the (runs x 5, T + 1) "
+                       "rollout arrays of a call group would take 4.040e+33 "
                        f"bytes, above the budget of {cli.MEMORY_BUDGET} "
                        "bytes\n"), err
         assert not out.exists()
