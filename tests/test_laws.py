@@ -788,6 +788,21 @@ def test_a_joint_call_gives_each_row_its_own_laws_bits(bench_laws):
         assert list(laws[i]._keys.items()) == list(alone._keys.items())
 
 
+def test_a_row_left_without_a_region_raises(bench_laws):
+    # A learning step that leaves its rows without a slot must not hand
+    # them a clamped region's packet.
+    law = fresh_lasso(bench_laws, "L1L2(ii)")
+    learn = law._learn
+
+    def _learn(signs):
+        slots, table = learn(signs)
+        return np.full_like(slots, -1), table
+
+    law._learn = _learn
+    with pytest.raises(IndexError, match="has no region"):
+        law.solve(lasso_states(law, 20, 50))
+
+
 @pytest.mark.parametrize("cap", [100, 3])
 def test_per_row_targets_walk_each_row_as_its_scalar_walk(bench_laws, cap):
     laws = [fresh_lasso(bench_laws, name) for name in ("L1L2(i)", "L1L2(ii)")]
