@@ -10,9 +10,8 @@ takes the cheap-control regulator and builds a constraint weight
 enough that the Lyapunov function ``x' P x`` strictly decreases at every
 reception; this gives asymptotic stability under bounded dropouts.
 
-The audit helpers evaluate both sides of each design inequality on concrete
-states, one state or a whole batch per call, so a finished design can be
-certified numerically.
+The audit helpers evaluate both sides of each design inequality on a batch
+of concrete states, so a finished design can be certified numerically.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import DesignError, ParameterError, SolverError
 from .plant import (HorizonMatrices, PlantModel, _finite, _frozen,
-                    _horizon_matrices, _integer, _positive, _real, _replay,
+                    _horizon_matrices, _integer, _positive, _replay,
                     _square, _state_vector, require_spd, row_dot, row_matmul)
 from .riccati import solve_dare
 from .solvers import LassoLaw, LinearLaw, OmpLaw, PacketLaw
@@ -306,13 +305,13 @@ def design_l0(plant: PlantModel, Q, N: int, beta: float,
 # ---------------------------------------------------------------------------
 # Audits
 #
-# Each audit takes one state ``x`` or a batch ``X`` of states in rows.  A
-# batch is checked with one law solve per packet family (two for the l1l2
-# contraction: at the start and at the end states) and returns a record
-# whose fields hold one value per row; a single state is the batch's
-# one-row case and gets plain Python scalars.  All state products are
-# row-independent (``plant.row_matmul``), so every row has the same bits
-# alone or in a batch.  The contraction audits replay each packet with the
+# Each audit takes a batch ``X`` of states in rows, shape ``(rows, n)``,
+# and the contractions one dropout count per row.  A batch is checked with
+# one law solve per packet family (two for the l1l2 contraction: at the
+# start and at the end states) and returns a record whose fields hold one
+# array entry per row.  All state products are row-independent
+# (``plant.row_matmul``), so every row has the same bits in a one-row batch
+# or a larger one.  The contraction audits replay each packet with the
 # closed loop's own ``plant._replay``, so an end state has the closed loop's
 # bits after the same dropouts.  A row that fails a solver check raises for
 # the whole batch; ``errors.each_row`` pins such a failure on its rows.
@@ -323,67 +322,54 @@ class SandwichAudit:
     """Lower/upper value-function bounds; ``slack`` is the margin to the
     nearer bound, negative when the sandwich fails."""
 
-    lower: float
-    value: float
-    upper: float
-    slack: float
-    passed: bool
+    lower: np.ndarray
+    value: np.ndarray
+    upper: np.ndarray
+    slack: np.ndarray
+    passed: np.ndarray
 
 
 @dataclass(frozen=True)
 class ContractionAuditL1L2:
-    dropouts: int
-    value_start: float
-    value_end: float
-    bound: float
-    slack: float
-    passed: bool
+    dropouts: np.ndarray
+    value_start: np.ndarray
+    value_end: np.ndarray
+    bound: np.ndarray
+    slack: np.ndarray
+    passed: np.ndarray
 
 
 @dataclass(frozen=True)
 class ContractionAuditL0:
-    dropouts: int
-    value_start: float
-    value_end: float
-    bound_geometric: float      # rho^i V_P(x) + c x'Eps x
-    bound_onestep: float        # x'(rho P + c Eps) x
-    slack: float
-    passed: bool
+    dropouts: np.ndarray
+    value_start: np.ndarray
+    value_end: np.ndarray
+    bound_geometric: np.ndarray     # rho^i V_P(x) + c x'Eps x
+    bound_onestep: np.ndarray       # x'(rho P + c Eps) x
+    slack: np.ndarray
+    passed: np.ndarray
 
 
 @dataclass(frozen=True)
 class ResidualAudit:
     """Feasible-set decomposition bound ``||G eps||^2 <= x'(W - W*) x``."""
 
-    lhs: float
-    rhs: float
-    slack: float
-    passed: bool
-
-
-def _states(x) -> tuple:
-    # The states as rows, and whether a single state was given.
-    X = _real(x, "x")
-    return (X.reshape(1, -1), True) if X.ndim == 1 else (X, False)
-
-
-def _record(cls, single: bool, **fields):
-    # An audit record of a batch, or of its one row as Python scalars.
-    if single:
-        fields = {k: v[0].item() for k, v in fields.items()}
-    return cls(**fields)
+    lhs: np.ndarray
+    rhs: np.ndarray
+    slack: np.ndarray
+    passed: np.ndarray
 
 
 def _check_dropouts(dropouts, N: int, rows: int) -> np.ndarray:
     # One dropout count per row, each an integer in [1, N].
     i = np.asarray(dropouts)
-    if (i.dtype.kind not in "iu" or i.ndim > 1 or i.size not in (1, rows)
+    if (i.dtype.kind not in "iu" or i.shape != (rows,)
             or not ((1 <= i) & (i <= N)).all()):
         raise ParameterError(
-            f"dropouts must be integers in [1, {N}], one per state, "
-            f"got {dropouts!r}"
+            f"dropouts must be an integer array of shape ({rows},), one "
+            f"count in [1, {N}] per state, got {dropouts!r}"
         )
-    return np.broadcast_to(i, (rows,)).astype(int)
+    return i.astype(int)
 
 
 def _quad(X: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -402,7 +388,7 @@ def _end_states(plant: PlantModel, X: np.ndarray, U: np.ndarray,
     return Z
 
 
-def audit_value_sandwich(design: L1L2Design, x) -> SandwichAudit:
+def audit_value_sandwich(design: L1L2Design, X) -> SandwichAudit:
     """Check ``lambda_min(Q) ||x||^2 <= V(x) <= a1 ||x|| + (a2 + lambda_max(Q)) ||x||^2``.
 
     The upper side gets ``AUDIT_REL_SLACK`` of relative headroom for solver
@@ -410,38 +396,37 @@ def audit_value_sandwich(design: L1L2Design, x) -> SandwichAudit:
     overestimate the true optimum.  Raises :class:`SolverError` if a packet
     is not exact.
     """
-    X, single = _states(x)
+    X = design.law._checked(X)
     value, _ = _values(design.law, design.Q, X)
     nx = np.sqrt(row_dot(X, X))
     lower = design.lam_min_q * nx * nx
     upper = design.a1 * nx + (design.a2 + design.lam_max_q) * nx * nx
     passed = (lower <= value) & (value <= upper * (1.0 + AUDIT_REL_SLACK))
-    return _record(SandwichAudit, single, lower=lower, value=value,
-                   upper=upper,
-                   slack=np.minimum(value - lower, upper - value),
-                   passed=passed)
+    return SandwichAudit(lower=lower, value=value, upper=upper,
+                         slack=np.minimum(value - lower, upper - value),
+                         passed=passed)
 
 
-def audit_contraction_l1l2(design: L1L2Design, x,
+def audit_contraction_l1l2(design: L1L2Design, X,
                            dropouts) -> ContractionAuditL1L2:
     """Evaluate ``V`` before and after ``dropouts`` buffered open-loop steps.
 
     Checks ``V(f^i(x)) <= rho V(x) + epsilon + lambda_min(Q)/4`` where the
     open loop replays the first ``i`` entries of the packet computed at
-    ``x``.  ``dropouts`` is one count for all states or one per state.
+    ``x``, for each state ``x`` of ``X`` and its own count ``i`` of
+    ``dropouts``.
     """
-    X, single = _states(x)
+    X = design.law._checked(X)
     i = _check_dropouts(dropouts, design.N, X.shape[0])
     start, U = _values(design.law, design.Q, X)
     end, _ = _values(design.law, design.Q, _end_states(design.plant, X, U, i))
     bound = design.rho * start + design.epsilon + design.lam_min_q / 4.0
     passed = end <= bound * (1.0 + AUDIT_REL_SLACK)
-    return _record(ContractionAuditL1L2, single, dropouts=i,
-                   value_start=start, value_end=end, bound=bound,
-                   slack=bound - end, passed=passed)
+    return ContractionAuditL1L2(dropouts=i, value_start=start, value_end=end,
+                                bound=bound, slack=bound - end, passed=passed)
 
 
-def audit_contraction_l0(design: L0Design, x,
+def audit_contraction_l0(design: L0Design, X,
                          dropouts) -> ContractionAuditL0:
     """Lyapunov decay along ``dropouts`` buffered steps of the OMP packet.
 
@@ -451,7 +436,7 @@ def audit_contraction_l0(design: L0Design, x,
     corrupted designs can be probed; an infeasible constraint surfaces as
     :class:`DesignError`.
     """
-    X, single = _states(x)
+    X = design.law._checked(X)
     i = _check_dropouts(dropouts, design.N, X.shape[0])
     U, _, _ = design.law.solve(X)
     Z = _end_states(design.plant, X, U, i)
@@ -462,14 +447,13 @@ def audit_contraction_l0(design: L0Design, x,
     bound_onestep = design.rho * start + design.c * x_eps
     passed = ((end <= bound_geometric * (1.0 + AUDIT_REL_SLACK))
               & (end <= bound_onestep * (1.0 + AUDIT_REL_SLACK)))
-    return _record(ContractionAuditL0, single, dropouts=i, value_start=start,
-                   value_end=end, bound_geometric=bound_geometric,
-                   bound_onestep=bound_onestep,
-                   slack=np.minimum(bound_geometric, bound_onestep) - end,
-                   passed=passed)
+    return ContractionAuditL0(
+        dropouts=i, value_start=start, value_end=end,
+        bound_geometric=bound_geometric, bound_onestep=bound_onestep,
+        slack=np.minimum(bound_geometric, bound_onestep) - end, passed=passed)
 
 
-def audit_residual_l0(design: L0Design, x) -> ResidualAudit:
+def audit_residual_l0(design: L0Design, X) -> ResidualAudit:
     """Check ``||G (u - u*)||^2 <= x'(W - W*) x`` for the OMP packet.
 
     ``u*`` is the unconstrained least-squares packet; orthogonality of the
@@ -477,13 +461,13 @@ def audit_residual_l0(design: L0Design, x) -> ResidualAudit:
     feasibility constraint, so only ``RESIDUAL_ABS_SLACK`` of rounding
     slack is allowed.
     """
-    X, single = _states(x)
+    X = design.law._checked(X)
     U, _, _ = design.law.solve(X)
     Ustar, _, _ = design.ls_law.solve(X)
     dev = row_matmul(U - Ustar, design.hm.G)
     lhs = row_dot(dev, dev)
     gap = design.W - design.Wstar
     rhs = _quad(X, 0.5 * (gap + gap.T))
-    return _record(ResidualAudit, single, lhs=lhs, rhs=rhs,
-                   slack=rhs + RESIDUAL_ABS_SLACK - lhs,
-                   passed=lhs <= rhs + RESIDUAL_ABS_SLACK)
+    return ResidualAudit(lhs=lhs, rhs=rhs,
+                         slack=rhs + RESIDUAL_ABS_SLACK - lhs,
+                         passed=lhs <= rhs + RESIDUAL_ABS_SLACK)

@@ -59,6 +59,15 @@ def _positive(value, name: str) -> float:
     return value
 
 
+def _nonnegative(value, name: str) -> float:
+    # ``value`` as a finite float of at least zero, or ParameterError.
+    value = _finite(value, name)
+    if not 0.0 <= value:
+        raise ParameterError(f"{name} must be nonnegative and finite, "
+                             f"got {value}")
+    return value
+
+
 def _integer(value, name: str, minimum: int) -> int:
     # ``value`` as an ``int``, or ParameterError unless it is an integer
     # (not a bool) of at least ``minimum`` and inside the float range.
@@ -221,8 +230,9 @@ def controllability_matrix(plant: PlantModel) -> np.ndarray:
     return cols
 
 
-def _controllability_values(plant: PlantModel) -> np.ndarray:
-    # Singular values of the controllability matrix, largest first;
+def _reachability(plant: PlantModel) -> tuple:
+    # (reachable, ratio): the rank rule on the controllability matrix's
+    # singular values and their smallest over largest ratio, from one SVD;
     # ParameterError if some A^k B is past the float range.
     with np.errstate(over="ignore", invalid="ignore"):
         C = controllability_matrix(plant)
@@ -230,7 +240,9 @@ def _controllability_values(plant: PlantModel) -> np.ndarray:
     if not finite.all():
         raise ParameterError(f"plant (A, B) overflows: A^{finite.argmin()} B "
                              "is not finite")
-    return np.linalg.svd(C, compute_uv=False)
+    s = np.linalg.svd(C, compute_uv=False)
+    return bool(s[-1] > REACHABILITY_RTOL * s[0]), (
+        s[-1] / s[0] if s[0] > 0.0 else 0.0)
 
 
 def check_reachability(plant: PlantModel) -> bool:
@@ -240,16 +252,14 @@ def check_reachability(plant: PlantModel) -> bool:
     as zero.  A plant with some ``A^k B`` past the float range raises
     :class:`ParameterError`.
     """
-    s = _controllability_values(plant)
-    return bool((s > REACHABILITY_RTOL * s[0]).all())
+    return _reachability(plant)[0]
 
 
 def _require_reachable(plant: PlantModel) -> None:
     # ParameterError unless check_reachability passes, naming the
     # controllability matrix's smallest over largest singular value.
-    if not check_reachability(plant):
-        s = _controllability_values(plant)
-        ratio = s[-1] / s[0] if s[0] > 0.0 else 0.0
+    reachable, ratio = _reachability(plant)
+    if not reachable:
         raise ParameterError(
             "plant (A, B) is not reachable: the controllability matrix's "
             f"singular-value ratio {ratio:.3e} is not above "

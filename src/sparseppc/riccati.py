@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SolverError
-from .plant import (PlantModel, _finite, _frozen, _require_reachable,
-                    _square, require_spd)
+from .errors import SolverError
+from .plant import (PlantModel, _finite, _frozen, _nonnegative,
+                    _require_reachable, _square, require_spd)
 
 # A solution's Frobenius defect under the map must be at most
 # DARE_TOL (1 + ||P||_F), or SolverError is raised.
@@ -133,65 +133,69 @@ def solve_dare(plant: PlantModel, Q, r: float = 0.0) -> DareSolution:
         For a non-reachable plant (``B = 0`` included), non-SPD ``Q``, or an
         ``r`` that is negative or not finite.
     SolverError
-        If the map does not reach the start tolerance within
+        If a map step's defect or ``||P||_F`` leaves the float range, the
+        map does not reach the start tolerance within
         ``DARE_MAX_ITER`` steps, its gain there does not stabilize, the
         Newton steps stall above ``DARE_TOL``, or the closed loop
         ``A + B K`` is not a strict contraction.
     """
     Q = require_spd(Q, plant.n, "Q")
-    r = _finite(r, "r")
-    if not 0.0 <= r:
-        raise ParameterError(f"r must be nonnegative and finite, got {r}")
+    r = _nonnegative(r, "r")
     _require_reachable(plant)
+    # An iterate past the float range is refused at its step, not carried.
+    with np.errstate(over="ignore", invalid="ignore"):
+        A, B = plant.A, plant.B
+        P = Q.copy()
+        for it in range(1, DARE_MAX_ITER + 1):
+            P_next, K = _riccati_map(A, B, Q, r, P)
+            defect = P_next - P
+            residual, size = _norm(defect), _norm(P)
+            if not math.isfinite(residual + size):
+                raise SolverError(
+                    f"Riccati map step {it} left the float range (defect "
+                    f"{residual:.3e}, ||P||_F {size:.3e})")
+            if residual <= DARE_START_TOL * (1.0 + size):
+                break
+            P = P_next
+        else:
+            raise SolverError(
+                f"Riccati iteration did not converge in {DARE_MAX_ITER} steps "
+                f"to the Newton start tolerance (residual {residual:.3e})"
+            )
 
-    A, B = plant.A, plant.B
-    P = Q.copy()
-    for it in range(1, DARE_MAX_ITER + 1):
-        P_next, K = _riccati_map(A, B, Q, r, P)
-        defect = P_next - P
-        residual = _norm(defect)
-        if residual <= DARE_START_TOL * (1.0 + _norm(P)):
-            break
-        P = P_next
-    else:
-        raise SolverError(
-            f"Riccati iteration did not converge in {DARE_MAX_ITER} steps "
-            f"to the Newton start tolerance (residual {residual:.3e})"
-        )
+        radius = _spectral_radius(A + B @ K)
+        if not radius < 1.0:
+            raise SolverError(
+                f"the Riccati iterate's gain leaves spectral radius {radius:.6f}; "
+                "Newton's method needs a stabilizing start"
+            )
+        steps = 0
+        while (residual > DARE_NEWTON_TOL * (1.0 + _norm(P))
+               and steps < DARE_NEWTON_STEPS):
+            steps += 1
+            P_new = P + _stein(A + B @ K, defect)
+            P_next, K_new = _riccati_map(A, B, Q, r, P_new)
+            defect_new = P_next - P_new
+            residual_new = _norm(defect_new)
+            if not residual_new < residual:
+                break                          # the rounding floor: keep P
+            P, K, defect, residual = P_new, K_new, defect_new, residual_new
+        limit = DARE_TOL * (1.0 + _norm(P))
+        if not residual <= limit:
+            # An ill-conditioned P can sit this far off in float64 at best.
+            w = np.linalg.eigvalsh(P)
+            spread = w[-1] / w[0] if w[0] > 0.0 else np.inf
+            raise SolverError(
+                f"Newton's method stopped at residual {residual:.3e} after "
+                f"{steps} steps, above the tolerance {limit:.3e}; P's eigenvalue "
+                f"spread lambda_max / lambda_min is {spread:.3e}"
+            )
 
-    radius = _spectral_radius(A + B @ K)
-    if not radius < 1.0:
-        raise SolverError(
-            f"the Riccati iterate's gain leaves spectral radius {radius:.6f}; "
-            "Newton's method needs a stabilizing start"
-        )
-    steps = 0
-    while (residual > DARE_NEWTON_TOL * (1.0 + _norm(P))
-           and steps < DARE_NEWTON_STEPS):
-        steps += 1
-        P_new = P + _stein(A + B @ K, defect)
-        P_next, K_new = _riccati_map(A, B, Q, r, P_new)
-        defect_new = P_next - P_new
-        residual_new = _norm(defect_new)
-        if not residual_new < residual:
-            break                          # the rounding floor: keep P
-        P, K, defect, residual = P_new, K_new, defect_new, residual_new
-    limit = DARE_TOL * (1.0 + _norm(P))
-    if not residual <= limit:
-        # An ill-conditioned P can sit this far off in float64 at best.
-        w = np.linalg.eigvalsh(P)
-        spread = w[-1] / w[0] if w[0] > 0.0 else np.inf
-        raise SolverError(
-            f"Newton's method stopped at residual {residual:.3e} after "
-            f"{steps} steps, above the tolerance {limit:.3e}; P's eigenvalue "
-            f"spread lambda_max / lambda_min is {spread:.3e}"
-        )
-
-    radius = _spectral_radius(A + B @ K)
-    if not radius < 1.0:
-        raise SolverError(
-            f"closed loop A + B K has spectral radius {radius:.6f}; "
-            "Riccati solution is not stabilizing"
-        )
-    return DareSolution(P=_frozen(P), K=_frozen(K), r=r,
-                        residual=residual, iterations=it + steps)
+        radius = _spectral_radius(A + B @ K)
+        if not radius < 1.0:
+            raise SolverError(
+                f"closed loop A + B K has spectral radius {radius:.6f}; "
+                "Riccati solution is not stabilizing"
+            )
+        return DareSolution(P=_frozen(P), K=_frozen(K), r=r,
+                            residual=residual, iterations=it + steps)

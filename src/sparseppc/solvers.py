@@ -31,8 +31,9 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DegeneracyError, DesignError, ParameterError
-from .plant import (HorizonMatrices, _as_array, _finite, _frozen, _positive,
-                    _real, _square, _state_vector, row_dot, row_matmul)
+from .plant import (HorizonMatrices, _as_array, _frozen, _nonnegative,
+                    _positive, _real, _square, _state_vector, row_dot,
+                    row_matmul)
 
 # An entry of a packet counts as nonzero when its magnitude exceeds this
 # fraction of the packet's largest entry.
@@ -132,9 +133,7 @@ class LinearLaw(PacketLaw):
     """
 
     def __init__(self, hm: HorizonMatrices, r: float = 0.0):
-        r = _finite(r, "r")
-        if not 0.0 <= r:
-            raise ParameterError(f"r must be nonnegative and finite, got {r}")
+        r = _nonnegative(r, "r")
         self.hm, self.r = hm, r
         self.family = "ridge" if r > 0.0 else "ls"
         U, s, Vt = hm.svd
@@ -173,23 +172,21 @@ def _ratio(num: np.ndarray, den: np.ndarray, valid: np.ndarray) -> np.ndarray:
 _SIDES = np.array([[1.0], [-1.0]])
 
 
-def _lasso_path(GtG: np.ndarray, B: np.ndarray, target,
+def _lasso_path(GtG: np.ndarray, B: np.ndarray, target: np.ndarray,
                 max_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Signs and breakpoint counts of the lasso paths of the rows of ``B``.
 
     Row ``b`` of ``B`` follows ``min u'G'Gu - 2 b'u + 2 lam ||u||_1`` from
     ``lam = ||b||_inf`` (which must exceed its target) down to its target,
-    ``target`` itself or, when that is an array, its entry for the row,
-    taking at most ``max_steps`` breakpoints, the first included.  Returns
-    the signs of each row's support at ``target``, 0 off it, and each row's
-    own breakpoint count.  The rows walk in lockstep: each breakpoint is one
+    its entry of ``target``, taking at most ``max_steps`` breakpoints, the
+    first included.  Returns the signs of each row's support at its
+    target, 0 off it, and each row's own breakpoint count.  The rows walk in lockstep: each breakpoint is one
     stacked solve over the rows still walking, each system padded to
     ``N x N`` with the identity off its support, and every product goes
     through :func:`plant.row_matmul`, so a row's path has the same bits
     alone or in a batch.
     """
     rows, N = B.shape
-    target = np.broadcast_to(target, rows)
     signs = np.zeros((rows, N))
     steps = np.full(rows, max_steps)
     # The rows still walking, with their own copies of b, lam and the

@@ -103,11 +103,10 @@ def test_criterion_2_dead_zone():
 
 def test_criterion_3_value_sandwich(bench_l1l2):
     rng = np.random.default_rng(2026)
-    passed = 0
     draws = 1000
-    for trial in range(draws):
-        x = rng.standard_normal(4) * rng.uniform(0.05, 5.0)
-        passed += sp.audit_value_sandwich(bench_l1l2, x).passed
+    X = np.array([rng.standard_normal(4) * rng.uniform(0.05, 5.0)
+                  for _ in range(draws)])
+    passed = int(sp.audit_value_sandwich(bench_l1l2, X).passed.sum())
     ok = passed == draws
     report(3, ok, f"lambda_min(Q)||x||^2 <= V(x) <= phi(||x||) held on "
                   f"{passed}/{draws} benchmark states")
@@ -116,12 +115,13 @@ def test_criterion_3_value_sandwich(bench_l1l2):
 def test_criterion_4_contraction_bounds(bench_l1l2, bench_l0):
     rng = np.random.default_rng(2027)
     draws = 1000
-    passed_l1l2 = passed_l0 = 0
-    for trial in range(draws):
-        x = rng.standard_normal(4) * rng.uniform(0.1, 4.0)
-        i = int(rng.integers(1, BENCH_N + 1))
-        passed_l1l2 += sp.audit_contraction_l1l2(bench_l1l2, x, i).passed
-        passed_l0 += sp.audit_contraction_l0(bench_l0, x, i).passed
+    # Each draw takes its state and then its dropout count.
+    pairs = [(rng.standard_normal(4) * rng.uniform(0.1, 4.0),
+              rng.integers(1, BENCH_N + 1)) for _ in range(draws)]
+    X = np.array([x for x, _ in pairs])
+    i = np.array([i for _, i in pairs])
+    passed_l1l2 = int(sp.audit_contraction_l1l2(bench_l1l2, X, i).passed.sum())
+    passed_l0 = int(sp.audit_contraction_l0(bench_l0, X, i).passed.sum())
     ok = passed_l1l2 == draws and passed_l0 == draws
     report(4, ok, f"dropout-burst contraction bounds held on "
                   f"{passed_l1l2}/{draws} l1-l2 draws and "

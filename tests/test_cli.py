@@ -237,6 +237,28 @@ class TestExitCodes:
                        "5.603e-11 is not above REACHABILITY_RTOL = 1e-10\n"), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where, value, message", [
+        (("controllers", 3, "r"), 1e155,
+         "RIDGE: Riccati map step 420 left the float range (defect inf, "
+         "||P||_F 1.095e+154)"),
+        (("plant", "B", 3), 1e155,
+         "L1L2(i): Riccati map step 1 left the float range (defect nan, "
+         "||P||_F 2.000e+00)"),
+    ], ids=["ridge-r", "B"])
+    def test_a_riccati_iterate_past_the_float_range_exits_3(
+            self, tmp_path, capfd, where, value, message):
+        # The map once ran on with numpy's overflow warnings and their
+        # source lines on stderr; with B[3] = 1e155 it ran all its steps on
+        # NaN before refusing.
+        cfg = json.loads((ROOT / "configs" / "benchmark.json").read_text())
+        set_at(cfg, where, value)
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 3
+        err = capfd.readouterr().err
+        assert err == f"design error: {message}\n", err
+        assert not out.exists()
+
     @pytest.mark.parametrize("where, value, commands, message", [
         (("run", "runs"), 10 ** 30, ("montecarlo", "audit"), "run.runs"),
         (("run", "T"), 10 ** 30, ("simulate", "montecarlo"), "run.T"),
@@ -674,8 +696,7 @@ class TestOneSolvePerRegulator:
         # five controllers made 20 SPD checks and 10 reachability tests when
         # each design re-checked them in every step.
         spd = count_calls(monkeypatch, plant, "require_spd")
-        reachability = count_calls(monkeypatch, plant,
-                                   "check_reachability")
+        reachability = count_calls(monkeypatch, plant, "_reachability")
         self.build()
         assert (len(spd), len(reachability)) == (4, 2)
 

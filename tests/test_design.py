@@ -330,63 +330,62 @@ class TestL0Design:
         assert float(resid @ resid) <= float(x @ bench_l0.W @ x) + 1e-12
 
 
+def scaled_states(rng, count, low, high, dropouts=False):
+    """``count`` states ``standard_normal(4) * uniform(low, high)`` in rows,
+    drawn state by state, each followed by its dropout count if asked."""
+    draws = [(rng.standard_normal(4) * rng.uniform(low, high),
+              rng.integers(1, BENCH_N + 1) if dropouts else 0)
+             for _ in range(count)]
+    X = np.array([x for x, _ in draws])
+    return (X, np.array([i for _, i in draws])) if dropouts else X
+
+
 class TestAudits:
     def test_value_sandwich_on_benchmark(self, bench_l1l2):
-        rng = np.random.default_rng(90)
-        for trial in range(50):
-            x = rng.standard_normal(4) * rng.uniform(0.05, 5.0)
-            audit = sp.audit_value_sandwich(bench_l1l2, x)
-            assert audit.passed
-            assert audit.lower <= audit.value <= audit.upper * (1 + 1e-6)
+        X = scaled_states(np.random.default_rng(90), 50, 0.05, 5.0)
+        audit = sp.audit_value_sandwich(bench_l1l2, X)
+        assert audit.passed.all()
+        assert (audit.lower <= audit.value).all()
+        assert (audit.value <= audit.upper * (1 + 1e-6)).all()
 
     def test_l1l2_contraction_on_benchmark(self, bench_l1l2):
-        rng = np.random.default_rng(91)
-        for trial in range(50):
-            x = rng.standard_normal(4) * rng.uniform(0.1, 4.0)
-            i = int(rng.integers(1, BENCH_N + 1))
-            audit = sp.audit_contraction_l1l2(bench_l1l2, x, i)
-            assert audit.passed
-            assert audit.dropouts == i
+        X, i = scaled_states(np.random.default_rng(91), 50, 0.1, 4.0, True)
+        audit = sp.audit_contraction_l1l2(bench_l1l2, X, i)
+        assert audit.passed.all()
+        np.testing.assert_array_equal(audit.dropouts, i)
 
     def test_l0_contraction_on_benchmark(self, bench_l0):
-        rng = np.random.default_rng(92)
-        for trial in range(50):
-            x = rng.standard_normal(4) * rng.uniform(0.1, 4.0)
-            i = int(rng.integers(1, BENCH_N + 1))
-            audit = sp.audit_contraction_l0(bench_l0, x, i)
-            assert audit.passed
-            assert audit.value_end <= audit.bound_geometric * (1 + 1e-6)
+        X, i = scaled_states(np.random.default_rng(92), 50, 0.1, 4.0, True)
+        audit = sp.audit_contraction_l0(bench_l0, X, i)
+        assert audit.passed.all()
+        assert (audit.value_end <= audit.bound_geometric * (1 + 1e-6)).all()
 
     def test_l0_residual_bound_on_benchmark(self, bench_l0):
-        rng = np.random.default_rng(93)
-        for trial in range(50):
-            x = rng.standard_normal(4) * rng.uniform(0.1, 4.0)
-            audit = sp.audit_residual_l0(bench_l0, x)
-            assert audit.passed
-            assert audit.lhs <= audit.rhs + 1e-9
+        X = scaled_states(np.random.default_rng(93), 50, 0.1, 4.0)
+        audit = sp.audit_residual_l0(bench_l0, X)
+        assert audit.passed.all()
+        assert (audit.lhs <= audit.rhs + 1e-9).all()
 
     def test_contraction_audit_rejects_bad_dropouts(self, bench_l1l2):
         with pytest.raises(ParameterError):
-            sp.audit_contraction_l1l2(bench_l1l2, np.ones(4), 0)
+            sp.audit_contraction_l1l2(bench_l1l2, np.ones((1, 4)),
+                                      np.array([0]))
         with pytest.raises(ParameterError):
-            sp.audit_contraction_l1l2(bench_l1l2, np.ones(4), BENCH_N + 1)
+            sp.audit_contraction_l1l2(bench_l1l2, np.ones((1, 4)),
+                                      np.array([BENCH_N + 1]))
 
     def test_corrupted_rho_fails_contraction(self, bench_l0):
         # Negative control: a falsified decay rate must be caught.
         bad = dataclasses.replace(bench_l0, rho=0.01)
-        rng = np.random.default_rng(94)
-        failed = 0
-        for trial in range(20):
-            x = rng.standard_normal(4)
-            audit = sp.audit_contraction_l0(bad, x, 5)
-            failed += not audit.passed
-        assert failed > 0
+        X = np.random.default_rng(94).standard_normal((20, 4))
+        audit = sp.audit_contraction_l0(bad, X, np.full(20, 5))
+        assert (~audit.passed).sum() > 0
 
     def test_undersized_w_is_infeasible(self, bench_l0):
         bad = dataclasses.replace(bench_l0, W=0.5 * bench_l0.Wstar)
         rng = np.random.default_rng(95)
         with pytest.raises(DesignError):
-            sp.audit_residual_l0(bad, rng.standard_normal(4))
+            sp.audit_residual_l0(bad, rng.standard_normal((1, 4)))
 
 
 def audit_states(l1l2, rng):
@@ -419,15 +418,15 @@ class TestBatchedAudits:
         dropouts[-2:] = (BENCH_N, 1)
         extra = (dropouts,) if takes_dropouts else ()
         batch = audit(design, X, *extra)
-        for r, x in enumerate(X):
-            alone = audit(design, x, *(int(a[r]) for a in extra))
-            assert alone.passed is True
+        for r in range(len(X)):
+            alone = audit(design, X[r:r + 1], *(a[r:r + 1] for a in extra))
+            assert alone.passed.tolist() == [True]
             for field in dataclasses.fields(alone):
                 value = getattr(alone, field.name)
-                assert type(value) in (bool, int, float), field.name
+                assert value.shape == (1,), field.name
                 # Bit for bit, not just equal in value.
-                assert (np.asarray(value).tobytes()
-                        == np.asarray(getattr(batch, field.name)[r]).tobytes()
+                assert (value.tobytes()
+                        == getattr(batch, field.name)[r:r + 1].tobytes()
                         ), (field.name, r)
 
     @pytest.mark.parametrize("audit", [sp.audit_contraction_l1l2,
@@ -442,16 +441,36 @@ class TestBatchedAudits:
         with pytest.raises(ParameterError, match="dropouts"):
             audit(design, X, dropouts)
         with pytest.raises(ParameterError, match="dropouts"):
-            audit(design, X, bad)
-        with pytest.raises(ParameterError, match="dropouts"):
             audit(design, X, np.array([1, BENCH_N, 2]))  # one per state
+
+    @pytest.mark.parametrize("family, audit, takes_dropouts", AUDIT_CASES,
+                             ids=[c[1].__name__ for c in AUDIT_CASES])
+    def test_one_state_or_one_count_is_refused(self, bench_l1l2, bench_l0,
+                                               family, audit,
+                                               takes_dropouts):
+        # The audits take states in rows and one count per row: a lone
+        # state or a lone count is refused with the shape it needs, the
+        # states checked first.
+        design = bench_l1l2 if family == "l1l2" else bench_l0
+        extra = (np.array([2]),) if takes_dropouts else ()
+        with pytest.raises(ParameterError,
+                           match=r"X must have shape \(rows, 4\), got \(4,\)"):
+            audit(design, np.ones(4), *extra)
+        with pytest.raises(ParameterError, match=r"X must have shape"):
+            audit(design, np.ones(4), *(2 for _ in extra))
+        if takes_dropouts:
+            for count in (2, np.int64(2), np.array(2), np.array([[2]])):
+                with pytest.raises(ParameterError,
+                                   match=r"dropouts must be an integer "
+                                         r"array of shape \(1,\)"):
+                    audit(design, np.ones((1, 4)), count)
 
     def test_a_failing_row_fails_the_batch(self, bench_l0):
         # An infeasible OMP constraint at one state raises for the batch,
         # as it does for that state alone.
         bad = dataclasses.replace(bench_l0, W=0.5 * bench_l0.Wstar)
         X = np.vstack((np.zeros(4), np.ones(4)))
-        sp.audit_residual_l0(bad, X[0])
+        sp.audit_residual_l0(bad, X[:1])
         with pytest.raises(DesignError):
             sp.audit_residual_l0(bad, X)
 
@@ -470,11 +489,11 @@ def test_contraction_audit_replays_the_closed_loop(bench_l1l2, bench_l0,
             trace = sp.DropoutTrace(d=[False] + [True] * (i - 1),
                                     N_bound=BENCH_N)
             sim = sp.run_closed_loop(design.plant, design.law, trace, x, i)
+            X, end = x[None], sim.states[i][None]
             if family == "l1l2":
-                got = sp.audit_contraction_l1l2(design, x, i).value_end
-                want = sp.audit_value_sandwich(design, sim.states[i]).value
+                got = sp.audit_contraction_l1l2(design, X, [i]).value_end
+                want = sp.audit_value_sandwich(design, end).value
             else:
-                got = sp.audit_contraction_l0(design, x, i).value_end
-                want = sp.audit_contraction_l0(design, sim.states[i],
-                                               1).value_start
-            assert np.float64(got).tobytes() == np.float64(want).tobytes(), i
+                got = sp.audit_contraction_l0(design, X, [i]).value_end
+                want = sp.audit_contraction_l0(design, end, [1]).value_start
+            assert got.tobytes() == want.tobytes(), i

@@ -444,7 +444,8 @@ def region_of(law, x):
     b = law.hm.GtH @ x
     if np.abs(b).max() <= 0.5 * law.mu:
         return ()
-    (signs,), _ = sp.solvers._lasso_path(law.hm.GtG, b[None], 0.5 * law.mu,
+    (signs,), _ = sp.solvers._lasso_path(law.hm.GtG, b[None],
+                                         np.array([0.5 * law.mu]),
                                          10 * law.hm.N)
     return tuple((j, signs[j]) for j in np.flatnonzero(signs))
 
@@ -532,7 +533,8 @@ def test_a_matched_row_is_in_the_region_the_path_reaches(bench_laws, name,
     slot = law._match(B, bmax)
     hit = slot >= 0
     assert hit.sum() > 0.7 * len(B)
-    signs, _ = sp.solvers._lasso_path(law.hm.GtG, B[hit], 0.5 * law.mu,
+    signs, _ = sp.solvers._lasso_path(law.hm.GtG, B[hit],
+                                      np.full(hit.sum(), 0.5 * law.mu),
                                       10 * law.hm.N)
     np.testing.assert_array_equal(law._cache[0][slot[hit]], signs)
 
@@ -596,11 +598,12 @@ def test_lockstep_walk_matches_one_row_walks(bench_laws, name):
     inside = np.abs(B).max(axis=1) > target
     B, X, edge = B[inside], X[inside], np.arange(len(X))[inside] >= 400
     for cap in (10 * hm.N, 3):
-        signs, steps = sp.solvers._lasso_path(hm.GtG, B, target, cap)
+        signs, steps = sp.solvers._lasso_path(hm.GtG, B,
+                                              np.full(len(B), target), cap)
         assert ((1 <= steps) & (steps <= cap)).all()
         for b, s, k in zip(B, signs, steps):
-            (s_alone,), (k_alone,) = sp.solvers._lasso_path(hm.GtG, b[None],
-                                                            target, cap)
+            (s_alone,), (k_alone,) = sp.solvers._lasso_path(
+                hm.GtG, b[None], np.array([target]), cap)
             assert s_alone.tobytes() == s.tobytes()
             assert k_alone == k
         if cap == 3:
@@ -816,7 +819,7 @@ def test_per_row_targets_walk_each_row_as_its_scalar_walk(bench_laws, cap):
     assert len(set(target)) == 2
     for b, t, s, k in zip(B, target, signs, steps):
         (s_alone,), (k_alone,) = sp.solvers._lasso_path(hm.GtG, b[None],
-                                                        float(t), cap)
+                                                        np.array([t]), cap)
         assert s_alone.tobytes() == s.tobytes()
         assert k_alone == k
     if cap == 3:

@@ -297,3 +297,17 @@ def test_an_unreachable_refusal_names_its_singular_value_ratio(bench_plant):
                 r"matrix's singular-value ratio 5\.603e-11 is not above "
                 r"REACHABILITY_RTOL = 1e-10$")):
             call(plant)
+
+
+def test_an_unreachable_refusal_takes_one_svd(bench_plant, monkeypatch):
+    # The refusal once ran the controllability SVD a second time for the
+    # ratio it names.
+    A = bench_plant.A.copy()
+    A[0, 0] = 1000.0
+    plant = sp.PlantModel(A=A, B=bench_plant.B)
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(1) or svd(*a, **k))
+    with pytest.raises(ParameterError, match="not reachable"):
+        sp.solve_dare(plant, np.eye(4), 1.0)
+    assert len(calls) == 1

@@ -215,3 +215,20 @@ def test_a_stalled_newton_refusal_names_the_spread_of_p():
         "the tolerance 1.356e+00; P's eigenvalue spread lambda_max / "
         "lambda_min is "), message
     assert 1.2e10 < float(message.rsplit(" ", 1)[1]) < 1.4e10
+
+
+def test_an_iterate_past_the_float_range_is_refused_at_its_step(bench_plant):
+    # ||P||_F overflows at the first step, so the limit DARE_TOL (1 + ||P||_F)
+    # was infinite and the solve returned residual inf without an error.
+    plant = sp.PlantModel(A=[[0.5]], B=[1.0])
+    with pytest.raises(SolverError, match=(
+            r"^Riccati map step 1 left the float range \(defect inf, "
+            r"\|\|P\|\|_F inf\)$")):
+        sp.solve_dare(plant, [[1e160]], r=1.0)
+    # P grows past the float range over the steps; the map once went on
+    # with numpy's overflow warnings, which fail this suite.
+    with pytest.raises(SolverError, match="^Riccati map step 420 left"):
+        sp.solve_dare(bench_plant, np.eye(4), r=1e155)
+    # The guard leaves a solve inside the range as it was: 15 map steps
+    # and 2 Newton steps.
+    assert sp.solve_dare(bench_plant, np.eye(4), r=4.1042).iterations == 17
