@@ -368,24 +368,15 @@ def _audit_check(audit, design, *draws: np.ndarray) -> tuple:
     ``draws`` are the audit's per-draw arguments after the design, the
     states and, for a contraction, the dropout counts.  All draws go
     through one batched call; when a solver check fails in it, each draw is
-    audited alone, so every failing draw counts once.
+    audited alone, so every failing draw counts once, and a failure that no
+    draw reproduces alone counts on draw 0.
     """
-    def call(rows):
-        return audit(design, *(arg[rows] for arg in draws))
-
-    caught = (DesignError, SolverError)
-    try:
-        records, errors = [call(slice(None))], []
-    except caught:
-        records, errors = [], []
-        for _, record, exc in each_row(call, len(draws[0]), caught):
-            if exc is None:
-                records.append(record)
-            else:
-                errors.append(str(exc))
-    failures = len(errors) + sum(int((~r.passed).sum()) for r in records)
+    records, failed = each_row(
+        lambda rows: audit(design, *(arg[rows] for arg in draws)),
+        len(draws[0]), (DesignError, SolverError))
+    failures = len(failed) + sum(int((~r.passed).sum()) for r in records)
     worst = min((float(r.slack.min()) for r in records), default=np.inf)
-    return failures, worst, errors[:3]
+    return failures, worst, [str(exc) for exc in failed.values()][:3]
 
 
 def cmd_audit(cfg: ExperimentConfig, args) -> tuple:

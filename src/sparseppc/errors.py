@@ -45,19 +45,27 @@ class SimulationRunError(SparsePpcError):
         self.cause = cause
 
 
-def each_row(call, rows: int, errors=Exception):
-    """Run a batched call on each of ``rows`` rows alone, in row order.
+def each_row(call, rows: int, errors=Exception, first: int = 0) -> tuple:
+    """Run a batched call on all ``rows`` rows, and on each row alone if the
+    batch raises one of ``errors``.
 
-    ``call(s)`` takes the slice ``s`` of one row.  Yields ``(row, result,
-    None)``, or ``(row, None, error)`` when the call raises one of
-    ``errors``.  A batched packet law or audit stops at its first failing
-    row; this is how such a failure is pinned on the rows that fail on
-    their own.
+    ``call(s)`` takes the slice ``s`` of the rows it runs.  Returns
+    ``(results, failed)``: ``failed`` maps each row that fails alone to its
+    error, and ``results`` holds the batch's one result, or after a failed
+    batch the one-row results of the other rows in row order.  A batched
+    packet law or audit stops at its first failing row; this is how such a
+    failure is pinned on the rows that fail on their own.  If none does, the
+    batch's error is pinned on row ``first``.
     """
+    try:
+        return [call(slice(None))], {}
+    except errors as exc:
+        batch = exc
+    results, failed = {}, {}
     for row in range(rows):
         try:
-            result = call(slice(row, row + 1))
+            results[row] = call(slice(row, row + 1))
         except errors as exc:
-            yield row, None, exc
-        else:
-            yield row, result, None
+            failed[row] = exc
+    failed = failed or {first: batch}
+    return [r for row, r in results.items() if row not in failed], failed

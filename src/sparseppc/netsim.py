@@ -11,11 +11,12 @@ batch of runs is rolled out reception-major, under one call group of laws
 (``solvers.call_groups``): the lasso laws built on one ``hm`` object share
 a group, and every other law rolls alone.  Round ``j`` computes the ``j``-th
 packet of every run that has one, under every law of the group, in a
-single ``solvers.solve_group`` call (``law.solve`` for a group of one), and
-each of those runs then replays its packet through its own segment with
-``plant._replay``, the one place the plant is stepped (the contraction
-audits and ``plant.propagate`` use it too).  No packet is computed during a
-dropout burst.
+single ``solvers.solve_group`` call (``law.solve`` for a group of one),
+each row named by its law; a call that fails is retried row by row by
+``errors.each_row``.  Each of those runs then replays its packet through
+its own segment with ``plant._replay``, the one place the plant is stepped
+(the contraction audits and ``plant.propagate`` use it too).  No packet is
+computed during a dropout burst.
 
 A study keeps what it reports.  The reception schedule depends on the
 dropout flags alone, so a study computes it once for all its laws.  Each
@@ -266,27 +267,6 @@ def _conditions(plant: PlantModel, N: int, T: int, seed: int,
     return X0, D
 
 
-def _packets(laws, X: np.ndarray, owner: np.ndarray,
-             keys: np.ndarray) -> tuple:
-    """The packets ``solve_group(laws, X, owner)[0]`` as ``(U, failed)``.
-
-    A failed call is retried row by row: ``failed`` maps each row that
-    fails alone to its error, and ``U`` holds the other rows in order
-    (``None`` if there are none).  If no row fails alone, the call's error
-    is pinned on the row with the smallest ``keys`` entry.
-    """
-    try:
-        return solve_group(laws, X, owner)[0], {}
-    except Exception as exc:
-        tried = list(each_row(lambda s: solve_group(laws, X[s], owner[s])[0],
-                              len(X)))
-        failed = {i: row_exc for i, _, row_exc in tried if row_exc is not None}
-        if not failed:
-            failed = {int(np.argmin(keys)): exc}
-        done = [U for i, U, _ in tried if i not in failed]
-        return (np.concatenate(done) if done else None), failed
-
-
 def _require_law(designer) -> None:
     # The closed loop takes packet laws only (``solvers.PacketLaw`` or any
     # object with ``solve(X)``); anything else is refused before a run.
@@ -367,7 +347,11 @@ def _rollout(plant: PlantModel, laws, X0: np.ndarray, D: np.ndarray,
             break
         rows, at, span = run_of[live], start[live], length[live]
         X = current[rows]
-        U, failed = _packets(laws, X, rows // runs, at * rows_total + rows)
+        # A failed call is retried row by row; if no row fails alone, its
+        # error is pinned on the earliest step's lowest row.
+        packets, failed = each_row(
+            lambda s: solve_group(laws, X[s], (rows // runs)[s])[0],
+            rows.size, first=int(np.argmin(at * rows_total + rows)))
         if failed:
             for i, exc in failed.items():
                 failures.append((at[i], 0, int(rows[i]), exc))
@@ -376,6 +360,7 @@ def _rollout(plant: PlantModel, laws, X0: np.ndarray, D: np.ndarray,
             rows, at, span, X = rows[ok], at[ok], span[ok], X[ok]
             if not rows.size:
                 continue
+        U = np.concatenate(packets)
         sparsity[rows, at] = _row_nonzeros(U)
         width = U.shape[1]
         for i in np.flatnonzero(span > width):
@@ -478,15 +463,15 @@ def monte_carlo(plant: PlantModel, designers: Mapping[str, object],
     the whole group; every other designer advances alone the same way.
     Run ``k`` of each designer has the same bits as :func:`run_closed_loop`
     on those conditions, whichever designers share its calls.  A failing
-    run aborts the study with its index and seed attached for replay: the
-    first designer in mapping order that failed, at its earliest failing
-    step, its lowest-indexed run there (a law failure before a protocol
-    failure).  A rollout holds each run's per-step norms and sparsity
-    under each law of its group, 16 bytes per run-step and law, and the
-    study averages them over the runs before the next rollout starts; a
-    run's states and inputs come from replaying it with
-    :func:`run_closed_loop`.  A ``seed`` that is not an integer ``>= 0``
-    raises :class:`ParameterError`.
+    run fails the study, once every designer has rolled out, with its index
+    and seed attached for replay: the first designer in mapping order that
+    failed, at its earliest failing step, its lowest-indexed run there (a
+    law failure before a protocol failure).  A rollout holds each run's
+    per-step norms and sparsity under each law of its group, 16 bytes per
+    run-step and law, and the study averages them over the runs before the
+    next rollout starts; a run's states and inputs come from replaying it
+    with :func:`run_closed_loop`.  A ``seed`` that is not an integer
+    ``>= 0`` raises :class:`ParameterError`.
     """
     if not designers:
         raise ParameterError("at least one designer is required")
@@ -499,9 +484,8 @@ def monte_carlo(plant: PlantModel, designers: Mapping[str, object],
     schedule = _schedule(D)
 
     names, laws = list(designers), list(designers.values())
-    groups = call_groups(laws)
     avg_norm, avg_sparsity, failed = {}, {}, {}
-    for g, group in enumerate(groups):
+    for group in call_groups(laws):
         _, _, spars_mat, norms, failures = _rollout(
             plant, [laws[i] for i in group], X0, D, keep_states=False,
             schedule=schedule)
@@ -512,11 +496,9 @@ def monte_carlo(plant: PlantModel, designers: Mapping[str, object],
             avg_norm[names[i]] = norms[rows, :T].mean(axis=0)
             avg_sparsity[names[i]] = _average_sparsity(spars_mat[rows])
         del spars_mat, norms
-        # Every designer before the next group's first is rolled out.
-        if failed and min(failed) < (groups[g + 1][0] if g + 1 < len(groups)
-                                     else len(laws)):
-            run, error = failed[min(failed)]
-            raise SimulationRunError(run, seed, error) from error
+    if failed:
+        run, error = failed[min(failed)]
+        raise SimulationRunError(run, seed, error) from error
 
     return MonteCarloResult(steps=np.arange(T),
                             avg_norm={name: avg_norm[name] for name in names},

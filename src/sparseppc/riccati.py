@@ -114,8 +114,10 @@ def fixed_point_residual(plant: PlantModel, Q, r: float, P) -> float:
     real number, or :class:`ParameterError` is raised.
     """
     P, Q = _square(P, plant.n, "P"), _square(Q, plant.n, "Q")
-    P_next, _ = _riccati_map(plant.A, plant.B, Q, _finite(r, "r"), P)
-    return _norm(P_next - P)
+    # A map past the float range gives an infinite defect, as in solve_dare.
+    with np.errstate(over="ignore", invalid="ignore"):
+        P_next, _ = _riccati_map(plant.A, plant.B, Q, _finite(r, "r"), P)
+        return _norm(P_next - P)
 
 
 def solve_dare(plant: PlantModel, Q, r: float = 0.0) -> DareSolution:

@@ -8,9 +8,9 @@ maps a batch of states, one per row, to their packets, iteration counts and
 solver certificates, and ``law(x)`` returns the :class:`Packet` of one
 state.  Each law and each packet names its ``family`` as the config does:
 ``l1l2``, ``l0``, ``ridge`` or ``ls``.  :func:`call_groups` says which
-laws one call can serve, and :func:`solve_group` makes that call: the lasso
-laws on one ``hm`` object form one group, and every other law stands
-alone.  The module-level functions
+laws one call can serve, and :func:`solve_group` makes that call, each row
+named by the law that solves it: the lasso laws on one ``hm`` object form
+one group, and every other law stands alone.  The module-level functions
 ``least_squares_packet``, ``ridge_packet``, ``fista_l1l2`` and ``omp_l0``
 are one-row views of the same laws.
 
@@ -26,7 +26,6 @@ rounding, and its packet then comes from the region's map on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -297,8 +296,9 @@ class LassoLaw(PacketLaw):
     one regulator, share a call (:func:`call_groups`, :func:`solve_group`):
     one ``G'Hx`` product, each law's own cache test on its own rows, one
     lockstep walk for all their misses, each row down to its own law's
-    ``mu / 2``, and one refit.  Each law keeps its own cache, and each row
-    gets the bits it gets from its own law alone.
+    ``mu / 2``.  The rows stay in the caller's order, each named by its law;
+    each law keeps its own cache and refits its own rows from it, and each
+    row gets the bits it gets from its own law alone.
     """
 
     family = "l1l2"
@@ -394,62 +394,48 @@ class LassoLaw(PacketLaw):
         return np.where(ok.sum(axis=0) == 1, ok.argmax(axis=0), -1)
 
     def _solve(self, X):
-        return self._joint((self,), X, [X.shape[0]])
+        return self._joint((self,), X, np.zeros(X.shape[0], dtype=int))
 
     @staticmethod
-    def _joint(laws, X, counts) -> tuple:
-        """``solve`` of the checked states ``X``, whose rows are ``counts[0]``
-        states of ``laws[0]``, then ``counts[1]`` of ``laws[1]``, and so on;
-        the laws share one ``hm`` object.
+    def _joint(laws, X, owner) -> tuple:
+        """``solve`` of the checked states ``X``, row ``r`` a state of
+        ``laws[owner[r]]``; the laws share one ``hm`` object.
 
         One ``G'Hx`` product serves every row.  Each law tests its own rows
         against its own cache, and the rows that no law's cache serves walk
-        one lockstep path, each down to its own law's ``mu / 2``; each law
-        then learns the regions its rows reached, and one refit and one
-        certificate, with one ``mu`` per row, give every packet.  Every
-        operation on a row is the one it gets alone, so a row has the same
-        bits whichever laws share its call.
+        one lockstep path, law by law in row order, each down to its own
+        law's ``mu / 2``; each law then learns the regions its rows reached
+        and refits its own rows from its table.  Every operation on a row is
+        the one it gets alone, so a row has the same bits whichever laws
+        share its call.
         """
         hm = laws[0].hm
         rows, N = X.shape[0], hm.N
-        mu = np.array([law.mu for law in laws]).repeat(counts)
+        mu = np.array([law.mu for law in laws])[owner]
         b = row_matmul(X, hm.GtH)
         corr = np.abs(b).max(axis=1, initial=0.0)
         U = np.zeros((rows, N))
         steps = np.zeros(rows, dtype=int)
         walked = np.zeros(rows, dtype=bool)
-        active = np.flatnonzero(corr > 0.5 * mu)
-        B = b[active]
-        # Law i's rows are block cut[i]:cut[i + 1] of ``active`` and block
-        # cut_miss[i]:cut_miss[i + 1] of ``miss``.
-        cut = active.searchsorted(list(accumulate(counts, initial=0))).tolist()
-        slot = np.empty(active.size, dtype=int)
-        for law, lo, hi in zip(laws, cut[:-1], cut[1:]):
-            slot[lo:hi] = law._match(B[lo:hi], corr[active[lo:hi]])
-        miss = np.flatnonzero(slot < 0)
+        mine = [np.flatnonzero((owner == i) & (corr > 0.5 * law.mu))
+                for i, law in enumerate(laws)]
+        slots = [law._match(b[at], corr[at]) for law, at in zip(laws, mine)]
+        miss = np.concatenate([at[slot < 0] for at, slot in zip(mine, slots)])
         if miss.size:
-            signs, steps[active[miss]] = _lasso_path(
-                hm.GtG, B[miss], 0.5 * mu[active[miss]], 10 * N)
-            walked[active[miss]] = True
-        cut_miss = miss.searchsorted(cut).tolist()
-        tables = []
-        for law, lo, hi in zip(laws, cut_miss[:-1], cut_miss[1:]):
-            table = law._cache
-            if hi > lo:
-                slot[miss[lo:hi]], table = law._learn(signs[lo:hi])
-            tables.append(table[:3])
-        if active.size:
-            # Each law's regions, copied once into its block of the rows;
-            # "clip" skips take's buffered copy, so a row left without a
-            # region must fail here.
-            if slot.min() < 0:
-                raise IndexError("a row outside the dead zone has no region")
-            regions = [np.empty((active.size,) + a.shape[1:])
-                       for a in tables[0]]
-            for lo, hi, table in zip(cut[:-1], cut[1:], tables):
-                for a, out in zip(table, regions):
-                    a.take(slot[lo:hi], axis=0, out=out[lo:hi], mode="clip")
-            U[active] = _refit(hm.GtG, *regions, B)
+            signs, steps[miss] = _lasso_path(hm.GtG, b[miss], 0.5 * mu[miss],
+                                             10 * N)
+            walked[miss] = True
+        for law, at, slot in zip(laws, mine, slots):
+            table, lost = law._cache, np.flatnonzero(slot < 0)
+            if lost.size:
+                # This law's misses are the next rows of ``signs``.
+                slot[lost], table = law._learn(signs[:lost.size])
+                signs = signs[lost.size:]
+            if at.size:
+                if slot.min() < 0:
+                    raise IndexError(
+                        "a row outside the dead zone has no region")
+                U[at] = _refit(hm.GtG, *(a[slot] for a in table[:3]), b[at])
 
         kkt = _kkt_residual(U, 2.0 * (row_matmul(U, hm.GtG) - b), mu[:, None])
         certificate = {
@@ -493,17 +479,18 @@ def solve_group(laws, X, owner) -> tuple:
 
     ``laws`` is one group of :func:`call_groups`.  A group of one is its
     law's ``solve(X)``, whatever ``owner`` holds; a larger one is checked as
-    ``solve`` checks ``X``, solved with each law's rows in one block, and
-    gives each row the bits of its own law's ``solve``.
+    ``solve`` checks ``X``, with one index into ``laws`` per row in
+    ``owner`` or :class:`ParameterError`, and gives each row the bits of its
+    own law's ``solve``.
     """
     if len(laws) == 1:
         return laws[0].solve(X)
     X, owner = laws[0]._checked(X), np.asarray(owner)
-    order = np.argsort(owner, kind="stable")
-    U, steps, certificate = LassoLaw._joint(
-        laws, X[order], np.bincount(owner, minlength=len(laws)))
-    back = np.argsort(order)
-    return U[back], steps[back], {k: v[back] for k, v in certificate.items()}
+    if not (owner.shape == X.shape[:1] and owner.dtype.kind in "iu"
+            and ((0 <= owner) & (owner < len(laws))).all()):
+        raise ParameterError(
+            f"owner must hold one index below {len(laws)} per row of X")
+    return LassoLaw._joint(laws, X, owner)
 
 
 class OmpLaw(PacketLaw):

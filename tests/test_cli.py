@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sparseppc import (ConfigError, LassoLaw, OmpLaw, PacketLaw,
-                       ParameterError, PlantModel, design_l1l2,
+                       ParameterError, PlantModel, SolverError, design_l1l2,
                        fixed_point_residual)
 from sparseppc import cli, netsim, plant, riccati, solvers
 from sparseppc.cli import build_controller, load_config, main
@@ -947,6 +947,31 @@ class TestAuditCommand:
                                 "value-function state (kkt residual ")
                    for e in entry["errors"])
         assert entry["worst_slack"] >= 0.0
+
+    def test_a_failure_of_the_batch_alone_counts_on_draw_0(self, tmp_path,
+                                                           monkeypatch):
+        # The residual audit refuses every batch of more than one draw and
+        # passes each draw alone.  Such a failure must not pass silently: it
+        # counts once, on draw 0.
+        audit = cli.audit_residual_l0
+
+        def batch_shy(design, X):
+            if len(X) > 1:
+                raise SolverError("refused as a batch")
+            return audit(design, X)
+
+        monkeypatch.setattr(cli, "audit_residual_l0", batch_shy)
+        path = ROOT / "configs" / "benchmark.json"
+        assert main(["audit", "--config", str(path), "--out", str(tmp_path),
+                     "--runs", "5"]) == 4
+        payload = json.loads((tmp_path / "audit.json").read_text())
+        assert payload["failures_total"] == 1
+        checks = {(c["name"], i["name"]): i for c in payload["controllers"]
+                  for i in c["inequalities"]}
+        assert checks["OMP", "residual_bound"]["failures"] == 1
+        assert checks["OMP", "residual_bound"]["errors"] == [
+            "refused as a batch"]
+        assert checks["OMP", "residual_bound"]["worst_slack"] >= 0.0
 
     def test_each_check_solves_its_draws_in_one_batch(self, tmp_path,
                                                       monkeypatch):

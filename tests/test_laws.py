@@ -791,6 +791,34 @@ def test_a_joint_call_gives_each_row_its_own_laws_bits(bench_laws):
         assert list(laws[i]._keys.items()) == list(alone._keys.items())
 
 
+def test_a_joint_call_may_leave_a_law_without_rows(bench_laws):
+    laws = [fresh_lasso(bench_laws, name) for name in ("L1L2(i)", "L1L2(ii)")]
+    untouched = laws[0]._keys, laws[0]._cache
+    alone = fresh_lasso(bench_laws, "L1L2(ii)")
+    X = lasso_states(alone, 400, 35)
+    U, steps, cert = sp.solvers.solve_group(laws, X, np.ones(len(X), int))
+    ref = alone.solve(X)
+    assert U.tobytes() == ref[0].tobytes()
+    assert steps.tobytes() == ref[1].tobytes()
+    for key, value in ref[2].items():
+        assert cert[key].tobytes() == value.tobytes(), key
+    # Law 0 had no rows: it neither tested, walked nor learnt.
+    assert laws[0]._keys is untouched[0] and laws[0]._cache is untouched[1]
+    assert list(laws[1]._keys.items()) == list(alone._keys.items())
+
+
+@pytest.mark.parametrize("owner", [[0, -1, 1], [0, 2, 1], [0, 1],
+                                   [0.0, 1.0, 1.0], [[0, 1, 1]]])
+def test_a_joint_call_refuses_a_row_without_its_law(bench_laws, owner):
+    # Each row needs a law: a negative index would pick a mu from the end
+    # of ``laws`` and no law's packet.
+    laws = [fresh_lasso(bench_laws, name) for name in ("L1L2(i)", "L1L2(ii)")]
+    X = lasso_states(laws[0], 3, 36)
+    with pytest.raises(sp.ParameterError, match="owner must hold one index "
+                       "below 2 per row of X"):
+        sp.solvers.solve_group(laws, X, owner)
+
+
 def test_a_row_left_without_a_region_raises(bench_laws):
     # A learning step that leaves its rows without a slot must not hand
     # them a clamped region's packet.

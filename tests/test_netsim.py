@@ -580,6 +580,42 @@ class TestReceptionRounds:
         assert err.value.run_index == 0
         assert str(err.value.cause) == "batch refused"
 
+    def test_each_row_retries_a_failed_batch_row_by_row(self):
+        calls = []
+
+        def refusing(*refused):
+            # Refuses every batch of more than one row and each row named.
+            def call(s):
+                rows = list(range(4))[s]
+                calls.append(rows)
+                if len(rows) > 1 or set(rows) & set(refused):
+                    raise sp.SolverError(f"refused {rows}")
+                return rows
+            return call
+
+        def passing(s):
+            calls.append(list(range(4))[s])
+            return calls[-1]
+
+        # A batch that passes is one call.
+        assert sp.errors.each_row(passing, 4) == ([[0, 1, 2, 3]], {})
+        assert calls == [[0, 1, 2, 3]]
+        # A failed batch: each row alone, the failing rows named.
+        calls.clear()
+        results, failed = sp.errors.each_row(refusing(1, 3), 4, first=2)
+        assert calls == [[0, 1, 2, 3], [0], [1], [2], [3]]
+        assert results == [[0], [2]]
+        assert {k: str(e) for k, e in failed.items()} == {
+            1: "refused [1]", 3: "refused [3]"}
+        # No row fails alone: the batch's error is pinned on row ``first``.
+        results, failed = sp.errors.each_row(refusing(), 4, first=2)
+        assert results == [[0], [1], [3]]
+        assert {k: str(e) for k, e in failed.items()} == {
+            2: "refused [0, 1, 2, 3]"}
+        # An error outside ``errors`` is not caught.
+        with pytest.raises(sp.SolverError):
+            sp.errors.each_row(refusing(), 4, errors=KeyError)
+
     def test_one_law_call_per_reception_round(self, small_plant,
                                               small_designers):
         N, T, seed, runs = 3, 30, 4, 40

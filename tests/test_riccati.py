@@ -232,3 +232,10 @@ def test_an_iterate_past_the_float_range_is_refused_at_its_step(bench_plant):
     # The guard leaves a solve inside the range as it was: 15 map steps
     # and 2 Newton steps.
     assert sp.solve_dare(bench_plant, np.eye(4), r=4.1042).iterations == 17
+
+
+def test_a_map_past_the_float_range_has_an_infinite_defect():
+    # The map was evaluated outside solve_dare's float-range guard, so numpy
+    # warned of the overflow (an error in this suite) before the inf.
+    plant = sp.PlantModel(A=[[0.5]], B=[1.0])
+    assert sp.fixed_point_residual(plant, [[1.0]], 1.0, [[1e160]]) == np.inf

@@ -6,6 +6,7 @@ workflow with a loader that refuses such a mapping.
 """
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -29,10 +30,12 @@ class UniqueKeyLoader(yaml.SafeLoader):
         return super().construct_mapping(node, deep)
 
 
-def steps(text: str) -> list:
-    """Every step of every job of a workflow, in file order."""
+def steps(text: str, jobs=None) -> list:
+    """Every step of the named jobs of a workflow (all by default), in file
+    order."""
     workflow = yaml.load(text, Loader=UniqueKeyLoader)
-    return [step for job in workflow["jobs"].values() for step in job["steps"]]
+    return [step for name, job in workflow["jobs"].items()
+            if jobs is None or name in jobs for step in job["steps"]]
 
 
 def test_a_duplicate_key_is_refused():
@@ -49,3 +52,18 @@ def test_every_step_is_named_and_runs_or_uses_one_thing():
     for step in found:
         assert step.get("name"), step
         assert ("run" in step) != ("uses" in step), step["name"]
+
+
+def test_the_numpy_only_job_runs_the_cli_with_warnings_as_errors():
+    # A numpy RuntimeWarning on the way to a result or an exit code fails
+    # the step.  pip's own warnings must not, so the install step runs
+    # without the setting.
+    found = steps(WORKFLOW.read_text(), jobs=("numpy-only",))
+    cli = [step for step in found
+           if re.search(r"^\s*sparseppc\s", step.get("run", ""), re.M)]
+    assert len(cli) == 8
+    for step in cli:
+        env = step.get("env", {})
+        assert env.get("PYTHONWARNINGS") == "error", step["name"]
+    install = [step for step in found if "pip install" in step.get("run", "")]
+    assert len(install) == 1 and "env" not in install[0]
