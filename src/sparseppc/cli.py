@@ -43,8 +43,8 @@ MEMORY_BUDGET = 1 << 30
 # Each controller family's own config keys with the check on each value, the
 # keys it requires, and the design fields it reports after its regulator and
 # residuals; every controller also takes "name", "family" and a "Q" weight.
-# The table is plain data: the design and audit functions are looked up when
-# they are called, so one rebound by name (as perfbench's tracer does) runs.
+# The table is plain data: ``_family`` looks up the design and audit
+# functions when they are called, so one rebound by name in this module runs.
 FAMILIES = {
     "l1l2": ({"mu": "positive", "epsilon": "positive", "r": "positive"},
              ("mu",), ("mu", "epsilon", "a1", "a2", "rho", "R", "Wstar")),
@@ -217,22 +217,33 @@ def _listify(M) -> list | float:
     return np.asarray(M, dtype=float).tolist()
 
 
+def _family(family: str) -> tuple:
+    """``(design function, audits)`` of a controller family, built on each
+    call so that a function rebound by name in this module (as
+    ``perfbench``'s tracer does) is the one that runs.  An audit is ``(name,
+    batched audit, whether it takes the dropout counts)``, in draw order.
+    """
+    return {"l1l2": (design_l1l2, (
+                ("value_sandwich", audit_value_sandwich, False),
+                ("contraction", audit_contraction_l1l2, True))),
+            "l0": (design_l0, (
+                ("residual_bound", audit_residual_l0, False),
+                ("contraction", audit_contraction_l0, True))),
+            "ridge": (design_linear, ()),
+            "ls": (design_linear, ())}[family]
+
+
 def build_controller(cfg: ExperimentConfig, spec: dict) -> BuiltController:
     """Design one controller from its validated config entry and report it."""
     plant, N = cfg.plant, cfg.horizon
     Q = spec.get("Q", cfg.Q)
     name, family = spec["name"], spec["family"]
 
+    # Each family's config keys are its design function's keywords; an
+    # ls entry passes none, so its regulator is at r = 0.
+    keys = {key: spec[key] for key in FAMILIES[family][0] if key in spec}
     try:
-        if family == "l1l2":
-            design = design_l1l2(plant, Q, spec["mu"], N, spec.get("epsilon"),
-                                 r=spec.get("r"))
-        elif family == "l0":
-            design = design_l0(plant, Q, N, spec["beta"], W=spec.get("W"))
-        else:
-            # The quadratic baselines use the regulator at their own input
-            # weight (zero for plain least squares).
-            design = design_linear(plant, Q, N, spec.get("r", 0.0))
+        design = _family(family)[0](plant, Q, N=N, **keys)
     except SparsePpcError as exc:
         raise type(exc)(f"{name}: {exc}") from exc     # keeps its exit code
 
@@ -345,23 +356,6 @@ def cmd_montecarlo(cfg: ExperimentConfig, args) -> tuple:
                      "meta.json": _json(meta)}, lines
 
 
-AUDITED = ("l1l2", "l0")
-
-
-def _checks(family: str) -> tuple:
-    """The checks of an audited family, in the order they draw their states:
-    ``(name, batched audit, whether it takes the dropout counts)``.
-
-    The table is built on each call, so an audit function wrapped by name
-    in this module (as ``perfbench``'s tracer does) is the one that runs.
-    """
-    if family == "l1l2":
-        return (("value_sandwich", audit_value_sandwich, False),
-                ("contraction", audit_contraction_l1l2, True))
-    return (("residual_bound", audit_residual_l0, False),
-            ("contraction", audit_contraction_l0, True))
-
-
 def _audit_check(audit, design, *draws: np.ndarray) -> tuple:
     """``(failures, worst slack, up to 3 error messages)`` of one check.
 
@@ -382,7 +376,7 @@ def _audit_check(audit, design, *draws: np.ndarray) -> tuple:
 def cmd_audit(cfg: ExperimentConfig, args) -> tuple:
     draws = cfg.runs
     designs = {spec["name"]: build_controller(cfg, spec).design
-               for spec in cfg.controllers if spec["family"] in AUDITED}
+               for spec in cfg.controllers if _family(spec["family"])[1]}
 
     summary = {"seed": cfg.seed, "draws": draws, "controllers": []}
     failures_total, lines = 0, []
@@ -393,9 +387,9 @@ def cmd_audit(cfg: ExperimentConfig, args) -> tuple:
         name, family = spec["name"], spec["family"]
         entry = {"name": name, "family": family, "inequalities": []}
         summary["controllers"].append(entry)
-        if family not in AUDITED or draws == 0:
+        if draws == 0:
             continue
-        for check_name, audit, uses_dropouts in _checks(family):
+        for check_name, audit, uses_dropouts in _family(family)[1]:
             # Each draw takes its state and then its dropout count.
             for k in range(draws):
                 X[k] = rng.standard_normal(cfg.plant.n)

@@ -219,14 +219,15 @@ def propagate(plant: PlantModel, x: np.ndarray, u: float) -> np.ndarray:
     return _replay(plant, x, u, np.ones(1, dtype=int))[0, 1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def controllability_matrix(plant: PlantModel) -> np.ndarray:
-    """The ``n x n`` matrix ``[B, AB, ..., A^(n-1) B]``."""
+    """The ``n x n`` matrix ``[B, AB, ..., A^(n-1) B]``; a column past the
+    float range is not finite, and raises no warning."""
     n = plant.n
     cols = np.empty((n, n))
-    v = plant.B[:, 0].copy()
-    for k in range(n):
-        cols[:, k] = v
-        v = plant.A @ v
+    cols[:, 0] = plant.B[:, 0]
+    for k in range(1, n):
+        cols[:, k] = plant.A @ cols[:, k - 1]
     return cols
 
 
@@ -234,8 +235,7 @@ def _reachability(plant: PlantModel) -> tuple:
     # (reachable, ratio): the rank rule on the controllability matrix's
     # singular values and their smallest over largest ratio, from one SVD;
     # ParameterError if some A^k B is past the float range.
-    with np.errstate(over="ignore", invalid="ignore"):
-        C = controllability_matrix(plant)
+    C = controllability_matrix(plant)
     finite = np.isfinite(C).all(axis=0)
     if not finite.all():
         raise ParameterError(f"plant (A, B) overflows: A^{finite.argmin()} B "
@@ -330,7 +330,8 @@ def build_horizon_matrices(plant: PlantModel, N: int, Q, P) -> HorizonMatrices:
     Raises
     ------
     ParameterError
-        For a non-reachable plant, an invalid horizon, or non-SPD weights.
+        For a non-reachable plant, an invalid horizon, non-SPD weights, or
+        a horizon over which the powers of ``A`` leave the float range.
     DegeneracyError
         If the weighted input map has numerically dependent columns, which
         would make ``G'G`` singular.
@@ -343,10 +344,12 @@ def build_horizon_matrices(plant: PlantModel, N: int, Q, P) -> HorizonMatrices:
     return _horizon_matrices(plant, N, Q, P)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _horizon_matrices(plant: PlantModel, N: int, Q: np.ndarray,
                       P: np.ndarray) -> HorizonMatrices:
     # build_horizon_matrices on a checked horizon, symmetric SPD weights and
-    # a reachable plant.
+    # a reachable plant.  A power past the float range raises no warning:
+    # it is refused below.
     n = plant.n
 
     # Powers A^k B for k = 0 .. N-1, then the block triangle and the stack of
@@ -368,7 +371,26 @@ def _horizon_matrices(plant: PlantModel, N: int, Q: np.ndarray,
     S = np.kron(np.eye(N), spd_sqrt(Q))
     S[-n:, -n:] = spd_sqrt(P)
 
-    hm = HorizonMatrices(N=N, G=_frozen(S @ Phi), H=_frozen(-S @ Upsilon),
+    G, H = S @ Phi, -S @ Upsilon
+    if not (np.isfinite(G).all() and np.isfinite(H).all()):
+        raise ParameterError(f"horizon N = {N}: plant (A, B) overflows: "
+                             f"{_first_overflow(Phi, Upsilon, n)} not finite")
+    hm = HorizonMatrices(N=N, G=_frozen(G), H=_frozen(H),
                          Phi=_frozen(Phi), Upsilon=_frozen(Upsilon))
     hm.svd                          # refuses a singular G'G here, eagerly
     return hm
+
+
+def _first_overflow(Phi: np.ndarray, Upsilon: np.ndarray, n: int) -> str:
+    # "A^k is" or "A^k B is" for the first power in Upsilon (A^1 .. A^N) or
+    # in Phi's first column (A^0 B .. A^(N-1) B) that is not finite, A^k
+    # before A^k B; the weighted maps if every power is finite.
+    def first(blocks) -> int:
+        finite = np.isfinite(blocks.reshape(len(blocks), -1)).all(axis=1)
+        return int(finite.argmin()) if not finite.all() else len(blocks) + 1
+
+    k_ab = first(Phi[:, 0].reshape(-1, n))
+    k_a = first(Upsilon.reshape(-1, n, n)) + 1
+    if min(k_a, k_ab) > len(Phi) // n:
+        return "its weighted maps S Phi and S Upsilon are"
+    return f"A^{k_a} is" if k_a <= k_ab else f"A^{k_ab} B is"

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,29 @@ class TestExitCodes:
         err = capfd.readouterr().err
         assert err == ("design error: L1L2(i): plant (A, B) overflows: "
                        "A^1 B is not finite\n"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command",
+                             ["design", "simulate", "montecarlo", "audit"])
+    def test_a_horizon_over_which_the_powers_overflow_exits_3(
+            self, tmp_path, capfd, command):
+        # The benchmark plant with A scaled by 10 is reachable, but its
+        # A^261 is past the float range.  The horizon SVD used to fail with
+        # numpy's LinAlgError after its overflow warnings.
+        cfg = json.loads((ROOT / "configs" / "benchmark.json").read_text())
+        cfg["plant"]["A"] = [[10 * a for a in row]
+                             for row in cfg["plant"]["A"]]
+        cfg["horizon"] = 300
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        runs = ["--runs", "3"] if command in ("montecarlo", "audit") else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(path), "--out", str(out),
+                         *runs]) == 3
+        err = capfd.readouterr().err
+        assert err == ("design error: L1L2(i): horizon N = 300: plant (A, B) "
+                       "overflows: A^261 is not finite\n"), err
         assert not out.exists()
 
     def test_an_unreachable_plant_names_its_ratio_and_exits_3(self, tmp_path,

@@ -29,3 +29,18 @@ def test_harness_runs_and_checks_out(workload, trace):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    if trace == "1":
+        # The tracer rebinds functions by name in each module; the CLI looks
+        # up each family's design and audit functions when it calls them, so
+        # the spans it dispatches to must read time.
+        metrics = {name: m["value"] for name, m in result["metrics"].items()}
+        timed = {"mc-l1l2": ["design.design_l1l2.us"],
+                 "mc-greedy": ["design.design_l0.us"],
+                 "audit": ["design.design_l1l2.us", "design.design_l0.us",
+                           "cli.build_controller.ms",
+                           "design.audit_value_sandwich.ms",
+                           "design.audit_contraction_l1l2.ms",
+                           "design.audit_contraction_l0.us",
+                           "design.audit_residual_l0.us"]}[workload]
+        assert [name for name in timed if not metrics[name] > 0] == [], \
+            metrics

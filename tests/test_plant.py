@@ -6,12 +6,15 @@ match that independent oracle.
 """
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import sparseppc as sp
 from sparseppc import DegeneracyError, ParameterError
+from sparseppc.design import design_linear
 
 from conftest import BENCH_A, random_reachable_plant, random_spd
 
@@ -91,6 +94,17 @@ class TestReachability:
         assert C.shape == (3, 3)
         np.testing.assert_allclose(C[:, [0]], plant.B)
         np.testing.assert_allclose(C[:, [2]], plant.A @ plant.A @ plant.B)
+
+    def test_a_column_past_the_float_range_is_not_finite_without_a_warning(
+            self):
+        # The loop once formed A^n B as well, a product it never stored, so
+        # a plant whose last column is finite still warned of an overflow
+        # (an error under this suite's filterwarnings).
+        C = sp.controllability_matrix(sp.PlantModel(A=[[1e200]], B=[1e200]))
+        np.testing.assert_array_equal(C, [[1e200]])
+        C = sp.controllability_matrix(
+            sp.PlantModel(A=[[1e200, 0.0], [0.0, 1.0]], B=[1e200, 1.0]))
+        np.testing.assert_array_equal(C, [[1e200, np.inf], [1.0, 1.0]])
 
     def test_benchmark_spectrum(self):
         # Guard against transcription slips in the benchmark matrices.
@@ -280,6 +294,24 @@ def test_a_plant_whose_powers_overflow_is_a_parameter_error(bench_plant):
         with pytest.raises(ParameterError,
                            match=r"plant \(A, B\) overflows: A\^1 B"):
             call(plant)
+
+
+def test_a_horizon_over_which_the_powers_overflow_is_a_parameter_error(
+        bench_plant):
+    # The benchmark plant with A scaled by 10: A^261 is past the float
+    # range, and at N = 260 every power is finite but the Riccati-weighted
+    # maps are not.  The horizon SVD once warned of the overflow and then
+    # raised numpy's LinAlgError.
+    plant = sp.PlantModel(A=10 * bench_plant.A, B=bench_plant.B)
+    for call, N, what in (
+            (lambda N: sp.build_horizon_matrices(plant, N, np.eye(4),
+                                                 np.eye(4)), 300, "A^261 is"),
+            (lambda N: design_linear(plant, np.eye(4), N), 300, "A^261 is"),
+            (lambda N: design_linear(plant, np.eye(4), N), 260,
+             "its weighted maps S Phi and S Upsilon are")):
+        message = f"horizon N = {N}: plant (A, B) overflows: {what} not finite"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            call(N)
 
 
 def test_an_unreachable_refusal_names_its_singular_value_ratio(bench_plant):
